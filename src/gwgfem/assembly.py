@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _PIVOT_RTOL = 1e-12
+_RESIDUAL_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -260,35 +261,70 @@ def assemble(
     )
 
 
+def _factor(A):
+    """Sparse LU of an SPD matrix: minimum-degree ordering of A^T + A, no row pivoting.
+
+    SuperLU keeps the diagonal pivot unless it is exactly zero, so the
+    factorization is a symmetric permutation P A P^T = L U and every pivot of
+    an SPD matrix is positive.  Raises RuntimeError when a column has no
+    nonzero pivot candidate (exactly singular).
+    """
+    return spla.splu(
+        A.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
+def _pivots(lu) -> np.ndarray:
+    """Pivots of a symmetric-mode factorization, indexed like the reduced system."""
+    return lu.U.diagonal()[lu.perm_c]
+
+
 def solve(system: GlobalSystem, method: str = "direct") -> WeakFunction:
     """Solve the reduced system; returns the full weak function u_h.
 
-    method "direct" uses a sparse LU factorization and reports near-zero
-    pivots as SingularSystem; "cg" uses diagonally preconditioned conjugate
-    gradients (the matrix is symmetric positive definite whenever rho > 0).
+    method "direct" factors the matrix with a symmetric-mode sparse LU: a
+    minimum-degree ordering of A^T + A and no row pivoting, which is stable
+    only because the matrix is symmetric positive definite.  A pivot that is
+    not positive, or not above _PIVOT_RTOL times the largest pivot, raises
+    SingularSystem naming the offending unknown; so does a matrix that is
+    exactly singular or not positive definite.  method "cg" uses diagonally
+    preconditioned conjugate gradients.  Either way, a solution whose
+    residual ||A x - b|| exceeds _RESIDUAL_RTOL * ||b|| raises SingularSystem.
     """
     if method == "direct":
         try:
-            lu = spla.splu(system.A.tocsc())
+            lu = _factor(system.A)
         except RuntimeError as err:
             # exactly singular: refactor with a tiny diagonal shift purely to
             # locate the vanishing pivot for the error message
             pivot = None
             scale = np.abs(system.A.data).max() if system.A.nnz else 1.0
-            shifted = (system.A + 1e-14 * scale * sp.eye(system.A.shape[0])).tocsc()
+            shifted = system.A + 1e-14 * scale * sp.eye(system.A.shape[0])
             try:
-                pivot = int(np.argmin(np.abs(spla.splu(shifted).U.diagonal())))
+                pivot = int(np.argmin(_pivots(_factor(shifted))))
             except RuntimeError:
                 pass
             raise SingularSystem(
                 f"global system is singular (pivot {pivot}): {err}", pivot=pivot
             ) from err
-        diag = np.abs(lu.U.diagonal())
-        if diag.size and diag.min() <= _PIVOT_RTOL * max(diag.max(), 1.0):
-            pivot = int(np.argmin(diag))
+        # a zero diagonal pivot, which no SPD matrix has, makes SuperLU swap rows
+        swapped = np.flatnonzero(lu.perm_r != lu.perm_c)
+        if swapped.size:
+            pivot = int(swapped[np.argmin(lu.perm_c[swapped])])
             raise SingularSystem(
-                f"global system is numerically singular (pivot {pivot} has magnitude "
-                f"{diag.min():.3e}); an unstabilized family may lack edge control",
+                f"global system is not positive definite (zero pivot at unknown {pivot})",
+                pivot=pivot,
+            )
+        piv = _pivots(lu)
+        if piv.size and piv.min() <= _PIVOT_RTOL * piv.max():
+            pivot = int(np.argmin(piv))
+            raise SingularSystem(
+                f"global system is numerically singular or not positive definite "
+                f"(pivot {pivot} is {piv[pivot]:.3e}, largest pivot {piv.max():.3e}); "
+                f"an unstabilized family may lack edge control",
                 pivot=pivot,
             )
         x = lu.solve(system.b)
@@ -302,6 +338,14 @@ def solve(system: GlobalSystem, method: str = "direct") -> WeakFunction:
             raise SingularSystem(f"conjugate gradient iteration did not converge (info={info})")
     else:
         raise ValueError(f"unknown solver {method!r}; expected 'direct' or 'cg'")
+
+    residual = np.linalg.norm(system.A @ x - system.b)
+    b_norm = np.linalg.norm(system.b)
+    if not residual <= _RESIDUAL_RTOL * b_norm:  # also rejects a NaN residual
+        raise SingularSystem(
+            f"{method} solve failed its residual check: ||A x - b|| = {residual:.3e} "
+            f"exceeds {_RESIDUAL_RTOL:g} * ||b|| with ||b|| = {b_norm:.3e}"
+        )
 
     coeffs = np.empty(system.dofmap.total)
     coeffs[system.free] = x

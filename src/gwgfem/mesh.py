@@ -21,6 +21,8 @@ __all__ = [
     "dump_mesh",
 ]
 
+_PARALLELOGRAM_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ElementGeometry:
@@ -69,6 +71,18 @@ class Mesh:
         if np.any(areas <= 0.0):
             bad = int(np.argmax(areas <= 0.0))
             raise ValueError(f"element {bad} is not counterclockwise")
+        verts = self.vertices[self.elements]
+        self._diameters = _diameters(verts)
+        if self.elements.shape[1] == 4:
+            # quadrature and shape classes map the reference square affinely,
+            # which is exact only for parallelograms: v0 + v2 = v1 + v3
+            skew = np.linalg.norm(verts[:, 0] + verts[:, 2] - verts[:, 1] - verts[:, 3], axis=1)
+            bad = np.flatnonzero(skew > _PARALLELOGRAM_RTOL * self._diameters)
+            if bad.size:
+                raise ValueError(
+                    f"element {bad[0]} is not a parallelogram (|v0 + v2 - v1 - v3| = "
+                    f"{skew[bad[0]]:.3e}); only parallelogram quadrilaterals are supported"
+                )
 
         ne, w = self.elements.shape
         edge_of = {}
@@ -102,14 +116,12 @@ class Mesh:
         self.edge_elements = np.column_stack([left, right]).astype(np.int64)
         self.boundary_edge = (self.edge_elements == -1).any(axis=1)
 
-        verts = self.vertices[self.elements]
         self._centroids = verts.mean(axis=1)
         self._areas = areas
         d = self.edges
         self._edge_lengths = np.linalg.norm(
             self.vertices[d[:, 1]] - self.vertices[d[:, 0]], axis=1
         )
-        self._diameters = _diameters(verts)
 
     @property
     def n_vertices(self) -> int:

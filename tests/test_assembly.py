@@ -9,12 +9,15 @@ scratch with plain numpy so that any plumbing mistake in the fast path shows
 up as a disagreement.
 """
 
+import dataclasses
 import io
 import math
 import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from gwgfem import (
     OperatorCache,
@@ -23,6 +26,7 @@ from gwgfem import (
     WeakFunction,
     WeakSpaceSignature,
     assemble,
+    assembly,
     build_uniform_rectangular,
     build_uniform_triangular,
     dump_system,
@@ -374,10 +378,14 @@ def test_stiffness_alone_is_positive_semidefinite():
 # ----------------------------------------------------------------- solvers
 
 
-def test_solve_matches_dense_solver():
-    mesh = build_uniform_triangular(3)
-    sig = WeakSpaceSignature(1, 1, 1)
-    params = SchemeParameters()
+@pytest.mark.parametrize(
+    "shape,k,j,ell,rho",
+    [("tri", 1, 1, 1, 1.0), ("tri", 3, 4, 4, 1.0), ("rect", 2, 1, 3, 0.0)],
+)
+def test_solve_matches_dense_solver(shape, k, j, ell, rho):
+    mesh = build_uniform_triangular(3) if shape == "tri" else build_uniform_rectangular(1)
+    sig = WeakSpaceSignature(k, j, ell)
+    params = SchemeParameters(rho=rho)
 
     def f(p):
         return np.sin(p[:, 0] + 2.0 * p[:, 1])
@@ -392,6 +400,67 @@ def test_solve_matches_dense_solver():
         np.abs(x_ref).max() + 1.0
     )
     assert np.abs(u_h.coeffs[system.constrained] - system.dirichlet_values).max() == 0.0
+
+
+def test_solve_is_scale_invariant():
+    # scaling the coefficient, the stabilizer and f by 1e-13 scales the matrix
+    # and the load alike, so the pivot test must not see an absolute scale
+    mesh = build_uniform_triangular(4)
+    sig = WeakSpaceSignature(1, 1, 1)
+
+    def g(p):
+        return p[:, 0] * p[:, 1]
+
+    def solved(scale):
+        params = SchemeParameters(rho=scale, coefficient=scale * np.eye(2))
+        return solve(
+            assemble(mesh, sig, params, lambda p: scale * np.sin(p[:, 0] + 2.0 * p[:, 1]), g)
+        ).coeffs
+
+    unscaled = solved(1.0)
+    assert np.abs(solved(1e-13) - unscaled).max() <= 1e-10 * np.abs(unscaled).max()
+
+
+def _small_system():
+    mesh = build_uniform_triangular(3)
+    sig = WeakSpaceSignature(1, 1, 1)
+
+    def f(p):
+        return np.cos(3.0 * p[:, 0]) + p[:, 1]
+
+    def g(p):
+        return p[:, 0]
+
+    return assemble(mesh, sig, SchemeParameters(), f, g)
+
+
+@pytest.mark.parametrize(
+    "indefinite",
+    [lambda A: -A, lambda A: sp.csr_matrix(np.fliplr(np.eye(A.shape[0])))],
+    ids=["negated", "antidiagonal"],
+)
+def test_solve_rejects_matrix_that_is_not_positive_definite(indefinite):
+    # the unpivoted factorization is only valid for SPD matrices: a negative
+    # definite matrix, or a symmetric permutation matrix whose zero diagonal
+    # forces row swaps, must be rejected rather than solved
+    system = _small_system()
+    with pytest.raises(SingularSystem) as err:
+        solve(dataclasses.replace(system, A=indefinite(system.A)))
+    assert err.value.pivot is not None
+
+
+@pytest.mark.parametrize("method", ["direct", "cg"])
+def test_solve_rejects_large_residual(monkeypatch, method):
+    # a solver that returns a wrong vector without complaint is caught by
+    # the residual check
+    system = _small_system()
+    wrong = spla.splu((system.A + sp.eye(system.A.shape[0])).tocsc())
+    if method == "direct":
+        monkeypatch.setattr(assembly, "_factor", lambda A: wrong)
+    else:
+        monkeypatch.setattr(assembly.spla, "cg", lambda A, b, **kw: (wrong.solve(b), 0))
+    with pytest.raises(SingularSystem, match="residual"):
+        solve(system, method=method)
 
 
 def test_zero_data_gives_zero_solution():

@@ -109,6 +109,18 @@ def test_ccw_validation():
         Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 2, 1]])
 
 
+def test_non_parallelogram_quadrilateral_rejected():
+    # the affine map to the reference square would give this trapezoid of
+    # area 1.5 quadrature weights summing to 2.0
+    with pytest.raises(ValueError, match="parallelogram"):
+        Mesh([[0.0, 0.0], [2.0, 0.0], [1.5, 1.0], [0.5, 1.0]], [[0, 1, 2, 3]])
+
+
+def test_sheared_parallelogram_accepted():
+    mesh = Mesh([[0.0, 0.0], [2.0, 0.0], [2.5, 1.0], [0.5, 1.0]], [[0, 1, 2, 3]])
+    assert mesh.element_areas()[0] == pytest.approx(2.0)
+
+
 def test_geometry_unit_right_triangle():
     mesh = unit_right_triangle()
     g = geometry(mesh, 0)
