@@ -27,15 +27,10 @@ from .polybasis import (
 )
 from .weakspace import (
     GlobalDofMap,
-    LocalWeakGradient,
     OperatorCache,
     WeakFunction,
     WeakSpaceSignature,
-    build_local_weak_gradient,
-    project_Q0,
-    project_Qb,
     project_Qh,
-    project_Qs_vector,
 )
 from .assembly import (
     GlobalSystem,

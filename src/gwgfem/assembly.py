@@ -15,23 +15,20 @@ returning garbage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import Mesh
-from .polybasis import graded_element_rule
 from .weakspace import (
     GlobalDofMap,
     OperatorCache,
     WeakFunction,
     WeakSpaceSignature,
-    _grading_depth,
-    _singular_corner,
-    _VERTEX_TOL,
-    project_Qb,
+    _edge_projection,
+    _interior_moments,
 )
 
 __all__ = [
@@ -118,6 +115,27 @@ class GlobalSystem:
     cache: OperatorCache
 
 
+def _class_matrices(ops, elems, params: SchemeParameters) -> np.ndarray:
+    """Local stiffness plus stabilizer of one shape class.
+
+    One (n_loc, n_loc) matrix when the coefficient is constant, or one per
+    element of the index array elems, shape (elems.size, n_loc, n_loc), when
+    it varies per element.
+    """
+    local = params.rho * ops.h_T**params.gamma * ops.stab_unit
+    if params.is_identity:
+        return ops.Sxx + ops.Syy + local
+    a = params.coefficient
+    if a.ndim == 3:
+        a = a[elems]
+    return (
+        a[..., 0, 0, None, None] * ops.Sxx
+        + a[..., 0, 1, None, None] * (ops.Sxy + ops.Sxy.T)
+        + a[..., 1, 1, None, None] * ops.Syy
+        + local
+    )
+
+
 def local_stiffness(
     mesh: Mesh,
     element: int,
@@ -128,11 +146,7 @@ def local_stiffness(
     """(a grad_g ., grad_g .)_T as a matrix on the local coefficient vector."""
     if cache is None:
         cache = OperatorCache(mesh, signature)
-    ops = cache.shape_ops(element)
-    if params.is_identity:
-        return ops.Sxx + ops.Syy
-    a = params.tensor(element)
-    return a[0, 0] * ops.Sxx + a[0, 1] * (ops.Sxy + ops.Sxy.T) + a[1, 1] * ops.Syy
+    return _class_matrices(cache.shape_ops(element), element, replace(params, rho=0.0))
 
 
 def local_stabilizer(
@@ -146,31 +160,9 @@ def local_stabilizer(
     if cache is None:
         cache = OperatorCache(mesh, signature)
     ops = cache.shape_ops(element)
-    return params.rho * ops.h_T**params.gamma * ops.stab_unit
-
-
-def _boundary_projection(mesh, signature, cache, g, singularity):
-    """Qb g on boundary edges, ordered like dofmap.boundary_dofs."""
-    nb = signature.edge_dim
-    bedges = np.nonzero(mesh.boundary_edge)[0]
-    t, w_ref, legendre_vals, _ = cache.edge_data
-    p0 = mesh.vertices[mesh.edges[bedges, 0]]
-    p1 = mesh.vertices[mesh.edges[bedges, 1]]
-    pts = (p0 + p1)[:, None, :] / 2.0 + t[None, :, None] * (p1 - p0)[:, None, :] / 2.0
-    values = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(bedges.size, -1)
-    lengths = np.linalg.norm(p1 - p0, axis=1)
-    moments = ((values * w_ref) @ legendre_vals) * (lengths / 2.0)[:, None]
-    coeffs = moments / (lengths[:, None] / (2.0 * np.arange(nb) + 1.0))
-    if singularity is not None:
-        point = np.asarray(singularity[0], dtype=float)
-        hits = np.nonzero(
-            (np.linalg.norm(mesh.vertices[mesh.edges[bedges]] - point, axis=2) < _VERTEX_TOL).any(
-                axis=1
-            )
-        )[0]
-        for i in hits:
-            coeffs[i] = project_Qb(g, mesh, int(bedges[i]), signature.j, singularity=singularity)
-    return coeffs.ravel()
+    return _class_matrices(ops, element, params) - _class_matrices(
+        ops, element, replace(params, rho=0.0)
+    )
 
 
 def assemble(
@@ -187,63 +179,28 @@ def assemble(
 
     f and g must be vectorized ((n, 2) points -> (n,) values).  singularity,
     if given, is a (point, strength) pair; load moments on elements touching
-    the point are integrated with rules graded toward it.
+    the point, and boundary values on edges touching it, are integrated with
+    rules graded toward it.
     """
     if cache is None:
         cache = OperatorCache(mesh, signature)
     dm = cache.dofmap
-    n0 = signature.interior_dim
     b = np.zeros(dm.total)
+    b[: dm.n_interior] = _interior_moments(cache, f, singularity).ravel()
     rows_parts, cols_parts, vals_parts = [], [], []
-
     for ops, elems in cache.classes():
-        n_loc = ops.n_loc
-        stab = params.rho * ops.h_T**params.gamma * ops.stab_unit
         dofs = dm.element_dof_table[elems]
-        rows_parts.append(np.repeat(dofs, n_loc, axis=1).ravel())
-        cols_parts.append(np.tile(dofs, (1, n_loc)).ravel())
-        if params.is_identity:
-            local = ops.Sxx + ops.Syy + stab
-            vals_parts.append(np.tile(local.ravel(), elems.size))
-        elif params.coefficient.ndim == 2:
-            a = params.coefficient
-            local = a[0, 0] * ops.Sxx + a[0, 1] * (ops.Sxy + ops.Sxy.T) + a[1, 1] * ops.Syy + stab
-            vals_parts.append(np.tile(local.ravel(), elems.size))
-        else:
-            a = params.coefficient[elems]
-            local = (
-                a[:, 0, 0, None, None] * ops.Sxx
-                + a[:, 0, 1, None, None] * (ops.Sxy + ops.Sxy.T)
-                + a[:, 1, 1, None, None] * ops.Syy
-                + stab
-            )
-            vals_parts.append(local.ravel())
-
-        pts = cache.centroids[elems][:, None, :] + ops.data_offsets[None, :, :]
-        values = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(elems.size, -1)
-        b[dofs[:, :n0]] = (values * ops.data_weights) @ ops.phi_k_data
-
-    if singularity is not None:
-        point, strength = np.asarray(singularity[0], dtype=float), float(singularity[1])
-        touching = np.nonzero(
-            (np.linalg.norm(mesh.vertices[mesh.elements] - point, axis=2) < _VERTEX_TOL).any(axis=1)
-        )[0]
-        d = max(2 * signature.k, signature.k + 4)
-        for e in touching:
-            ops = cache.shape_ops(e)
-            verts = mesh.vertices[mesh.elements[e]]
-            corner = _singular_corner(verts, point)
-            pts, w = graded_element_rule(verts, corner, d, _grading_depth(strength, ops.h_T))
-            phi = ops.basis.eval(pts - cache.centroids[e])[:, :n0]
-            off = dm.interior_offset(int(e))
-            b[off : off + n0] = phi.T @ (w * np.asarray(f(pts), dtype=float))
-
+        rows_parts.append(np.repeat(dofs, ops.n_loc, axis=1).ravel())
+        cols_parts.append(np.tile(dofs, (1, ops.n_loc)).ravel())
+        local = _class_matrices(ops, elems, params)
+        vals_parts.append(np.broadcast_to(local, (elems.size, ops.n_loc, ops.n_loc)).ravel())
     A = sp.coo_matrix(
         (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
         shape=(dm.total, dm.total),
     ).tocsr()
 
-    dirichlet = _boundary_projection(mesh, signature, cache, g, singularity)
+    bedges = np.nonzero(mesh.boundary_edge)[0]
+    dirichlet = _edge_projection(cache, g, bedges, singularity).ravel()
     free, constrained = dm.free_dofs, dm.boundary_dofs
     A_rows = A[free]
     b_free = b[free] - A_rows[:, constrained] @ dirichlet
@@ -282,68 +239,56 @@ def _pivots(lu) -> np.ndarray:
     return lu.U.diagonal()[lu.perm_c]
 
 
-def solve(system: GlobalSystem, method: str = "direct") -> WeakFunction:
+def solve(system: GlobalSystem) -> WeakFunction:
     """Solve the reduced system; returns the full weak function u_h.
 
-    method "direct" factors the matrix with a symmetric-mode sparse LU: a
-    minimum-degree ordering of A^T + A and no row pivoting, which is stable
-    only because the matrix is symmetric positive definite.  A pivot that is
-    not positive, or not above _PIVOT_RTOL times the largest pivot, raises
-    SingularSystem naming the offending unknown; so does a matrix that is
-    exactly singular or not positive definite.  method "cg" uses diagonally
-    preconditioned conjugate gradients.  Either way, a solution whose
-    residual ||A x - b|| exceeds _RESIDUAL_RTOL * ||b|| raises SingularSystem.
+    The matrix is factored with a symmetric-mode sparse LU: a minimum-degree
+    ordering of A^T + A and no row pivoting, which is stable only because the
+    matrix is symmetric positive definite.  A pivot that is not positive, or
+    not above _PIVOT_RTOL times the largest pivot, raises SingularSystem
+    naming the offending unknown; so does a matrix that is exactly singular
+    or not positive definite, and a solution whose residual ||A x - b||
+    exceeds _RESIDUAL_RTOL * ||b||.
     """
-    if method == "direct":
+    try:
+        lu = _factor(system.A)
+    except RuntimeError as err:
+        # exactly singular: refactor with a tiny diagonal shift purely to
+        # locate the vanishing pivot for the error message
+        pivot = None
+        scale = np.abs(system.A.data).max() if system.A.nnz else 1.0
+        shifted = system.A + 1e-14 * scale * sp.eye(system.A.shape[0])
         try:
-            lu = _factor(system.A)
-        except RuntimeError as err:
-            # exactly singular: refactor with a tiny diagonal shift purely to
-            # locate the vanishing pivot for the error message
-            pivot = None
-            scale = np.abs(system.A.data).max() if system.A.nnz else 1.0
-            shifted = system.A + 1e-14 * scale * sp.eye(system.A.shape[0])
-            try:
-                pivot = int(np.argmin(_pivots(_factor(shifted))))
-            except RuntimeError:
-                pass
-            raise SingularSystem(
-                f"global system is singular (pivot {pivot}): {err}", pivot=pivot
-            ) from err
-        # a zero diagonal pivot, which no SPD matrix has, makes SuperLU swap rows
-        swapped = np.flatnonzero(lu.perm_r != lu.perm_c)
-        if swapped.size:
-            pivot = int(swapped[np.argmin(lu.perm_c[swapped])])
-            raise SingularSystem(
-                f"global system is not positive definite (zero pivot at unknown {pivot})",
-                pivot=pivot,
-            )
-        piv = _pivots(lu)
-        if piv.size and piv.min() <= _PIVOT_RTOL * piv.max():
-            pivot = int(np.argmin(piv))
-            raise SingularSystem(
-                f"global system is numerically singular or not positive definite "
-                f"(pivot {pivot} is {piv[pivot]:.3e}, largest pivot {piv.max():.3e}); "
-                f"an unstabilized family may lack edge control",
-                pivot=pivot,
-            )
-        x = lu.solve(system.b)
-    elif method == "cg":
-        scale = system.A.diagonal()
-        if np.any(scale <= 0):
-            raise SingularSystem("global system has a non-positive diagonal entry")
-        precond = spla.LinearOperator(system.A.shape, lambda v: v / scale)
-        x, info = spla.cg(system.A, system.b, rtol=1e-12, atol=0.0, M=precond)
-        if info != 0:
-            raise SingularSystem(f"conjugate gradient iteration did not converge (info={info})")
-    else:
-        raise ValueError(f"unknown solver {method!r}; expected 'direct' or 'cg'")
+            pivot = int(np.argmin(_pivots(_factor(shifted))))
+        except RuntimeError:
+            pass
+        raise SingularSystem(
+            f"global system is singular (pivot {pivot}): {err}", pivot=pivot
+        ) from err
+    # a zero diagonal pivot, which no SPD matrix has, makes SuperLU swap rows
+    swapped = np.flatnonzero(lu.perm_r != lu.perm_c)
+    if swapped.size:
+        pivot = int(swapped[np.argmin(lu.perm_c[swapped])])
+        raise SingularSystem(
+            f"global system is not positive definite (zero pivot at unknown {pivot})",
+            pivot=pivot,
+        )
+    piv = _pivots(lu)
+    if piv.size and piv.min() <= _PIVOT_RTOL * piv.max():
+        pivot = int(np.argmin(piv))
+        raise SingularSystem(
+            f"global system is numerically singular or not positive definite "
+            f"(pivot {pivot} is {piv[pivot]:.3e}, largest pivot {piv.max():.3e}); "
+            f"an unstabilized family may lack edge control",
+            pivot=pivot,
+        )
+    x = lu.solve(system.b)
 
     residual = np.linalg.norm(system.A @ x - system.b)
     b_norm = np.linalg.norm(system.b)
     if not residual <= _RESIDUAL_RTOL * b_norm:  # also rejects a NaN residual
         raise SingularSystem(
-            f"{method} solve failed its residual check: ||A x - b|| = {residual:.3e} "
+            f"solve failed its residual check: ||A x - b|| = {residual:.3e} "
             f"exceeds {_RESIDUAL_RTOL:g} * ||b|| with ||b|| = {b_norm:.3e}"
         )
 

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .assembly import SchemeParameters, SingularSystem
-from .verify import ErrorReport, get_case, run_convergence_study
+from .verify import ErrorReport, _mesh_args, get_case, run_convergence_study
 from .weakspace import WeakSpaceSignature
 
 __all__ = ["StudyConfig", "ConfigError", "parse_config", "run", "main", "console_main"]
@@ -30,7 +30,6 @@ _DEFAULTS = {
     "rho": 1.0,
     "gamma": -1.0,
     "case": "cospi_cospi",
-    "solver": "direct",
 }
 
 _CONFIG_KEYS = (
@@ -41,7 +40,6 @@ _CONFIG_KEYS = (
     "gamma",
     "case",
     "alpha",
-    "solver",
     "output",
     "manifest",
 )
@@ -60,7 +58,6 @@ class StudyConfig:
     gamma: float = -1.0
     case: str = "cospi_cospi"
     alpha: float | None = None
-    solver: str = "direct"
     output: str | None = None
     manifest: bool = False
 
@@ -81,24 +78,15 @@ def _parse_element(text: str):
         degrees = tuple(int(p) for p in parts)
     except ValueError:
         raise ConfigError(f"element degrees must be integers, got {text!r}") from None
-    if any(d < 0 for d in degrees):
-        raise ConfigError(f"element degrees must be non-negative, got {text!r}")
     return degrees
 
 
 def _parse_levels(text: str):
     parts = [p.strip() for p in str(text).split(",") if p.strip()]
     try:
-        levels = tuple(int(p) for p in parts)
+        return tuple(int(p) for p in parts)
     except ValueError:
         raise ConfigError(f"levels must be comma-separated integers, got {text!r}") from None
-    if len(levels) < 2:
-        raise ConfigError("at least two refinement levels are required")
-    if any(v <= 0 for v in levels):
-        raise ConfigError(f"refinement levels must be positive, got {text!r}")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError(f"refinement levels must be strictly increasing, got {text!r}")
-    return levels
 
 
 def _parse_bool(text):
@@ -144,7 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--gamma", type=float, help="stabilizer mesh-power (default -1)")
     parser.add_argument("--case", help="manufactured solution name (default cospi_cospi)")
     parser.add_argument("--alpha", type=float, help="regularity index for case 'lowreg'")
-    parser.add_argument("--solver", choices=["direct", "cg"], help="linear solver (default direct)")
     parser.add_argument("--output", help="write the study table to this CSV file")
     parser.add_argument("--config", help="read defaults from a 'key = value' file")
     parser.add_argument(
@@ -160,7 +147,7 @@ def parse_config(argv=None) -> StudyConfig:
     """Merge flags over config-file values and validate; raises ConfigError."""
     args = _build_parser().parse_args(argv)
     merged = dict(_DEFAULTS)
-    merged.update({"element": None, "levels": None, "alpha": None, "output": None, "manifest": False})
+    merged.update(element=None, levels=None, alpha=None, output=None, manifest=False)
     if args.config:
         merged.update(_read_config_file(args.config))
     for key in _CONFIG_KEYS:
@@ -175,41 +162,21 @@ def parse_config(argv=None) -> StudyConfig:
     element = _parse_element(merged["element"])
     levels = _parse_levels(merged["levels"])
     mesh = str(merged["mesh"])
-    if mesh not in ("tri", "rect"):
-        raise ConfigError(f"mesh must be 'tri' or 'rect', got {mesh!r}")
+    case = str(merged["case"])
     try:
         rho = float(merged["rho"])
         gamma = float(merged["gamma"])
+        alpha = None if merged["alpha"] is None else float(merged["alpha"])
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    if rho < 0:
-        raise ConfigError(f"stabilizer weight rho must be non-negative, got {rho}")
-    case = str(merged["case"])
-    alpha = merged["alpha"]
-    if alpha is not None:
-        try:
-            alpha = float(alpha)
-        except ValueError:
-            raise ConfigError(f"alpha must be a number, got {alpha!r}") from None
-    if case == "lowreg":
-        if alpha is None:
-            raise ConfigError("case 'lowreg' requires --alpha in (0, 1]")
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
-    else:
-        try:
-            get_case(case)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-        if alpha is not None:
-            raise ConfigError(f"case {case!r} does not take --alpha")
-    solver = str(merged["solver"])
-    if solver not in ("direct", "cg"):
-        raise ConfigError(f"solver must be 'direct' or 'cg', got {solver!r}")
-    if mesh == "rect":
-        for label in levels:
-            if label % 4 != 0 or (label // 4) & (label // 4 - 1):
-                raise ConfigError(f"rectangular levels must be 4*2^L, got {label}")
+    # the library's own checks, reported as configuration errors
+    try:
+        WeakSpaceSignature(*element)
+        _mesh_args(mesh, levels)
+        SchemeParameters(rho=rho, gamma=gamma)
+        get_case(case, alpha=alpha)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     output = merged["output"]
     return StudyConfig(
         element=element,
@@ -219,7 +186,6 @@ def parse_config(argv=None) -> StudyConfig:
         gamma=gamma,
         case=case,
         alpha=alpha,
-        solver=solver,
         output=None if output in (None, "") else str(output),
         manifest=_parse_bool(merged["manifest"]),
     )
@@ -240,7 +206,6 @@ def _csv_lines(report: ErrorReport, config: StudyConfig) -> list:
         ]
         if config.alpha is not None:
             items.append(("alpha", f"{config.alpha:.17g}"))
-        items.append(("solver", config.solver))
         lines.extend(f"# {key} = {value}" for key, value in items)
     lines.append(CSV_HEADER)
     rates = report.rates()
@@ -285,7 +250,6 @@ def run(config: StudyConfig, stdout=None, stderr=None) -> int:
             config.levels,
             config.signature,
             config.params,
-            solver=config.solver,
         )
     except SingularSystem as err:
         stderr.write(f"error: level {err.level}: {err}\n")

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import SchemeParameters, SingularSystem, assemble, solve
-from .mesh import Mesh, build_uniform_rectangular, build_uniform_triangular
+from .assembly import SchemeParameters, SingularSystem, _class_matrices, assemble, solve
+from .mesh import build_uniform_rectangular, build_uniform_triangular
 from .weakspace import OperatorCache, WeakFunction, WeakSpaceSignature, project_Qh
 
 __all__ = [
@@ -216,20 +216,8 @@ def energy_norm(wf: WeakFunction, params: SchemeParameters, cache: OperatorCache
     total = 0.0
     for ops, elems in cache.classes():
         vloc = wf.coeffs[dm.element_dof_table[elems]]
-        stab = params.rho * ops.h_T**params.gamma * ops.stab_unit
-        if params.is_identity or params.coefficient.ndim == 2:
-            a = params.tensor()
-            K = a[0, 0] * ops.Sxx + a[0, 1] * (ops.Sxy + ops.Sxy.T) + a[1, 1] * ops.Syy + stab
-            total += float(np.einsum("ei,ij,ej->", vloc, K, vloc))
-        else:
-            a = params.coefficient[elems]
-            K = (
-                a[:, 0, 0, None, None] * ops.Sxx
-                + a[:, 0, 1, None, None] * (ops.Sxy + ops.Sxy.T)
-                + a[:, 1, 1, None, None] * ops.Syy
-                + stab
-            )
-            total += float(np.einsum("ei,eij,ej->", vloc, K, vloc))
+        Kv = (vloc[:, None, :] @ _class_matrices(ops, elems, params))[:, 0]
+        total += float(np.sum(Kv * vloc))
     return math.sqrt(max(total, 0.0))
 
 
@@ -301,18 +289,31 @@ class ErrorReport:
         return self.rates()[-1] if len(self.rows) > 1 else (None, None, None)
 
 
-def _mesh_for(mesh_family: str, label: int) -> Mesh:
+def _mesh_args(mesh_family: str, labels) -> list:
+    """Check a study's mesh labels and return the mesh-builder argument of each.
+
+    Labels are nominal 1/h values, at least two and strictly increasing:
+    n subdivisions per side for 'tri', 4*2^L for 'rect' (whose builder takes
+    L).  Raises ValueError on a bad family or label, before any mesh is built.
+    """
+    labels = [int(v) for v in labels]
+    if len(labels) < 2:
+        raise ValueError("a convergence study needs at least two refinement levels")
+    if any(b <= a for a, b in zip(labels, labels[1:])):
+        raise ValueError(f"refinement levels must be strictly increasing, got {labels}")
     if mesh_family == "tri":
-        return build_uniform_triangular(label)
-    if mesh_family == "rect":
-        if label % 4 != 0:
+        if labels[0] < 1:
+            raise ValueError(f"triangular mesh labels must be positive, got {labels[0]}")
+        return labels
+    if mesh_family != "rect":
+        raise ValueError(f"unknown mesh family {mesh_family!r}; expected 'tri' or 'rect'")
+    levels = []
+    for label in labels:
+        level = label.bit_length() - 3
+        if level < 0 or label != 4 * 2**level:
             raise ValueError(f"rectangular mesh labels are 4*2^L, got {label}")
-        ratio = label // 4
-        level = int(round(math.log2(ratio)))
-        if ratio != 2**level:
-            raise ValueError(f"rectangular mesh labels are 4*2^L, got {label}")
-        return build_uniform_rectangular(level)
-    raise ValueError(f"unknown mesh family {mesh_family!r}; expected 'tri' or 'rect'")
+        levels.append(level)
+    return levels
 
 
 def run_convergence_study(
@@ -321,7 +322,6 @@ def run_convergence_study(
     levels,
     signature: WeakSpaceSignature,
     params: SchemeParameters,
-    solver: str = "direct",
 ) -> ErrorReport:
     """Solve the scheme on a refinement sequence and collect error norms.
 
@@ -331,20 +331,18 @@ def run_convergence_study(
     offending label (.level) and the completed rows (.partial).
     """
     labels = [int(v) for v in levels]
-    if len(labels) < 2:
-        raise ValueError("a convergence study needs at least two refinement levels")
-    if any(b <= a for a, b in zip(labels, labels[1:])):
-        raise ValueError(f"refinement levels must be strictly increasing, got {labels}")
+    mesh_args = _mesh_args(mesh_family, labels)
+    build = build_uniform_triangular if mesh_family == "tri" else build_uniform_rectangular
 
     report = ErrorReport(case.name, mesh_family, signature, params)
-    for label in labels:
-        mesh = _mesh_for(mesh_family, label)
+    for label, arg in zip(labels, mesh_args):
+        mesh = build(arg)
         cache = OperatorCache(mesh, signature)
         system = assemble(
             mesh, signature, params, case.f, case.g, cache=cache, singularity=case.singularity
         )
         try:
-            u_h = solve(system, method=solver)
+            u_h = solve(system)
         except SingularSystem as err:
             err.level = label
             err.partial = report

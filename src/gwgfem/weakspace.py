@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .mesh import Mesh, geometry
+from .mesh import Mesh
 from .polybasis import (
     EdgeBasis,
     ElementBasis,
@@ -45,15 +45,12 @@ __all__ = [
     "GlobalDofMap",
     "WeakFunction",
     "OperatorCache",
-    "LocalWeakGradient",
-    "build_local_weak_gradient",
-    "project_Q0",
-    "project_Qb",
-    "project_Qs_vector",
     "project_Qh",
 ]
 
 _VERTEX_TOL = 1e-12
+# shape-class keys: centroid-relative vertices rounded to this many decimals of h_max
+_SHAPE_DECIMALS = 10
 
 
 @dataclass(frozen=True)
@@ -212,12 +209,15 @@ class _ShapeOps:
         M_full = V.T @ (self.q_weights[:, None] * V)
         self.M0 = M_full[:n0, :n0]
         self.M_m = M_full[:dim_m, :dim_m]
-        self._cho_M0 = cho_factor(self.M0)
 
         # higher-order rule for moments of smooth, non-polynomial data
         data_rule = element_quadrature(shape, max(2 * k, k + 4))
         self.data_offsets, self.data_weights = map_to_element(data_rule, rel_verts)
         self.phi_k_data = self.basis.eval(self.data_offsets)[:, :n0]
+        # Q0 takes its mass matrix from the same rule as its moments
+        self._cho_data_M0 = cho_factor(
+            self.phi_k_data.T @ (self.data_weights[:, None] * self.phi_k_data)
+        )
 
         edge_basis = EdgeBasis(j)
         self.edge_basis = edge_basis
@@ -282,10 +282,11 @@ class _ShapeOps:
 class OperatorCache:
     """Shape-class detection and shared local operators for one mesh/family.
 
-    Elements are grouped by their centroid-relative vertex coordinates and
-    edge orientation pattern; each group gets a single _ShapeOps bundle.
-    On the uniform meshes used here this yields two groups (triangles) or
-    one (rectangles).
+    Elements are grouped by their centroid-relative vertex coordinates, taken
+    relative to the mesh size h_max, and their edge orientation pattern; each
+    group gets a single _ShapeOps bundle, numbered in order of first
+    appearance.  On the uniform meshes used here this yields two groups
+    (triangles) or one (rectangles).
     """
 
     def __init__(self, mesh: Mesh, signature: WeakSpaceSignature):
@@ -297,23 +298,17 @@ class OperatorCache:
         self.shape = "triangle" if width == 3 else "rectangle"
 
         rel = mesh.vertices[mesh.elements] - self.centroids[:, None, :]
-        keys = {}
-        class_ids = np.empty(mesh.n_elements, dtype=np.int64)
-        self.class_ops: list[_ShapeOps] = []
-        rounded = np.round(rel, 12)
-        for e in range(mesh.n_elements):
-            key = (rounded[e].tobytes(), tuple(mesh.element_edge_signs[e]))
-            cid = keys.get(key)
-            if cid is None:
-                cid = len(self.class_ops)
-                keys[key] = cid
-                self.class_ops.append(
-                    _ShapeOps(self.shape, rel[e], mesh.element_edge_signs[e], signature)
-                )
-            class_ids[e] = cid
-        self.class_ids = class_ids
+        signs = mesh.element_edge_signs
+        scaled = np.round(rel / mesh.h_max, _SHAPE_DECIMALS).reshape(mesh.n_elements, -1)
+        keys = np.hstack([scaled, signs])
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # classes in order of first appearance
+        self.class_ids = np.argsort(order)[inverse.reshape(-1)]
+        self.class_ops: list[_ShapeOps] = [
+            _ShapeOps(self.shape, rel[e], signs[e], signature) for e in first[order]
+        ]
         self.class_elements = [
-            np.nonzero(class_ids == cid)[0] for cid in range(len(self.class_ops))
+            np.nonzero(self.class_ids == cid)[0] for cid in range(len(self.class_ops))
         ]
 
         j = signature.j
@@ -329,33 +324,6 @@ class OperatorCache:
         return zip(self.class_ops, self.class_elements)
 
 
-@dataclass(frozen=True)
-class LocalWeakGradient:
-    """Weak gradient operator of one element.
-
-    G maps the local coefficient vector to coefficients of grad_g v in
-    [P_m]^2 (x-component coefficients stacked over y-component); delta is
-    the correction part alone, mapping into [P_ell]^2.
-    """
-
-    element: int
-    delta: np.ndarray
-    G: np.ndarray
-    ops: _ShapeOps
-
-
-def build_local_weak_gradient(
-    mesh: Mesh,
-    element: int,
-    signature: WeakSpaceSignature,
-    cache: OperatorCache | None = None,
-) -> LocalWeakGradient:
-    if cache is None:
-        cache = OperatorCache(mesh, signature)
-    ops = cache.shape_ops(element)
-    return LocalWeakGradient(element, ops.delta, ops.G, ops)
-
-
 def _grading_depth(strength: float, h: float) -> int:
     # Choose the dyadic depth so the untouched innermost piece, of size
     # h * 2^-depth, contributes O((h 2^-depth)^strength) ~ 2^-40 or less;
@@ -364,72 +332,59 @@ def _grading_depth(strength: float, h: float) -> int:
     return int(min(480, max(4, depth)))
 
 
-def _singular_corner(verts: np.ndarray, point) -> int | None:
-    if point is None:
-        return None
-    dist = np.linalg.norm(verts - np.asarray(point, dtype=float), axis=1)
-    hits = np.nonzero(dist < _VERTEX_TOL)[0]
-    return int(hits[0]) if hits.size else None
+def _touching(mesh: Mesh, cells: np.ndarray, singularity):
+    """Rows of cells (vertex index arrays) with a vertex at the singular point.
 
-
-def project_Q0(fn, mesh: Mesh, element: int, k: int, *, singularity=None) -> np.ndarray:
-    """L2-project a scalar field onto P_k(T); returns basis coefficients.
-
-    fn must be vectorized: (n, 2) points -> (n,) values.  singularity, if
-    given, is a (point, strength) pair; integrals over elements touching
-    the point are computed with a rule graded toward it.
+    Returns (rows, local index of that vertex); both empty without a singularity.
     """
-    geom = geometry(mesh, element)
-    basis = ElementBasis(k, geom.centroid, geom.diameter)
-    verts = mesh.vertices[mesh.elements[element]]
-    shape = "triangle" if verts.shape[0] == 3 else "rectangle"
-    d = max(2 * k, k + 4)
-    spts, sw = map_to_element(element_quadrature(shape, d), verts)
-    V = basis.eval(spts)
-    M = V.T @ (sw[:, None] * V)
-    corner = None if singularity is None else _singular_corner(verts, singularity[0])
-    if corner is not None:
-        depth = _grading_depth(singularity[1], geom.diameter)
-        pts, w = graded_element_rule(verts, corner, d, depth)
-        moments = basis.eval(pts).T @ (w * fn(pts))
-    else:
-        moments = V.T @ (sw * fn(spts))
-    return np.linalg.solve(M, moments)
+    if singularity is None:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    hit = np.linalg.norm(mesh.vertices[cells] - singularity[0], axis=2) < _VERTEX_TOL
+    rows = np.nonzero(hit.any(axis=1))[0]
+    return rows, hit[rows].argmax(axis=1)
 
 
-def project_Qb(fn, mesh: Mesh, edge: int, j: int, *, singularity=None) -> np.ndarray:
-    """L2-project a scalar field onto P_j of one edge (Legendre coefficients)."""
-    a, b = mesh.edges[edge]
-    p0, p1 = mesh.vertices[a], mesh.vertices[b]
-    eb = EdgeBasis(j)
-    length = float(np.linalg.norm(p1 - p0))
-    d = max(2 * j, j + 4)
-    ends = _singular_corner(np.array([p0, p1]), None if singularity is None else singularity[0])
-    if ends is not None:
+def _interior_moments(cache: OperatorCache, fn, singularity=None) -> np.ndarray:
+    """(fn, phi_i)_T against the P_k basis of every element, shape (n_elements, n0).
+
+    singularity, if given, is a (point, strength) pair; elements with a
+    vertex at the point are integrated with a rule graded toward it.
+    """
+    mesh, k = cache.mesh, cache.signature.k
+    out = np.empty((mesh.n_elements, cache.signature.interior_dim))
+    for ops, elems in cache.classes():
+        pts = cache.centroids[elems][:, None, :] + ops.data_offsets[None, :, :]
+        values = np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(elems.size, -1)
+        out[elems] = (values * ops.data_weights) @ ops.phi_k_data
+    for e, corner in zip(*_touching(mesh, mesh.elements, singularity)):
+        ops = cache.shape_ops(e)
+        depth = _grading_depth(singularity[1], ops.h_T)
+        verts = mesh.vertices[mesh.elements[e]]
+        pts, w = graded_element_rule(verts, corner, max(2 * k, k + 4), depth)
+        phi = ops.basis.eval(pts - cache.centroids[e])[:, : out.shape[1]]
+        out[e] = phi.T @ (w * np.asarray(fn(pts), dtype=float))
+    return out
+
+
+def _edge_projection(cache: OperatorCache, fn, edges, singularity=None) -> np.ndarray:
+    """Qb fn on the given edges: Legendre coefficients, shape (edges.size, edge_dim).
+
+    Edges with an endpoint at the singular point use a rule graded toward it.
+    """
+    mesh, j = cache.mesh, cache.signature.j
+    t, w_ref, legendre_vals, eb = cache.edge_data
+    p0 = mesh.vertices[mesh.edges[edges, 0]]
+    p1 = mesh.vertices[mesh.edges[edges, 1]]
+    pts = (p0 + p1)[:, None, :] / 2.0 + t[None, :, None] * (p1 - p0)[:, None, :] / 2.0
+    values = np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(edges.size, -1)
+    out = ((values * w_ref) @ legendre_vals) / eb.mass_diagonal(2.0)  # reference edge [-1, 1]
+    for i, end in zip(*_touching(mesh, mesh.edges[edges], singularity)):
+        a, b = mesh.vertices[mesh.edges[edges[i]]]
+        length = float(np.linalg.norm(b - a))
         depth = _grading_depth(singularity[1], length)
-        pts, w, t = graded_edge_rule(p0, p1, ends == 0, d, depth)
-    else:
-        pts, w, t = map_to_edge(edge_quadrature(d), p0, p1)
-    moments = eb.eval(t).T @ (w * fn(pts))
-    return moments / eb.mass_diagonal(length)
-
-
-def project_Qs_vector(fn, mesh: Mesh, element: int, s: int) -> np.ndarray:
-    """Componentwise L2 projection of a vector field onto [P_s(T)]^2.
-
-    Returns an array of shape (2, dim P_s): row 0 the x-component
-    coefficients, row 1 the y-component.
-    """
-    geom = geometry(mesh, element)
-    basis = ElementBasis(s, geom.centroid, geom.diameter)
-    verts = mesh.vertices[mesh.elements[element]]
-    shape = "triangle" if verts.shape[0] == 3 else "rectangle"
-    pts, w = map_to_element(element_quadrature(shape, max(2 * s, s + 4)), verts)
-    V = basis.eval(pts)
-    M = V.T @ (w[:, None] * V)
-    values = np.asarray(fn(pts), dtype=float)
-    moments = V.T @ (w[:, None] * values)
-    return np.linalg.solve(M, moments).T
+        pts, w, s = graded_edge_rule(a, b, end == 0, max(2 * j, j + 4), depth)
+        out[i] = eb.eval(s).T @ (w * np.asarray(fn(pts), dtype=float)) / eb.mass_diagonal(length)
+    return out
 
 
 def project_Qh(
@@ -440,44 +395,16 @@ def project_Qh(
     singularity=None,
     cache: OperatorCache | None = None,
 ) -> WeakFunction:
-    """Project a scalar field into the weak space: Qh u = {Q0 u, Qb u}."""
+    """Project a scalar field into the weak space: Qh u = {Q0 u, Qb u}.
+
+    fn must be vectorized: (n, 2) points -> (n,) values.  singularity, if
+    given, is a (point, strength) pair; integrals over elements and edges
+    touching the point are computed with rules graded toward it.
+    """
     if cache is None:
         cache = OperatorCache(mesh, signature)
-    dofmap = cache.dofmap
-    out = np.zeros(dofmap.total)
-    n0 = signature.interior_dim
-
+    q0 = _interior_moments(cache, fn, singularity)
     for ops, elems in cache.classes():
-        pts = cache.centroids[elems][:, None, :] + ops.data_offsets[None, :, :]
-        values = np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(elems.size, -1)
-        moments = (values * ops.data_weights) @ ops.phi_k_data
-        out[dofmap.element_dof_table[elems, :n0]] = cho_solve(ops._cho_M0, moments.T).T
-
-    t, w_ref, legendre_vals, eb = cache.edge_data
-    p0 = mesh.vertices[mesh.edges[:, 0]]
-    p1 = mesh.vertices[mesh.edges[:, 1]]
-    mid, half = (p0 + p1) / 2.0, (p1 - p0) / 2.0
-    pts = mid[:, None, :] + t[None, :, None] * half[:, None, :]
-    values = np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(mesh.n_edges, -1)
-    lengths = mesh.edge_lengths()
-    moments = ((values * w_ref) @ legendre_vals) * (lengths / 2.0)[:, None]
-    scale = lengths[:, None] / (2.0 * np.arange(signature.edge_dim) + 1.0)
-    out[dofmap.n_interior :] = (moments / scale).ravel()
-
-    if singularity is not None:
-        point = np.asarray(singularity[0], dtype=float)
-        touching = np.nonzero(
-            (np.linalg.norm(mesh.vertices[mesh.elements] - point, axis=2) < _VERTEX_TOL).any(axis=1)
-        )[0]
-        for e in touching:
-            off = dofmap.interior_offset(e)
-            out[off : off + n0] = project_Q0(fn, mesh, int(e), signature.k, singularity=singularity)
-        edge_hits = np.nonzero(
-            (np.linalg.norm(mesh.vertices[mesh.edges] - point, axis=2) < _VERTEX_TOL).any(axis=1)
-        )[0]
-        for e in edge_hits:
-            off = dofmap.edge_offset(e)
-            out[off : off + signature.edge_dim] = project_Qb(
-                fn, mesh, int(e), signature.j, singularity=singularity
-            )
-    return WeakFunction(dofmap, out)
+        q0[elems] = cho_solve(ops._cho_data_M0, q0[elems].T).T
+    qb = _edge_projection(cache, fn, np.arange(mesh.n_edges), singularity)
+    return WeakFunction(cache.dofmap, np.concatenate([q0.ravel(), qb.ravel()]))

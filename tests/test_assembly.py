@@ -449,18 +449,14 @@ def test_solve_rejects_matrix_that_is_not_positive_definite(indefinite):
     assert err.value.pivot is not None
 
 
-@pytest.mark.parametrize("method", ["direct", "cg"])
-def test_solve_rejects_large_residual(monkeypatch, method):
-    # a solver that returns a wrong vector without complaint is caught by
-    # the residual check
+def test_solve_rejects_large_residual(monkeypatch):
+    # a factorization that returns a wrong vector without complaint is
+    # caught by the residual check
     system = _small_system()
     wrong = spla.splu((system.A + sp.eye(system.A.shape[0])).tocsc())
-    if method == "direct":
-        monkeypatch.setattr(assembly, "_factor", lambda A: wrong)
-    else:
-        monkeypatch.setattr(assembly.spla, "cg", lambda A, b, **kw: (wrong.solve(b), 0))
+    monkeypatch.setattr(assembly, "_factor", lambda A: wrong)
     with pytest.raises(SingularSystem, match="residual"):
-        solve(system, method=method)
+        solve(system)
 
 
 def test_zero_data_gives_zero_solution():
@@ -495,35 +491,6 @@ def test_linear_solution_reproduced_exactly(shape, k, j, ell, gamma):
     u_h = solve(assemble(mesh, sig, params, zero, u, cache=cache))
     ref = project_Qh(u, mesh, sig, cache=cache)
     assert np.abs(u_h.coeffs - ref.coeffs).max() <= 1e-10
-
-
-def test_cg_agrees_with_direct():
-    mesh = build_uniform_triangular(4)
-    sig = WeakSpaceSignature(1, 1, 1)
-
-    def f(p):
-        return np.cos(3.0 * p[:, 0]) + p[:, 1]
-
-    def g(p):
-        return np.zeros(p.shape[0])
-
-    system = assemble(mesh, sig, SchemeParameters(), f, g)
-    direct = solve(system, method="direct")
-    cg = solve(system, method="cg")
-    scale = np.abs(direct.coeffs).max()
-    assert np.abs(direct.coeffs - cg.coeffs).max() <= 1e-8 * scale
-
-
-def test_unknown_solver_rejected():
-    mesh = build_uniform_triangular(1)
-    sig = WeakSpaceSignature(0, 0, 0)
-
-    def zero(p):
-        return np.zeros(p.shape[0])
-
-    system = assemble(mesh, sig, SchemeParameters(), zero, zero)
-    with pytest.raises(ValueError):
-        solve(system, method="lu")
 
 
 def test_unstabilized_lowest_order_family_is_singular():

@@ -32,7 +32,6 @@ def test_parse_minimal_flags():
     assert config.mesh == "tri"
     assert config.rho == 1.0 and config.gamma == -1.0
     assert config.case == "cospi_cospi"
-    assert config.solver == "direct"
     assert config.output is None and config.manifest is False
     assert config.signature.k == 3
     assert config.params.gamma == -1.0
@@ -49,13 +48,11 @@ def test_parse_full_flags(tmp_path):
             "--gamma", "-1",
             "--case", "lowreg",
             "--alpha", "0.5",
-            "--solver", "cg",
             "--output", str(out),
             "--manifest",
         ]
     )
     assert config.case == "lowreg" and config.alpha == 0.5
-    assert config.solver == "cg"
     assert config.output == str(out)
     assert config.manifest is True
 
@@ -83,6 +80,30 @@ def test_parse_full_flags(tmp_path):
 def test_parse_rejects_bad_configuration(argv):
     with pytest.raises(ConfigError):
         parse(argv)
+
+
+def test_solver_option_is_gone(tmp_path):
+    # the direct factorization is the only solver, so there is nothing to choose
+    assert main(["--element", "1,1,1", "--levels", "2,4", "--solver", "direct"]) == 2
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("element = 1,1,1\nlevels = 2,4\nsolver = direct\n")
+    with pytest.raises(ConfigError, match="unknown key 'solver'"):
+        parse(["--config", str(cfg)])
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--case", "lowreg"], "requires the regularity index alpha"),
+        (["--alpha", "0.5"], "does not take a regularity index"),
+        (["--levels", "4"], "convergence study needs at least two"),
+        (["--mesh", "rect", "--levels", "8,12"], "labels are 4\\*2\\^L, got 12"),
+    ],
+)
+def test_parse_reports_library_messages(argv, message):
+    # configuration checks are the library's own, surfaced as ConfigError
+    with pytest.raises(ConfigError, match=message):
+        parse(["--element", "1,1,1", "--levels", "2,4", *argv])
 
 
 def test_parse_accepts_rect_labels():
@@ -204,7 +225,6 @@ def test_manifest_prefix(tmp_path):
         "# rho = 0.5",
         "# gamma = -1",
         "# case = x2_cospi",
-        "# solver = direct",
     ]
     assert lines[len(manifest)] == CSV_HEADER
 
@@ -224,7 +244,8 @@ def test_manifest_includes_alpha(tmp_path):
     assert run(config, stdout=io.StringIO(), stderr=io.StringIO()) == 0
     lines = out.read_text().strip().split("\n")
     assert "# alpha = 0.5" in lines
-    assert lines.index("# alpha = 0.5") < lines.index("# solver = direct")
+    assert lines.index("# case = lowreg") + 1 == lines.index("# alpha = 0.5")
+    assert lines[lines.index("# alpha = 0.5") + 1] == CSV_HEADER
 
 
 def test_singular_run_exits_3_with_partial_csv(tmp_path):

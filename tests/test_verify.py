@@ -25,6 +25,7 @@ from gwgfem import (
     project_Qh,
     run_convergence_study,
     solve,
+    verify,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -291,6 +292,19 @@ def test_study_validation():
         run_convergence_study(case, "hex", [2, 4], sig, params)
     with pytest.raises(ValueError):
         run_convergence_study(case, "rect", [8, 12], sig, params)
+
+
+def test_study_checks_every_label_before_building_a_mesh(monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        verify, "build_uniform_rectangular", lambda level: built.append(level)
+    )
+    with pytest.raises(ValueError, match="4\\*2\\^L, got 12"):
+        run_convergence_study(
+            get_case("cospi_cospi"), "rect", [4, 8, 12], WeakSpaceSignature(1, 1, 1),
+            SchemeParameters(),
+        )
+    assert built == []
 
 
 def test_study_collects_rows_and_rates():

@@ -4,21 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gwgfem import (
     Mesh,
     OperatorCache,
+    SchemeParameters,
+    SingularSystem,
     WeakFunction,
     WeakSpaceSignature,
-    build_local_weak_gradient,
+    assemble,
     build_uniform_rectangular,
     build_uniform_triangular,
     geometry,
-    project_Q0,
-    project_Qb,
     project_Qh,
-    project_Qs_vector,
+    solve,
 )
 from gwgfem.polybasis import (
     ElementBasis,
@@ -129,10 +131,11 @@ def test_weakfunction_views_and_arithmetic():
 
 def test_project_q0_constant_and_linear():
     mesh = build_uniform_rectangular(0)
-    c = project_Q0(lambda p: np.full(p.shape[0], 3.5), mesh, 2, 2)
+    wf = project_Qh(lambda p: np.full(p.shape[0], 3.5), mesh, WeakSpaceSignature(2, 2, 0))
+    c = wf.interior(2)
     assert abs(c[0] - 3.5) < 1e-13 and np.all(np.abs(c[1:]) < 1e-13)
 
-    c = project_Q0(lambda p: p[:, 0], mesh, 1, 1)
+    c = project_Qh(lambda p: p[:, 0], mesh, WeakSpaceSignature(1, 1, 0)).interior(1)
     geom = geometry(mesh, 1)
     rng = np.random.default_rng(3)
     pts = geom.centroid + 0.05 * rng.standard_normal((20, 2))
@@ -143,7 +146,7 @@ def test_project_q0_constant_and_linear():
 def test_project_q0_reproduces_cubics():
     mesh = build_uniform_triangular(2)
     f = lambda p: p[:, 0] ** 3 - 2 * p[:, 0] * p[:, 1] + 1.0
-    c = project_Q0(f, mesh, 5, 3)
+    c = project_Qh(f, mesh, WeakSpaceSignature(3, 3, 0)).interior(5)
     geom = geometry(mesh, 5)
     rng = np.random.default_rng(4)
     pts = geom.centroid + 0.04 * rng.standard_normal((20, 2))
@@ -156,27 +159,15 @@ def test_project_qb_trace_of_x_squared():
     # 1/3 + (1/2) P1(t) + (1/6) P2(t).
     mesh = build_uniform_triangular(1)
     e = edge_index(mesh, 0, 1)
-    c = project_Qb(lambda p: p[:, 0] ** 2, mesh, e, 2)
+    c = project_Qh(lambda p: p[:, 0] ** 2, mesh, WeakSpaceSignature(2, 2, 0)).edge(e)
     np.testing.assert_allclose(c, [1.0 / 3.0, 0.5, 1.0 / 6.0], atol=1e-14)
 
 
 def test_project_qb_mean_kills_odd_part():
     mesh = build_uniform_triangular(1)
     e = edge_index(mesh, 0, 1)
-    c = project_Qb(lambda p: p[:, 0] - 0.5, mesh, e, 0)
+    c = project_Qh(lambda p: p[:, 0] - 0.5, mesh, WeakSpaceSignature(0, 0, 0)).edge(e)
     assert abs(c[0]) < 1e-15
-
-
-def test_project_qs_vector_exact():
-    mesh = build_uniform_triangular(2)
-    c = project_Qs_vector(lambda p: np.column_stack([p[:, 1], -p[:, 0]]), mesh, 3, 1)
-    assert c.shape == (2, 3)
-    geom = geometry(mesh, 3)
-    rng = np.random.default_rng(5)
-    pts = geom.centroid + 0.05 * rng.standard_normal((10, 2))
-    V = ElementBasis(1, geom.centroid, geom.diameter).eval(pts)
-    np.testing.assert_allclose(V @ c[0], pts[:, 1], atol=1e-13)
-    np.testing.assert_allclose(V @ c[1], -pts[:, 0], atol=1e-13)
 
 
 def test_project_qh_reproduces_low_degree():
@@ -231,6 +222,46 @@ def test_shape_classes_on_uniform_meshes():
     cache = OperatorCache(build_uniform_rectangular(1), WeakSpaceSignature(1, 0, 0))
     assert len(cache.class_ops) == 1
     assert abs(cache.class_ops[0].area - (1.0 / 6.0) * (1.0 / 4.0)) < 1e-15
+
+
+def test_shape_classes_separate_tiny_elements_of_different_size():
+    # two triangles of area ratio 1:2 with the same edge-sign pattern, on a
+    # mesh so small that absolute rounding would take them for one shape
+    V = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [3.0, 0.0], [2.0, 2.0]])
+    mesh = Mesh(V * 1e-13, [[0, 1, 2], [3, 4, 5]])
+    cache = OperatorCache(mesh, WeakSpaceSignature(1, 1, 1))
+    assert len(cache.class_ops) == 2
+    assert cache.shape_ops(0).area / 1e-26 == pytest.approx(0.5, rel=1e-12)
+    assert cache.shape_ops(1).area / 1e-26 == pytest.approx(1.0, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+)
+def test_translated_mesh_gives_same_classes_and_operators(n, shift):
+    base = build_uniform_triangular(n)
+    moved = Mesh(base.vertices + np.array(shift), base.elements)
+    sig = WeakSpaceSignature(1, 1, 1)
+    ref, out = OperatorCache(base, sig), OperatorCache(moved, sig)
+    assert len(out.class_ops) == len(ref.class_ops)
+    assert np.array_equal(out.class_ids, ref.class_ids)
+    for a, b in zip(ref.class_ops, out.class_ops):
+        for name in ("Sxx", "stab_unit"):
+            expected = getattr(a, name)
+            np.testing.assert_allclose(
+                getattr(b, name), expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+            )
+
+    # the unstabilized lowest-order family is singular wherever the mesh sits
+    def one(p):
+        return np.ones(p.shape[0])
+
+    lowest, unstabilized = WeakSpaceSignature(0, 0, 0), SchemeParameters(rho=0.0)
+    for mesh in (base, moved):
+        with pytest.raises(SingularSystem):
+            solve(assemble(mesh, lowest, unstabilized, one, one))
 
 
 def test_weak_gradient_kernel_contains_constants():
@@ -304,12 +335,12 @@ def test_delta_closed_form_oracle():
     # delta = (3 - 6x - 6y, 6 - 6x - 12y).
     mesh = unit_right_triangle()
     sig = WeakSpaceSignature(1, 0, 1)
-    lwg = build_local_weak_gradient(mesh, 0, sig)
+    ops = OperatorCache(mesh, sig).shape_ops(0)
     geom = geometry(mesh, 0)
-    vloc = np.zeros(lwg.ops.n_loc)
+    vloc = np.zeros(ops.n_loc)
     vloc[0] = geom.centroid[0]
     vloc[1] = geom.diameter
-    d = lwg.delta @ vloc
+    d = ops.delta @ vloc
     rng = np.random.default_rng(11)
     pts = np.array([1.0, 1.0]) * rng.random((12, 2)) * 0.4 + 0.05
     V = ElementBasis(1, geom.centroid, geom.diameter).eval(pts)
@@ -344,16 +375,16 @@ def test_build_local_weak_gradient_shapes_and_sharing():
     mesh = build_uniform_triangular(2)
     sig = WeakSpaceSignature(2, 1, 3)
     cache = OperatorCache(mesh, sig)
-    lwg = build_local_weak_gradient(mesh, 0, sig, cache=cache)
+    ops = cache.shape_ops(0)
     dim_m, dim_l = dim_pk(sig.m), dim_pk(sig.ell)
     n_loc = sig.interior_dim + 3 * sig.edge_dim
-    assert lwg.G.shape == (2 * dim_m, n_loc)
-    assert lwg.delta.shape == (2 * dim_l, n_loc)
+    assert ops.G.shape == (2 * dim_m, n_loc)
+    assert ops.delta.shape == (2 * dim_l, n_loc)
     # translated copies of the same shape share one operator bundle
     same = [e for e in range(mesh.n_elements) if cache.class_ids[e] == cache.class_ids[0]]
     assert len(same) == 4
     for e in same:
-        assert cache.shape_ops(e) is lwg.ops
+        assert cache.shape_ops(e) is ops
 
 
 # ---------------------------------------------------------- graded rules
@@ -404,7 +435,10 @@ def test_project_q0_graded_override_matches_plain_for_polynomials():
     # both the plain and the graded rule are exact here, so the projections
     # may differ only by accumulated roundoff
     mesh = build_uniform_triangular(2)
+    sig = WeakSpaceSignature(2, 2, 0)
     f = lambda p: p[:, 0] ** 3 - p[:, 1]
-    plain = project_Q0(f, mesh, 0, 2)
-    graded = project_Q0(f, mesh, 0, 2, singularity=(np.array([0.0, 0.0]), 0.5))
-    np.testing.assert_allclose(graded, plain, rtol=1e-10, atol=1e-13)
+    plain = project_Qh(f, mesh, sig)
+    graded = project_Qh(f, mesh, sig, singularity=(np.array([0.0, 0.0]), 0.5))
+    # element 0 and two edges touch the corner, so the graded rules did run
+    assert not np.array_equal(graded.coeffs, plain.coeffs)
+    np.testing.assert_allclose(graded.coeffs, plain.coeffs, rtol=1e-10, atol=1e-13)
