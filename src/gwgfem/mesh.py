@@ -60,11 +60,24 @@ class Mesh:
 
     def __init__(self, vertices, elements, inv_h: int | None = None):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.elements = np.asarray(elements, dtype=np.int64)
+        raw = np.asarray(elements)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (nv, 2) array")
-        if self.elements.ndim != 2 or self.elements.shape[1] not in (3, 4):
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"vertex {int(np.argmin(finite))} is not finite")
+        if raw.ndim != 2 or raw.shape[1] not in (3, 4):
             raise ValueError("elements must be an (ne, 3) or (ne, 4) array")
+        if not np.issubdtype(raw.dtype, np.integer):
+            raise ValueError(f"element vertex indices must be integers, got dtype {raw.dtype}")
+        nv = self.vertices.shape[0]
+        outside = (raw < 0) | (raw >= nv)
+        if outside.any():
+            bad = int(np.argmax(outside.any(axis=1)))
+            raise ValueError(
+                f"element {bad} has vertex indices outside [0, {nv}): {raw[bad].tolist()}"
+            )
+        self.elements = raw.astype(np.int64, copy=False)
         self.inv_h = inv_h
 
         areas = _signed_areas(self.vertices, self.elements)
@@ -84,36 +97,30 @@ class Mesh:
                     f"{skew[bad[0]]:.3e}); only parallelogram quadrilaterals are supported"
                 )
 
+        # side s of element t runs a -> b; edges are numbered by first
+        # appearance in (t, s) order and stored as ascending pairs.  A
+        # positive area rules out a == b, and 0 <= a, b < nv keeps the
+        # integer key lo * nv + hi collision-free.
         ne, w = self.elements.shape
-        edge_of = {}
-        pairs = []
-        left = []
-        right = []
-        self.element_edges = np.empty((ne, w), dtype=np.int64)
-        self.element_edge_signs = np.empty((ne, w), dtype=np.int64)
-        for t in range(ne):
-            cyc = self.elements[t]
-            for s in range(w):
-                a, b = int(cyc[s]), int(cyc[(s + 1) % w])
-                if a == b:
-                    raise ValueError(f"element {t} repeats vertex {a}")
-                key = (a, b) if a < b else (b, a)
-                idx = edge_of.get(key)
-                if idx is None:
-                    idx = len(pairs)
-                    edge_of[key] = idx
-                    pairs.append(key)
-                    left.append(-1)
-                    right.append(-1)
-                sgn = 1 if a < b else -1
-                self.element_edges[t, s] = idx
-                self.element_edge_signs[t, s] = sgn
-                side = left if sgn == 1 else right
-                if side[idx] != -1:
-                    raise ValueError(f"edge {key} traversed twice in the same direction")
-                side[idx] = t
-        self.edges = np.array(pairs, dtype=np.int64)
-        self.edge_elements = np.column_stack([left, right]).astype(np.int64)
+        a = self.elements.ravel()
+        b = np.roll(self.elements, -1, axis=1).ravel()
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        _, first, inverse = np.unique(lo * nv + hi, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        edge_ids = np.argsort(order)[inverse]
+        self.edges = np.column_stack([lo, hi])[first[order]]
+        self.element_edges = edge_ids.reshape(ne, w)
+        self.element_edge_signs = np.where(a < b, 1, -1).reshape(ne, w)
+        # column 0 of edge_elements takes the element traversing the edge in
+        # ascending order, column 1 the one traversing it in descending order
+        slot = 2 * edge_ids + (a > b)
+        twice = np.flatnonzero(np.bincount(slot, minlength=2 * self.n_edges) > 1)
+        if twice.size:
+            lo_e, hi_e = self.edges[twice[0] // 2]
+            raise ValueError(f"edge ({lo_e}, {hi_e}) traversed twice in the same direction")
+        owners = np.full(2 * self.n_edges, -1, dtype=np.int64)
+        owners[slot] = np.repeat(np.arange(ne, dtype=np.int64), w)
+        self.edge_elements = owners.reshape(-1, 2)
         self.boundary_edge = (self.edge_elements == -1).any(axis=1)
 
         self._centroids = verts.mean(axis=1)
@@ -175,17 +182,11 @@ def build_uniform_triangular(n: int) -> Mesh:
     X, Y = np.meshgrid(t, t, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def v(i, j):
-        return j * (n + 1) + i
-
-    elems = []
-    for j in range(n):
-        for i in range(n):
-            ll, lr = v(i, j), v(i + 1, j)
-            ul, ur = v(i, j + 1), v(i + 1, j + 1)
-            elems.append((ll, lr, ur))
-            elems.append((ll, ur, ul))
-    return Mesh(vertices, np.array(elems), inv_h=n)
+    # lower-left corner of cell (i, j), row-major in j; two triangles per cell
+    ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    lr, ul, ur = ll + 1, ll + n + 1, ll + n + 2
+    elems = np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
+    return Mesh(vertices, elems, inv_h=n)
 
 
 def build_uniform_rectangular(level: int) -> Mesh:
@@ -202,14 +203,9 @@ def build_uniform_rectangular(level: int) -> Mesh:
     X, Y = np.meshgrid(tx, ty, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def v(i, j):
-        return j * (nx + 1) + i
-
-    elems = []
-    for j in range(ny):
-        for i in range(nx):
-            elems.append((v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)))
-    return Mesh(vertices, np.array(elems), inv_h=4 * 2**level)
+    ll = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    elems = np.column_stack([ll, ll + 1, ll + nx + 2, ll + nx + 1])
+    return Mesh(vertices, elems, inv_h=4 * 2**level)
 
 
 def geometry(mesh: Mesh, element: int) -> ElementGeometry:

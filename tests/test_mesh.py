@@ -104,6 +104,113 @@ def test_element_edges_decompose_boundary():
             assert mesh.element_edge_signs[t, s] == expect
 
 
+def reference_edge_table(elements):
+    """Edge table by one dict lookup per element side, in (element, side) order.
+
+    The loop states the numbering contract directly: an edge gets the next
+    index the first time a side meets it, it is stored as its ascending
+    vertex pair, and edge_elements column 0 (1) takes the element that
+    traverses it in ascending (descending) order.
+    """
+    elements = np.asarray(elements, dtype=np.int64)
+    ne, w = elements.shape
+    edge_of = {}
+    pairs, left, right = [], [], []
+    element_edges = np.empty((ne, w), dtype=np.int64)
+    signs = np.empty((ne, w), dtype=np.int64)
+    for t in range(ne):
+        for s in range(w):
+            a, b = int(elements[t, s]), int(elements[t, (s + 1) % w])
+            key = (min(a, b), max(a, b))
+            if key not in edge_of:
+                edge_of[key] = len(pairs)
+                pairs.append(key)
+                left.append(-1)
+                right.append(-1)
+            idx = edge_of[key]
+            element_edges[t, s] = idx
+            signs[t, s] = 1 if a < b else -1
+            side = left if a < b else right
+            assert side[idx] == -1
+            side[idx] = t
+    edges = np.array(pairs, dtype=np.int64)
+    edge_elements = np.column_stack([left, right]).astype(np.int64)
+    return {
+        "edges": edges,
+        "edge_elements": edge_elements,
+        "element_edges": element_edges,
+        "element_edge_signs": signs,
+        "boundary_edge": (edge_elements == -1).any(axis=1),
+    }
+
+
+def assert_matches_reference(mesh):
+    for name, expected in reference_edge_table(mesh.elements).items():
+        got = getattr(mesh, name)
+        assert got.dtype == expected.dtype, name
+        np.testing.assert_array_equal(got, expected, err_msg=name)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_triangular_edge_table_matches_reference(n):
+    assert_matches_reference(build_uniform_triangular(n))
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_rectangular_edge_table_matches_reference(level):
+    assert_matches_reference(build_uniform_rectangular(level))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shuffled_element_list_matches_reference(seed):
+    # permuted elements, each cycle rotated: first appearance no longer
+    # follows the grid order, but it still fixes the numbering
+    rng = np.random.default_rng(seed)
+    base = build_uniform_triangular(6)
+    elements = base.elements[rng.permutation(base.n_elements)]
+    shifts = rng.integers(0, 3, size=len(elements))
+    elements = np.array([np.roll(cyc, k) for cyc, k in zip(elements, shifts)])
+    mesh = Mesh(base.vertices, elements)
+    assert_matches_reference(mesh)
+    assert mesh.n_edges == base.n_edges
+
+
+UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+
+
+def test_negative_vertex_index_rejected():
+    with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+        Mesh(UNIT_SQUARE, [[0, 1, -1]])
+
+
+def test_vertex_index_past_end_rejected():
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 5]])
+
+
+def test_non_finite_vertex_rejected():
+    with pytest.raises(ValueError, match="vertex 2 is not finite"):
+        Mesh([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]], [[0, 1, 2]])
+
+
+def test_non_integer_vertex_index_rejected():
+    with pytest.raises(ValueError, match="must be integers"):
+        Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2.7]])
+
+
+def test_edge_traversed_twice_in_same_direction_rejected():
+    # both triangles are counterclockwise and both run 0 -> 1
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) traversed twice in the same direction"):
+        Mesh(UNIT_SQUARE, [[0, 1, 2], [0, 1, 3]])
+
+
+@pytest.mark.parametrize("elements", [[[0, 1, 1]], [[0, 0, 1, 2]]], ids=["tri", "quad"])
+def test_repeated_vertex_rejected(elements):
+    # zero area for the triangle; the quad fails the parallelogram check
+    with pytest.raises(ValueError):
+        Mesh(UNIT_SQUARE, elements)
+
+
 def test_ccw_validation():
     with pytest.raises(ValueError):
         Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 2, 1]])
