@@ -7,9 +7,13 @@ edges such that
       + sum_T rho h_T^gamma <Qb u0 - ub, Qb v0 - vb>_{boundary of T}
       = sum_T (f, v0)_T
 
-for all v in the homogeneous weak space.  rho = 0 (no stabilizer) is
-admitted; whether the resulting system is solvable then depends on the
-degree family, and a singular factorization is reported as such instead of
+for all v in the homogeneous weak space.  The interior coefficients u0 of
+an element couple only to that element's edge coefficients, so assemble
+eliminates them element by element (static condensation) and solve factors
+only the SPD system on the free edge coefficients, then recovers u0 element
+by element.  rho = 0 (no stabilizer) is admitted; whether the resulting
+system is solvable then depends on the degree family, and a singular
+interior block or a singular edge system is reported as such instead of
 returning garbage.
 """
 
@@ -86,10 +90,13 @@ class SchemeParameters:
 
 
 class SingularSystem(RuntimeError):
-    """The reduced global matrix is (numerically) singular.
+    """The global matrix is (numerically) singular or not positive definite.
 
-    pivot is the index of the offending diagonal entry in the reduced
-    system when known; level/partial are filled in by convergence studies.
+    pivot names the offending unknown when known.  Raised by assemble, it is
+    the global coefficient index of an interior unknown whose element block
+    K00 is singular; raised by solve, it is a position in system.free, the
+    unknowns of the condensed system.  level/partial are filled in by
+    convergence studies.
     """
 
     def __init__(self, message: str, pivot: int | None = None):
@@ -101,10 +108,21 @@ class SingularSystem(RuntimeError):
 
 @dataclass
 class GlobalSystem:
-    """Reduced linear system after eliminating boundary edge coefficients."""
+    """Condensed linear system on the free edge coefficients.
+
+    A x = b is the SPD system left after eliminating every element's
+    interior coefficients and the boundary edge coefficients; x holds the
+    coefficients at the global indices free.  Per shape class, in the order
+    of cache.classes(), C[c] is K00^-1 K0b (one matrix, or one per element
+    when the coefficient varies per element), and y[e] = K00^-1 F0 is
+    element e's interior load, so u0 = y - C ub recovers the interior
+    coefficients from the edge coefficients ub.
+    """
 
     A: sp.csr_matrix
     b: np.ndarray
+    C: list
+    y: np.ndarray
     dofmap: GlobalDofMap
     free: np.ndarray
     constrained: np.ndarray
@@ -165,6 +183,36 @@ def local_stabilizer(
     )
 
 
+def _inverse_cholesky(K, tol):
+    """Inverse Cholesky factor of one SPD matrix, or of a stack, K of shape (..., n, n).
+
+    Returns (L^-1, None) with L L^T = K, or (None, (i, col)) when the pivot
+    of column col of matrix i (the index along the stack axis; 0 for one
+    matrix) is not above tol[i] (tol has the stack's shape).
+    """
+    n = K.shape[-1]
+    L = np.zeros_like(K)
+    L_inv = np.zeros_like(K)
+    for col in range(n):
+        pivot = K[..., col, col] - np.sum(L[..., col, :col] ** 2, axis=-1)
+        bad = np.flatnonzero(~(pivot > tol))  # also catches NaN
+        if bad.size:
+            return None, (int(bad[0]), col)
+        L[..., col, col] = np.sqrt(pivot)
+        d = L[..., col, col, None]
+        below = K[..., col + 1 :, col] - _mv(L[..., col + 1 :, :col], L[..., col, :col])
+        L[..., col + 1 :, col] = below / d
+        # row col of L^-1 by forward substitution, from the finished row col of L
+        done = (L[..., col, None, :col] @ L_inv[..., :col, :])[..., 0, :]
+        L_inv[..., col, :] = (np.eye(n)[col] - done) / d
+    return L_inv, None
+
+
+def _mv(M, v):
+    """Matrix-vector products over stacks: M (..., p, q), v (..., q) -> (..., p)."""
+    return (M @ v[..., None])[..., 0]
+
+
 def assemble(
     mesh: Mesh,
     signature: WeakSpaceSignature,
@@ -175,41 +223,88 @@ def assemble(
     cache: OperatorCache | None = None,
     singularity=None,
 ) -> GlobalSystem:
-    """Assemble the reduced system for -div(a grad u) = f, u = g on the boundary.
+    """Assemble the condensed system for -div(a grad u) = f, u = g on the boundary.
+
+    The interior coefficients of each element couple only to its own edge
+    coefficients, so they are eliminated element by element: with the local
+    matrix split as [[K00, K0b], [K0b^T, Kbb]] (interior first) and the
+    interior load F0, each element adds the Schur complement
+    Kbb - K0b^T K00^-1 K0b to the edge matrix and -K0b^T K00^-1 F0 to the
+    edge load.  The full matrix is never formed.  Boundary edge coefficients
+    are then eliminated with their Dirichlet values.
 
     f and g must be vectorized ((n, 2) points -> (n,) values).  singularity,
     if given, is a (point, strength) pair; load moments on elements touching
     the point, and boundary values on edges touching it, are integrated with
     rules graded toward it.
+
+    Raises SingularSystem when K00 of some element is singular or not
+    positive definite (a Cholesky pivot not above _PIVOT_RTOL times the
+    largest diagonal entry of that element's local matrix): the interior
+    coefficients of that element alone are then a zero-energy vector of the
+    global matrix.  Its .pivot is the global coefficient index of the
+    failing interior unknown.
     """
     if cache is None:
         cache = OperatorCache(mesh, signature)
     dm = cache.dofmap
-    b = np.zeros(dm.total)
-    b[: dm.n_interior] = _interior_moments(cache, f, singularity).ravel()
-    rows_parts, cols_parts, vals_parts = [], [], []
+    n0 = signature.interior_dim
+    n_edge_dofs = dm.total - dm.n_interior
+    F0 = _interior_moments(cache, f, singularity)
+    b = np.zeros(n_edge_dofs)
+    rows_parts, cols_parts, vals_parts, C_parts = [], [], [], []
+    y = np.empty_like(F0)
     for ops, elems in cache.classes():
-        dofs = dm.element_dof_table[elems]
-        rows_parts.append(np.repeat(dofs, ops.n_loc, axis=1).ravel())
-        cols_parts.append(np.tile(dofs, (1, ops.n_loc)).ravel())
-        local = _class_matrices(ops, elems, params)
-        vals_parts.append(np.broadcast_to(local, (elems.size, ops.n_loc, ops.n_loc)).ravel())
-    A = sp.coo_matrix(
+        K = _class_matrices(ops, elems, params)
+        K0b, Kbb = K[..., :n0, n0:], K[..., n0:, n0:]
+        # pivots are measured against the whole local matrix: a K00 that is
+        # rounding noise throughout would pass a test against its own diagonal
+        tol = _PIVOT_RTOL * np.diagonal(K, axis1=-2, axis2=-1).max(axis=-1)
+        L_inv, failed = _inverse_cholesky(K[..., :n0, :n0], tol)
+        if failed is not None:
+            stack, col = failed
+            element = int(elems[stack])
+            pivot = int(dm.element_dof_table[element, col])
+            raise SingularSystem(
+                f"interior block of element {element} is singular or not positive "
+                f"definite (pivot of its interior coefficient {col}, global index "
+                f"{pivot}); an unstabilized family may lack interior control",
+                pivot=pivot,
+            )
+        L_inv_t = np.swapaxes(L_inv, -1, -2)
+        W = L_inv @ K0b
+        Wt = np.swapaxes(W, -1, -2)
+        z = _mv(L_inv, F0[elems])
+        C_parts.append(L_inv_t @ W)
+        y[elems] = _mv(L_inv_t, z)
+
+        edofs = dm.element_dof_table[elems, n0:] - dm.n_interior
+        nb_loc = edofs.shape[1]
+        rows_parts.append(np.repeat(edofs, nb_loc, axis=1).ravel())
+        cols_parts.append(np.tile(edofs, (1, nb_loc)).ravel())
+        vals_parts.append(np.broadcast_to(Kbb - Wt @ W, (elems.size, nb_loc, nb_loc)).ravel())
+        b -= np.bincount(edofs.ravel(), _mv(Wt, z).ravel(), minlength=n_edge_dofs)
+    S = sp.coo_matrix(
         (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
-        shape=(dm.total, dm.total),
+        shape=(n_edge_dofs, n_edge_dofs),
     ).tocsr()
 
     bedges = np.nonzero(mesh.boundary_edge)[0]
     dirichlet = _edge_projection(cache, g, bedges, singularity).ravel()
-    free, constrained = dm.free_dofs, dm.boundary_dofs
-    A_rows = A[free]
-    b_free = b[free] - A_rows[:, constrained] @ dirichlet
+    constrained_pos = dm.boundary_dofs - dm.n_interior
+    is_free = np.ones(n_edge_dofs, dtype=bool)
+    is_free[constrained_pos] = False
+    free_pos = np.flatnonzero(is_free)
+    S_rows = S[free_pos]
+    b_free = b[free_pos] - S_rows[:, constrained_pos] @ dirichlet
     return GlobalSystem(
-        A=A_rows[:, free].tocsr(),
+        A=S_rows[:, free_pos].tocsr(),
         b=b_free,
+        C=C_parts,
+        y=y,
         dofmap=dm,
-        free=free,
-        constrained=constrained,
+        free=dm.n_interior + free_pos,
+        constrained=dm.boundary_dofs,
         dirichlet_values=dirichlet,
         mesh=mesh,
         signature=signature,
@@ -240,15 +335,18 @@ def _pivots(lu) -> np.ndarray:
 
 
 def solve(system: GlobalSystem) -> WeakFunction:
-    """Solve the reduced system; returns the full weak function u_h.
+    """Solve the condensed edge system; returns the full weak function u_h.
+
+    The interior coefficients are recovered per shape class as
+    u0 = y - C ub from the solved edge coefficients ub.
 
     The matrix is factored with a symmetric-mode sparse LU: a minimum-degree
     ordering of A^T + A and no row pivoting, which is stable only because the
     matrix is symmetric positive definite.  A pivot that is not positive, or
     not above _PIVOT_RTOL times the largest pivot, raises SingularSystem
-    naming the offending unknown; so does a matrix that is exactly singular
-    or not positive definite, and a solution whose residual ||A x - b||
-    exceeds _RESIDUAL_RTOL * ||b||.
+    naming the offending unknown by its position in system.free; so does a
+    matrix that is exactly singular or not positive definite, and a
+    solution whose residual ||A x - b|| exceeds _RESIDUAL_RTOL * ||b||.
     """
     try:
         lu = _factor(system.A)
@@ -292,14 +390,22 @@ def solve(system: GlobalSystem) -> WeakFunction:
             f"exceeds {_RESIDUAL_RTOL:g} * ||b|| with ||b|| = {b_norm:.3e}"
         )
 
-    coeffs = np.empty(system.dofmap.total)
+    dm = system.dofmap
+    n0 = system.signature.interior_dim
+    coeffs = np.empty(dm.total)
     coeffs[system.free] = x
     coeffs[system.constrained] = system.dirichlet_values
-    return WeakFunction(system.dofmap, coeffs)
+    u0 = coeffs[: dm.n_interior].reshape(-1, n0)  # a view: writes fill coeffs
+    for (_, elems), C in zip(system.cache.classes(), system.C):
+        u0[elems] = system.y[elems] - _mv(C, coeffs[dm.element_dof_table[elems, n0:]])
+    return WeakFunction(dm, coeffs)
 
 
 def dump_system(system: GlobalSystem, stream) -> None:
-    """Write the reduced matrix as 'row col value' lines (17 significant digits)."""
+    """Write the condensed matrix A as 'row col value' lines (17 significant digits).
+
+    Rows and columns are positions in system.free, as in A itself.
+    """
     coo = system.A.tocoo()
     order = np.lexsort((coo.col, coo.row))
     for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):

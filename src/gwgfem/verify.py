@@ -338,10 +338,10 @@ def run_convergence_study(
     for label, arg in zip(labels, mesh_args):
         mesh = build(arg)
         cache = OperatorCache(mesh, signature)
-        system = assemble(
-            mesh, signature, params, case.f, case.g, cache=cache, singularity=case.singularity
-        )
         try:
+            system = assemble(
+                mesh, signature, params, case.f, case.g, cache=cache, singularity=case.singularity
+            )
             u_h = solve(system)
         except SingularSystem as err:
             err.level = label

@@ -128,12 +128,6 @@ class GlobalDofMap:
         edges = np.nonzero(self.mesh.boundary_edge)[0]
         return (self.n_interior + edges[:, None] * nb + np.arange(nb)).ravel()
 
-    @cached_property
-    def free_dofs(self) -> np.ndarray:
-        mask = np.ones(self.total, dtype=bool)
-        mask[self.boundary_dofs] = False
-        return np.nonzero(mask)[0]
-
 
 class WeakFunction:
     """Coefficient vector of a weak function over a GlobalDofMap."""

@@ -32,7 +32,7 @@ from gwgfem import (
 )
 from gwgfem.polybasis import dim_pk, element_quadrature, map_to_element
 
-from test_assembly import brute_global_system, brute_local_matrices
+from test_assembly import brute_condensed_system, brute_local_matrices
 
 _REPORTS = {}
 
@@ -317,7 +317,7 @@ def test_matrices_match_dense_reconstruction():
         return 2.0 - p[:, 0] + p[:, 1]
 
     system = assemble(mesh, sig, params, f, g, cache=cache)
-    A_ref, _, _ = brute_global_system(mesh, sig, params, f, g)
+    A_ref, _, _ = brute_condensed_system(mesh, sig, params, f, g)
     worst = max(worst, np.abs(system.A.toarray() - A_ref).max() / np.abs(A_ref).max())
     report(
         "matrices match dense reconstruction",

@@ -1,12 +1,13 @@
 """Tests for the bilinear forms, global assembly, and solvers.
 
 The heart of this file is a deliberately slow, dense, loop-based
-reconstruction of the local stiffness matrix, the local stabilizer, and the
-reduced global system.  It shares only the basis conventions (scaled
-monomials, Legendre edge polynomials) and the degree-of-freedom layout with
-the package; every projection, moment solve, and scatter is redone from
-scratch with plain numpy so that any plumbing mistake in the fast path shows
-up as a disagreement.
+reconstruction of the local stiffness matrix, the local stabilizer, the
+reduced global system and its dense Schur complement onto the edge
+unknowns.  It shares only the basis conventions (scaled monomials, Legendre
+edge polynomials) and the degree-of-freedom layout with the package; every
+projection, moment solve, and scatter is redone from scratch with plain
+numpy so that any plumbing mistake in the fast path shows up as a
+disagreement.
 """
 
 import dataclasses
@@ -44,6 +45,7 @@ from gwgfem.polybasis import (
     map_to_edge,
     map_to_element,
 )
+from gwgfem.weakspace import _interior_moments
 
 
 # ------------------------------------------------------- brute-force oracle
@@ -151,8 +153,8 @@ def brute_global_system(mesh, sig, params, f, g):
     total = ne * n0 + mesh.n_edges * nb
     A = np.zeros((total, total))
     b = np.zeros(total)
-    a_mat = None if params.is_identity else params.tensor(0)
     for e in range(ne):
+        a_mat = None if params.is_identity else params.tensor(e)
         stiff, stab, h_T = brute_local_matrices(mesh, e, sig, a_mat)
         local = stiff + params.rho * h_T**params.gamma * stab
         nv = mesh.elements.shape[1]
@@ -200,6 +202,20 @@ def brute_global_system(mesh, sig, params, f, g):
     A_red = A[np.ix_(free, free)]
     b_red = b[free] - A[np.ix_(free, constrained)] @ dirichlet
     return A_red, b_red, dirichlet
+
+
+def brute_condensed_system(mesh, sig, params, f, g):
+    """Dense Schur complement of brute_global_system onto the free edge unknowns.
+
+    The interior unknowns come first in the reduced system, so eliminating
+    them leaves the free edge unknowns in ascending global order.
+    """
+    A, b, dirichlet = brute_global_system(mesh, sig, params, f, g)
+    n = mesh.n_elements * sig.interior_dim
+    A00, A0b, Abb = A[:n, :n], A[:n, n:], A[n:, n:]
+    S = Abb - A0b.T @ np.linalg.solve(A00, A0b)
+    c = b[n:] - A0b.T @ np.linalg.solve(A00, b[:n])
+    return S, c, dirichlet
 
 
 # ------------------------------------------------------ scheme parameters
@@ -318,7 +334,7 @@ def test_global_system_matches_brute_force(shape, k, j, ell, gamma):
         return 2.0 - p[:, 0] + p[:, 1]
 
     system = assemble(mesh, sig, params, f, g)
-    A_ref, b_ref, dirichlet_ref = brute_global_system(mesh, sig, params, f, g)
+    A_ref, b_ref, dirichlet_ref = brute_condensed_system(mesh, sig, params, f, g)
     A = system.A.toarray()
     scale = np.abs(A_ref).max()
     assert np.abs(A - A_ref).max() <= 1e-12 * scale
@@ -364,28 +380,60 @@ def test_assembled_matrix_symmetric_and_positive_definite(shape, k, j, ell):
 
 
 def test_stiffness_alone_is_positive_semidefinite():
+    # without the stabilizer, a linear interior part with zero mean and zero
+    # edge parts has a vanishing weak gradient (its divergence moments are
+    # zero), so every element's K00 has a two-dimensional kernel: the full
+    # matrix is only semidefinite, and assemble must refuse to condense it
     mesh = build_uniform_triangular(2)
     sig = WeakSpaceSignature(1, 1, 1)
+    params = SchemeParameters(rho=0.0)
 
     def zero(p):
         return np.zeros(p.shape[0])
 
-    system = assemble(mesh, sig, SchemeParameters(rho=0.0), zero, zero)
-    A = system.A.toarray()
-    assert np.linalg.eigvalsh(A).min() >= -1e-12 * np.abs(A).max()
+    A, _, _ = brute_global_system(mesh, sig, params, zero, zero)
+    scale = np.abs(A).max()
+    eigenvalues = np.linalg.eigvalsh(A)
+    assert eigenvalues.min() >= -1e-12 * scale
+    assert np.count_nonzero(eigenvalues <= 1e-12 * scale) == 2 * mesh.n_elements
+    # the kernel: the x and y monomials of each element (interior first)
+    kernel = (sig.interior_dim * np.arange(mesh.n_elements)[:, None] + [1, 2]).ravel()
+    assert np.abs(A[:, kernel]).max() <= 1e-12 * scale
+
+    with pytest.raises(SingularSystem) as err:
+        assemble(mesh, sig, params, zero, zero)
+    assert err.value.pivot in kernel
 
 
 # ----------------------------------------------------------------- solvers
 
 
 @pytest.mark.parametrize(
-    "shape,k,j,ell,rho",
-    [("tri", 1, 1, 1, 1.0), ("tri", 3, 4, 4, 1.0), ("rect", 2, 1, 3, 0.0)],
+    "shape,k,j,ell,rho,per_element",
+    [
+        ("tri", 1, 1, 1, 1.0, False),
+        ("tri", 3, 4, 4, 1.0, False),
+        ("rect", 2, 1, 3, 0.0, False),
+        ("tri", 2, 1, 2, 1.0, True),
+    ],
+    ids=["tri-1-1-1-1.0", "tri-3-4-4-1.0", "rect-2-1-3-0.0", "tri-2-1-2-1.0-per_element"],
 )
-def test_solve_matches_dense_solver(shape, k, j, ell, rho):
+def test_solve_matches_dense_solver(shape, k, j, ell, rho, per_element):
+    # the dense solve of the full (uncondensed) system checks the condensed
+    # edge solve and the recovery of every interior coefficient.  The load
+    # moments of the non-polynomial f come from the package's own quadrature
+    # (test_global_system_matches_brute_force checks them on a polynomial
+    # load), so the comparison does not see the oracle's different rule
     mesh = build_uniform_triangular(3) if shape == "tri" else build_uniform_rectangular(1)
     sig = WeakSpaceSignature(k, j, ell)
-    params = SchemeParameters(rho=rho)
+    coefficient = None
+    if per_element:
+        # a different anisotropic SPD tensor on every element
+        t = np.linspace(0.0, 1.0, mesh.n_elements)
+        coefficient = np.stack(
+            [np.stack([1.0 + t, 0.5 * t], -1), np.stack([0.5 * t, 1.0 - 0.5 * t], -1)], -2
+        )
+    params = SchemeParameters(rho=rho, coefficient=coefficient)
 
     def f(p):
         return np.sin(p[:, 0] + 2.0 * p[:, 1])
@@ -395,10 +443,12 @@ def test_solve_matches_dense_solver(shape, k, j, ell, rho):
 
     system = assemble(mesh, sig, params, f, g)
     u_h = solve(system)
-    x_ref = np.linalg.solve(system.A.toarray(), system.b)
-    assert np.abs(u_h.coeffs[system.free] - x_ref).max() <= 1e-10 * (
-        np.abs(x_ref).max() + 1.0
-    )
+    A_ref, b_ref, _ = brute_global_system(mesh, sig, params, lambda p: 0.0 * f(p), g)
+    b_ref[: system.dofmap.n_interior] += _interior_moments(system.cache, f).ravel()
+    x_ref = np.linalg.solve(A_ref, b_ref)
+    unknown = np.ones(system.dofmap.total, dtype=bool)
+    unknown[system.constrained] = False
+    assert np.abs(u_h.coeffs[unknown] - x_ref).max() <= 1e-10 * (np.abs(x_ref).max() + 1.0)
     assert np.abs(u_h.coeffs[system.constrained] - system.dirichlet_values).max() == 0.0
 
 
@@ -495,7 +545,7 @@ def test_linear_solution_reproduced_exactly(shape, k, j, ell, gamma):
 
 def test_unstabilized_lowest_order_family_is_singular():
     # P0/P0/[P0]^2 without the stabilizer leaves interior constants entirely
-    # uncontrolled: the factorization must report this instead of solving
+    # uncontrolled: condensing the interior block must report this
     mesh = build_uniform_triangular(2)
     sig = WeakSpaceSignature(0, 0, 0)
 
@@ -505,9 +555,8 @@ def test_unstabilized_lowest_order_family_is_singular():
     def g(p):
         return np.zeros(p.shape[0])
 
-    system = assemble(mesh, sig, SchemeParameters(rho=0.0), f, g)
     with pytest.raises(SingularSystem) as err:
-        solve(system)
+        assemble(mesh, sig, SchemeParameters(rho=0.0), f, g)
     assert err.value.pivot is not None
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -89,10 +89,10 @@ def test_dofmap_layout():
     # interior blocks are disjoint between elements
     for e in range(mesh.n_elements):
         assert dm.interior_offset(e) == 3 * e
-    # boundary/free split is a partition
-    bdofs, fdofs = dm.boundary_dofs, dm.free_dofs
+    # boundary dofs are distinct edge coefficients, two per boundary edge
+    bdofs = dm.boundary_dofs
     assert bdofs.size == int(mesh.boundary_edge.sum()) * 2
-    assert np.array_equal(np.sort(np.concatenate([bdofs, fdofs])), np.arange(dm.total))
+    assert np.unique(bdofs).size == bdofs.size and bdofs.min() >= dm.n_interior
 
 
 def test_dofmap_shared_edge_indices():
@@ -240,6 +240,9 @@ def test_shape_classes_separate_tiny_elements_of_different_size():
     n=st.integers(1, 6),
     shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
 )
+# a tiny shift leaves the unstabilized P0 interior block at rounding level,
+# not exactly zero, and it must still be rejected
+@example(n=1, shift=(0.0, 1e-8))
 def test_translated_mesh_gives_same_classes_and_operators(n, shift):
     base = build_uniform_triangular(n)
     moved = Mesh(base.vertices + np.array(shift), base.elements)
