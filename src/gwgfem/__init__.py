@@ -9,12 +9,10 @@ choice rho = 0.
 """
 
 from .mesh import (
-    ElementGeometry,
     Mesh,
     build_uniform_rectangular,
     build_uniform_triangular,
     dump_mesh,
-    geometry,
 )
 from .polybasis import (
     EdgeBasis,
@@ -38,8 +36,6 @@ from .assembly import (
     SingularSystem,
     assemble,
     dump_system,
-    local_stabilizer,
-    local_stiffness,
     solve,
 )
 from .verify import (

@@ -19,7 +19,8 @@ returning garbage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,10 +28,10 @@ import scipy.sparse.linalg as spla
 
 from .mesh import Mesh
 from .weakspace import (
-    GlobalDofMap,
     OperatorCache,
     WeakFunction,
     WeakSpaceSignature,
+    _cache_for,
     _edge_projection,
     _interior_moments,
 )
@@ -39,8 +40,6 @@ __all__ = [
     "SchemeParameters",
     "GlobalSystem",
     "SingularSystem",
-    "local_stiffness",
-    "local_stabilizer",
     "assemble",
     "solve",
     "dump_system",
@@ -54,8 +53,9 @@ _RESIDUAL_RTOL = 1e-8
 class SchemeParameters:
     """Scheme parameters: stabilizer weight rho h_T^gamma and diffusion tensor.
 
-    coefficient may be None (identity), a constant (2, 2) SPD matrix, or an
-    (n_elements, 2, 2) array of per-element SPD matrices.
+    rho must be finite and non-negative, gamma finite.  coefficient may be
+    None (identity), a constant (2, 2) SPD matrix, or an (n_elements, 2, 2)
+    array of per-element SPD matrices.
     """
 
     rho: float = 1.0
@@ -63,8 +63,12 @@ class SchemeParameters:
     coefficient: object = None
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError(f"stabilizer weight rho must be non-negative, got {self.rho}")
+        if not (math.isfinite(self.rho) and self.rho >= 0):
+            raise ValueError(
+                f"stabilizer weight rho must be finite and non-negative, got {self.rho}"
+            )
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"stabilizer exponent gamma must be finite, got {self.gamma}")
         if self.coefficient is not None:
             a = np.asarray(self.coefficient, dtype=float)
             if a.shape != (2, 2) and not (a.ndim == 3 and a.shape[1:] == (2, 2)):
@@ -116,21 +120,28 @@ class GlobalSystem:
     of cache.classes(), C[c] is K00^-1 K0b (one matrix, or one per element
     when the coefficient varies per element), and y[e] = K00^-1 F0 is
     element e's interior load, so u0 = y - C ub recovers the interior
-    coefficients from the edge coefficients ub.
+    coefficients from the edge coefficients ub.  The boundary edge
+    coefficients cache.dofmap.boundary_dofs take dirichlet_values; the mesh,
+    signature and dof map are those of cache.
     """
 
     A: sp.csr_matrix
     b: np.ndarray
     C: list
     y: np.ndarray
-    dofmap: GlobalDofMap
     free: np.ndarray
-    constrained: np.ndarray
     dirichlet_values: np.ndarray
-    mesh: Mesh
-    signature: WeakSpaceSignature
-    params: SchemeParameters
     cache: OperatorCache
+
+
+def _check_coefficient(params: SchemeParameters, mesh: Mesh) -> None:
+    """Reject a per-element coefficient that does not hold one tensor per element."""
+    a = params.coefficient
+    if a is not None and a.ndim == 3 and a.shape[0] != mesh.n_elements:
+        raise ValueError(
+            f"per-element coefficient holds {a.shape[0]} tensors, "
+            f"but the mesh has {mesh.n_elements} elements"
+        )
 
 
 def _class_matrices(ops, elems, params: SchemeParameters) -> np.ndarray:
@@ -151,35 +162,6 @@ def _class_matrices(ops, elems, params: SchemeParameters) -> np.ndarray:
         + a[..., 0, 1, None, None] * (ops.Sxy + ops.Sxy.T)
         + a[..., 1, 1, None, None] * ops.Syy
         + local
-    )
-
-
-def local_stiffness(
-    mesh: Mesh,
-    element: int,
-    signature: WeakSpaceSignature,
-    params: SchemeParameters,
-    cache: OperatorCache | None = None,
-) -> np.ndarray:
-    """(a grad_g ., grad_g .)_T as a matrix on the local coefficient vector."""
-    if cache is None:
-        cache = OperatorCache(mesh, signature)
-    return _class_matrices(cache.shape_ops(element), element, replace(params, rho=0.0))
-
-
-def local_stabilizer(
-    mesh: Mesh,
-    element: int,
-    signature: WeakSpaceSignature,
-    params: SchemeParameters,
-    cache: OperatorCache | None = None,
-) -> np.ndarray:
-    """rho h_T^gamma <Qb v0 - vb, Qb w0 - wb>_{boundary of T} on local coefficients."""
-    if cache is None:
-        cache = OperatorCache(mesh, signature)
-    ops = cache.shape_ops(element)
-    return _class_matrices(ops, element, params) - _class_matrices(
-        ops, element, replace(params, rho=0.0)
     )
 
 
@@ -243,10 +225,12 @@ def assemble(
     largest diagonal entry of that element's local matrix): the interior
     coefficients of that element alone are then a zero-energy vector of the
     global matrix.  Its .pivot is the global coefficient index of the
-    failing interior unknown.
+    failing interior unknown.  Raises ValueError when cache was built for
+    another mesh or signature, or when a per-element coefficient does not
+    hold one tensor per element of mesh.
     """
-    if cache is None:
-        cache = OperatorCache(mesh, signature)
+    _check_coefficient(params, mesh)
+    cache = _cache_for(mesh, signature, cache)
     dm = cache.dofmap
     n0 = signature.interior_dim
     n_edge_dofs = dm.total - dm.n_interior
@@ -302,13 +286,8 @@ def assemble(
         b=b_free,
         C=C_parts,
         y=y,
-        dofmap=dm,
         free=dm.n_interior + free_pos,
-        constrained=dm.boundary_dofs,
         dirichlet_values=dirichlet,
-        mesh=mesh,
-        signature=signature,
-        params=params,
         cache=cache,
     )
 
@@ -390,11 +369,11 @@ def solve(system: GlobalSystem) -> WeakFunction:
             f"exceeds {_RESIDUAL_RTOL:g} * ||b|| with ||b|| = {b_norm:.3e}"
         )
 
-    dm = system.dofmap
-    n0 = system.signature.interior_dim
+    dm = system.cache.dofmap
+    n0 = system.cache.signature.interior_dim
     coeffs = np.empty(dm.total)
     coeffs[system.free] = x
-    coeffs[system.constrained] = system.dirichlet_values
+    coeffs[dm.boundary_dofs] = system.dirichlet_values
     u0 = coeffs[: dm.n_interior].reshape(-1, n0)  # a view: writes fill coeffs
     for (_, elems), C in zip(system.cache.classes(), system.C):
         u0[elems] = system.y[elems] - _mv(C, coeffs[dm.element_dof_table[elems, n0:]])

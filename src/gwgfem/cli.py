@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .assembly import SchemeParameters, SingularSystem
 from .verify import ErrorReport, _mesh_args, get_case, run_convergence_study
@@ -24,26 +24,6 @@ from .weakspace import WeakSpaceSignature
 __all__ = ["StudyConfig", "ConfigError", "parse_config", "run", "main", "console_main"]
 
 CSV_HEADER = "level,inv_h,energy_err,energy_rate,l2_err,l2_rate,edge_err,edge_rate"
-
-_DEFAULTS = {
-    "mesh": "tri",
-    "rho": 1.0,
-    "gamma": -1.0,
-    "case": "cospi_cospi",
-}
-
-_CONFIG_KEYS = (
-    "element",
-    "levels",
-    "mesh",
-    "rho",
-    "gamma",
-    "case",
-    "alpha",
-    "output",
-    "manifest",
-)
-
 
 class ConfigError(ValueError):
     """Invalid command line or configuration file contents."""
@@ -68,6 +48,10 @@ class StudyConfig:
     @property
     def params(self) -> SchemeParameters:
         return SchemeParameters(rho=self.rho, gamma=self.gamma)
+
+
+# configuration keys and their defaults; None marks a required key
+_DEFAULTS = {f.name: None if f.default is MISSING else f.default for f in fields(StudyConfig)}
 
 
 def _parse_element(text: str):
@@ -114,7 +98,7 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
@@ -147,10 +131,9 @@ def parse_config(argv=None) -> StudyConfig:
     """Merge flags over config-file values and validate; raises ConfigError."""
     args = _build_parser().parse_args(argv)
     merged = dict(_DEFAULTS)
-    merged.update(element=None, levels=None, alpha=None, output=None, manifest=False)
     if args.config:
         merged.update(_read_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key in _DEFAULTS:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value

@@ -8,36 +8,16 @@ freedom single valued across the two elements sharing an interior edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "ElementGeometry",
     "Mesh",
     "build_uniform_triangular",
     "build_uniform_rectangular",
-    "geometry",
     "dump_mesh",
 ]
 
 _PARALLELOGRAM_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Geometric data of one element.
-
-    normals[i] is the outward unit normal of the side running from local
-    vertex i to local vertex i+1 (cyclic); edge_lengths uses the same
-    ordering.  diameter is the maximum pairwise vertex distance.
-    """
-
-    centroid: np.ndarray
-    diameter: float
-    area: float
-    normals: np.ndarray
-    edge_lengths: np.ndarray
 
 
 class Mesh:
@@ -125,10 +105,6 @@ class Mesh:
 
         self._centroids = verts.mean(axis=1)
         self._areas = areas
-        d = self.edges
-        self._edge_lengths = np.linalg.norm(
-            self.vertices[d[:, 1]] - self.vertices[d[:, 0]], axis=1
-        )
 
     @property
     def n_vertices(self) -> int:
@@ -154,9 +130,6 @@ class Mesh:
 
     def element_diameters(self) -> np.ndarray:
         return self._diameters
-
-    def edge_lengths(self) -> np.ndarray:
-        return self._edge_lengths
 
 
 def _signed_areas(vertices, elements):
@@ -206,23 +179,6 @@ def build_uniform_rectangular(level: int) -> Mesh:
     ll = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
     elems = np.column_stack([ll, ll + 1, ll + nx + 2, ll + nx + 1])
     return Mesh(vertices, elems, inv_h=4 * 2**level)
-
-
-def geometry(mesh: Mesh, element: int) -> ElementGeometry:
-    """Centroid, diameter, area, outward normals, and side lengths of one element."""
-    if not 0 <= element < mesh.n_elements:
-        raise IndexError(f"element index {element} out of range")
-    verts = mesh.vertices[mesh.elements[element]]
-    d = np.roll(verts, -1, axis=0) - verts
-    lengths = np.linalg.norm(d, axis=1)
-    normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
-    return ElementGeometry(
-        centroid=mesh._centroids[element],
-        diameter=float(mesh._diameters[element]),
-        area=float(mesh._areas[element]),
-        normals=normals,
-        edge_lengths=lengths,
-    )
 
 
 def dump_mesh(mesh: Mesh, stream) -> None:

@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import SchemeParameters, SingularSystem, _class_matrices, assemble, solve
+from .assembly import (
+    SchemeParameters,
+    SingularSystem,
+    _check_coefficient,
+    _class_matrices,
+    assemble,
+    solve,
+)
 from .mesh import build_uniform_rectangular, build_uniform_triangular
 from .weakspace import OperatorCache, WeakFunction, WeakSpaceSignature, project_Qh
 
@@ -212,6 +219,7 @@ def error_function(case: ManufacturedCase, u_h: WeakFunction, cache: OperatorCac
 
 def energy_norm(wf: WeakFunction, params: SchemeParameters, cache: OperatorCache) -> float:
     """Scheme energy: (sum_T (a grad_g v, grad_g v)_T + s(v, v))^(1/2)."""
+    _check_coefficient(params, cache.mesh)
     dm = cache.dofmap
     total = 0.0
     for ops, elems in cache.classes():

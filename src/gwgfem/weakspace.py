@@ -174,10 +174,6 @@ class _ShapeOps:
     """
 
     def __init__(self, shape, rel_verts, canon_flags, signature):
-        self.shape = shape
-        self.rel_verts = rel_verts
-        self.canon_flags = canon_flags
-        self.signature = signature
         k, j, ell, m = signature.k, signature.j, signature.ell, signature.m
         n0, nb = signature.interior_dim, signature.edge_dim
         dim_l, dim_m = dim_pk(ell), dim_pk(m)
@@ -198,9 +194,9 @@ class _ShapeOps:
         degree = max(k, m)
         self.basis = ElementBasis(degree, (0.0, 0.0), self.h_T)
         rule = element_quadrature(shape, 2 * degree)
-        self.q_offsets, self.q_weights = map_to_element(rule, rel_verts)
-        V = self.basis.eval(self.q_offsets)
-        M_full = V.T @ (self.q_weights[:, None] * V)
+        q_offsets, q_weights = map_to_element(rule, rel_verts)
+        V = self.basis.eval(q_offsets)
+        M_full = V.T @ (q_weights[:, None] * V)
         self.M0 = M_full[:n0, :n0]
         self.M_m = M_full[:dim_m, :dim_m]
 
@@ -214,7 +210,6 @@ class _ShapeOps:
         )
 
         edge_basis = EdgeBasis(j)
-        self.edge_basis = edge_basis
         edge_rule = edge_quadrature(2 * max(k, j, ell))
         Bx = np.zeros((dim_l, self.n_loc))
         By = np.zeros((dim_l, self.n_loc))
@@ -321,6 +316,17 @@ class OperatorCache:
         return zip(self.class_ops, self.class_elements)
 
 
+def _cache_for(mesh: Mesh, signature: WeakSpaceSignature, cache) -> OperatorCache:
+    """cache, checked against (mesh, signature), or a new OperatorCache when it is None."""
+    if cache is None:
+        return OperatorCache(mesh, signature)
+    if cache.mesh is not mesh:
+        raise ValueError("cache was built for another mesh")
+    if cache.signature != signature:
+        raise ValueError(f"cache was built for {cache.signature}, not {signature}")
+    return cache
+
+
 def _grading_depth(strength: float, h: float) -> int:
     # Choose the dyadic depth so the untouched innermost piece, of size
     # h * 2^-depth, contributes O((h 2^-depth)^strength) ~ 2^-40 or less;
@@ -396,10 +402,10 @@ def project_Qh(
 
     fn must be vectorized: (n, 2) points -> (n,) values.  singularity, if
     given, is a (point, strength) pair; integrals over elements and edges
-    touching the point are computed with rules graded toward it.
+    touching the point are computed with rules graded toward it.  A cache
+    built for another mesh or signature raises ValueError.
     """
-    if cache is None:
-        cache = OperatorCache(mesh, signature)
+    cache = _cache_for(mesh, signature, cache)
     q0 = _interior_moments(cache, fn, singularity)
     for ops, elems in cache.classes():
         q0[elems] = cho_solve(ops._cho_data_M0, q0[elems].T).T

@@ -298,16 +298,16 @@ def test_matrices_match_dense_reconstruction():
     params = SchemeParameters(rho=1.0, gamma=0.0)
     cache = OperatorCache(mesh, sig)
     worst = 0.0
-    from gwgfem import local_stabilizer, local_stiffness
+    from test_assembly import local_forms
 
     for e in range(mesh.n_elements):
         stiff, stab, _ = brute_local_matrices(mesh, e, sig)
+        fast_stiff, fast_stab = local_forms(cache, e, params)
         scale = np.abs(stiff).max()
         worst = max(
             worst,
-            np.abs(local_stiffness(mesh, e, sig, params, cache=cache) - stiff).max() / scale,
-            np.abs(local_stabilizer(mesh, e, sig, params, cache=cache) - stab).max()
-            / np.abs(stab).max(),
+            np.abs(fast_stiff - stiff).max() / scale,
+            np.abs(fast_stab - stab).max() / np.abs(stab).max(),
         )
 
     def f(p):

@@ -21,6 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gwgfem import (
+    Mesh,
     OperatorCache,
     SchemeParameters,
     SingularSystem,
@@ -31,8 +32,7 @@ from gwgfem import (
     build_uniform_rectangular,
     build_uniform_triangular,
     dump_system,
-    local_stabilizer,
-    local_stiffness,
+    energy_norm,
     project_Qh,
     solve,
 )
@@ -230,6 +230,9 @@ def test_scheme_parameters_validation():
         SchemeParameters(coefficient=[[1.0, 2.0], [2.0, 1.0]])  # indefinite
     with pytest.raises(ValueError):
         SchemeParameters(coefficient=np.ones((3, 2)))
+    for bad in [{"rho": math.nan}, {"rho": math.inf}, {"gamma": math.nan}, {"gamma": -math.inf}]:
+        with pytest.raises(ValueError, match="must be finite"):
+            SchemeParameters(**bad)
     params = SchemeParameters(coefficient=[[2.0, 0.5], [0.5, 1.0]])
     assert not params.is_identity
     assert np.allclose(params.tensor(), [[2.0, 0.5], [0.5, 1.0]])
@@ -248,10 +251,17 @@ def test_default_parameters():
 # ----------------------------------------------------------- local forms
 
 
+def local_forms(cache, e, params):
+    """(stiffness, stabilizer) of element e, split out of its batched local matrix."""
+    ops = cache.shape_ops(e)
+    stiff = assembly._class_matrices(ops, e, dataclasses.replace(params, rho=0.0))
+    return stiff, assembly._class_matrices(ops, e, params) - stiff
+
+
 def test_local_stabilizer_zero_when_rho_zero():
     mesh = build_uniform_triangular(2)
     sig = WeakSpaceSignature(1, 1, 1)
-    S = local_stabilizer(mesh, 0, sig, SchemeParameters(rho=0.0, gamma=-1.0))
+    _, S = local_forms(OperatorCache(mesh, sig), 0, SchemeParameters(rho=0.0, gamma=-1.0))
     assert np.all(S == 0.0)
 
 
@@ -261,12 +271,13 @@ def test_local_stabilizer_constant_interior_oracle():
     # perimeter 2 + sqrt(2); gamma scales it by powers of h_T = sqrt(2).
     mesh = build_uniform_triangular(1)
     sig = WeakSpaceSignature(1, 1, 1)
+    cache = OperatorCache(mesh, sig)
     v = np.zeros(sig.interior_dim + 3 * sig.edge_dim)
     v[0] = 1.0
     for gamma, scale in [(0.0, 1.0), (-1.0, 1.0 / math.sqrt(2)), (1.0, math.sqrt(2))]:
-        S = local_stabilizer(mesh, 0, sig, SchemeParameters(rho=1.0, gamma=gamma))
+        _, S = local_forms(cache, 0, SchemeParameters(rho=1.0, gamma=gamma))
         assert v @ S @ v == pytest.approx((2.0 + math.sqrt(2)) * scale, rel=1e-13)
-    S = local_stabilizer(mesh, 0, sig, SchemeParameters(rho=2.5, gamma=0.0))
+    _, S = local_forms(cache, 0, SchemeParameters(rho=2.5, gamma=0.0))
     assert v @ S @ v == pytest.approx(2.5 * (2.0 + math.sqrt(2)), rel=1e-13)
 
 
@@ -284,7 +295,7 @@ def test_local_stabilizer_vanishes_on_projected_traces(k, j, ell):
     wf = project_Qh(u, mesh, sig, cache=cache)
     params = SchemeParameters(rho=1.0, gamma=0.0)
     for e in range(mesh.n_elements):
-        S = local_stabilizer(mesh, e, sig, params, cache=cache)
+        _, S = local_forms(cache, e, params)
         c = wf.coeffs[cache.dofmap.element_dofs(e)]
         assert abs(c @ S @ c) <= 1e-12
 
@@ -298,8 +309,7 @@ def test_local_forms_match_brute_force(shape, k, j, ell):
     params = SchemeParameters(rho=1.0, gamma=0.0)
     for e in range(min(mesh.n_elements, 2)):
         stiff, stab, _ = brute_local_matrices(mesh, e, sig)
-        fast_stiff = local_stiffness(mesh, e, sig, params, cache=cache)
-        fast_stab = local_stabilizer(mesh, e, sig, params, cache=cache)
+        fast_stiff, fast_stab = local_forms(cache, e, params)
         scale = max(np.abs(stiff).max(), 1.0)
         assert np.abs(fast_stiff - stiff).max() <= 1e-12 * scale
         assert np.abs(fast_stab - stab).max() <= 1e-12 * max(np.abs(stab).max(), 1.0)
@@ -311,7 +321,7 @@ def test_local_stiffness_anisotropic_matches_brute_force():
     a_mat = np.array([[2.0, 0.5], [0.5, 1.0]])
     params = SchemeParameters(coefficient=a_mat)
     stiff, _, _ = brute_local_matrices(mesh, 0, sig, a_mat=a_mat)
-    fast = local_stiffness(mesh, 0, sig, params)
+    fast, _ = local_forms(OperatorCache(mesh, sig), 0, params)
     assert np.abs(fast - stiff).max() <= 1e-12 * np.abs(stiff).max()
 
 
@@ -444,12 +454,13 @@ def test_solve_matches_dense_solver(shape, k, j, ell, rho, per_element):
     system = assemble(mesh, sig, params, f, g)
     u_h = solve(system)
     A_ref, b_ref, _ = brute_global_system(mesh, sig, params, lambda p: 0.0 * f(p), g)
-    b_ref[: system.dofmap.n_interior] += _interior_moments(system.cache, f).ravel()
+    dm = system.cache.dofmap
+    b_ref[: dm.n_interior] += _interior_moments(system.cache, f).ravel()
     x_ref = np.linalg.solve(A_ref, b_ref)
-    unknown = np.ones(system.dofmap.total, dtype=bool)
-    unknown[system.constrained] = False
+    unknown = np.ones(dm.total, dtype=bool)
+    unknown[dm.boundary_dofs] = False
     assert np.abs(u_h.coeffs[unknown] - x_ref).max() <= 1e-10 * (np.abs(x_ref).max() + 1.0)
-    assert np.abs(u_h.coeffs[system.constrained] - system.dirichlet_values).max() == 0.0
+    assert np.abs(u_h.coeffs[dm.boundary_dofs] - system.dirichlet_values).max() == 0.0
 
 
 def test_solve_is_scale_invariant():
@@ -558,6 +569,83 @@ def test_unstabilized_lowest_order_family_is_singular():
     with pytest.raises(SingularSystem) as err:
         assemble(mesh, sig, SchemeParameters(rho=0.0), f, g)
     assert err.value.pivot is not None
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [build_uniform_triangular(4), build_uniform_rectangular(0)],
+    ids=["tri", "rect"],
+)
+@pytest.mark.parametrize(
+    "element,rho,fails_in",
+    [
+        ((0, 0, 0), 0.0, "assemble"),
+        ((1, 1, 1), 0.0, "assemble"),
+        ((0, 2, 1), 0.0, "solve"),
+        ((0, 3, 1), 0.0, "solve"),
+        ((0, 3, 2), 0.0, "solve"),
+        ((1, 3, 2), 0.0, "solve"),
+        ((2, 1, 3), 0.0, None),
+        ((1, 1, 1), 1.0, None),
+    ],
+)
+def test_singularity_decisions_are_affine_invariant(mesh, element, rho, fails_in):
+    # a shear plus an anisotropic scaling keeps triangles triangles and
+    # parallelograms parallelograms; whether a family is solvable is a
+    # property of the reference element, so no decision may change
+    shear_scale = np.array([[1.0, 0.6], [0.0, 1.0]]) @ np.diag([2.5, 0.4])
+    sig, params = WeakSpaceSignature(*element), SchemeParameters(rho=rho)
+
+    def f(p):
+        return np.sin(p[:, 0] + 2.0 * p[:, 1])
+
+    def g(p):
+        return p[:, 0] * p[:, 1]
+
+    for m in (mesh, Mesh(mesh.vertices @ shear_scale.T, mesh.elements)):
+        failed = None
+        try:
+            system = assemble(m, sig, params, f, g)
+        except SingularSystem:
+            failed = "assemble"
+        else:
+            try:
+                solve(system)
+            except SingularSystem:
+                failed = "solve"
+        assert failed == fails_in
+
+
+def test_cache_must_match_mesh_and_signature():
+    mesh, sig = build_uniform_triangular(2), WeakSpaceSignature(1, 1, 1)
+
+    def one(p):
+        return np.ones(p.shape[0])
+
+    for cache, message in [
+        (OperatorCache(build_uniform_triangular(2), sig), "another mesh"),
+        (OperatorCache(mesh, WeakSpaceSignature(1, 2, 1)), r"for WeakSpaceSignature\(k=1, j=2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            assemble(mesh, sig, SchemeParameters(), one, one, cache=cache)
+        with pytest.raises(ValueError, match=message):
+            project_Qh(one, mesh, sig, cache=cache)
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_per_element_coefficient_count_must_match_mesh(extra):
+    mesh, sig = build_uniform_triangular(2), WeakSpaceSignature(1, 1, 1)
+    cache = OperatorCache(mesh, sig)
+    params = SchemeParameters(coefficient=np.tile(np.eye(2), (mesh.n_elements + extra, 1, 1)))
+
+    def one(p):
+        return np.ones(p.shape[0])
+
+    message = f"holds {mesh.n_elements + extra} tensors, but the mesh has {mesh.n_elements}"
+    with pytest.raises(ValueError, match=message):
+        assemble(mesh, sig, params, one, one, cache=cache)
+    with pytest.raises(ValueError, match=message):
+        energy_norm(project_Qh(one, mesh, sig, cache=cache), params, cache)
 
 
 # ------------------------------------------------------------ dump format

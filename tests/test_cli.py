@@ -98,6 +98,10 @@ def test_solver_option_is_gone(tmp_path):
         (["--alpha", "0.5"], "does not take a regularity index"),
         (["--levels", "4"], "convergence study needs at least two"),
         (["--mesh", "rect", "--levels", "8,12"], "labels are 4\\*2\\^L, got 12"),
+        (["--rho", "nan"], "rho must be finite"),
+        (["--rho", "inf"], "rho must be finite"),
+        (["--gamma", "inf"], "gamma must be finite"),
+        (["--gamma=-inf"], "gamma must be finite"),
     ],
 )
 def test_parse_reports_library_messages(argv, message):
@@ -280,6 +284,8 @@ def test_unwritable_output_exits_4(tmp_path):
 
 def test_main_exit_codes(capsys):
     assert main(["--element", "1,1", "--levels", "2,4"]) == 2
+    assert main(["--element", "1,1,1", "--levels", "2,4", "--rho", "nan"]) == 2
+    assert main(["--element", "1,1,1", "--levels", "2,4", "--gamma", "inf"]) == 2
     assert main(["--no-such-flag"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -3,12 +3,12 @@ import io
 import numpy as np
 import pytest
 
+from gwgfem import OperatorCache, WeakSpaceSignature
 from gwgfem.mesh import (
     Mesh,
     build_uniform_rectangular,
     build_uniform_triangular,
     dump_mesh,
-    geometry,
 )
 
 # Hand-enumerated entity counts for the smallest triangular meshes
@@ -228,28 +228,30 @@ def test_sheared_parallelogram_accepted():
     assert mesh.element_areas()[0] == pytest.approx(2.0)
 
 
+def side_geometry(mesh):
+    """Per-element (normals, side lengths), read from the shape-class operators."""
+    cache = OperatorCache(mesh, WeakSpaceSignature(0, 0, 0))
+    return [
+        (cache.shape_ops(t).normals, cache.shape_ops(t).edge_lengths)
+        for t in range(mesh.n_elements)
+    ]
+
+
 def test_geometry_unit_right_triangle():
     mesh = unit_right_triangle()
-    g = geometry(mesh, 0)
-    assert abs(g.area - 0.5) <= 1e-15
-    assert abs(g.diameter - np.sqrt(2.0)) <= 1e-15
-    np.testing.assert_allclose(g.centroid, [1.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+    assert abs(mesh.element_areas()[0] - 0.5) <= 1e-15
+    assert abs(mesh.element_diameters()[0] - np.sqrt(2.0)) <= 1e-15
+    np.testing.assert_allclose(mesh.element_centroids()[0], [1.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+    normals, _ = side_geometry(mesh)[0]
     # side 1 runs from (1,0) to (0,1): the hypotenuse
-    np.testing.assert_allclose(g.normals[1], [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
-    np.testing.assert_allclose(g.normals[0], [0.0, -1.0], atol=1e-15)
+    np.testing.assert_allclose(normals[1], [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
+    np.testing.assert_allclose(normals[0], [0.0, -1.0], atol=1e-15)
 
 
 def test_geometry_rectangle():
     mesh = build_uniform_rectangular(0)
-    g = geometry(mesh, 0)
-    np.testing.assert_allclose(g.centroid, [1.0 / 6.0, 0.25], atol=1e-15)
-    assert abs(g.diameter - np.sqrt(1.0 / 9.0 + 0.25)) <= 1e-15
-
-
-def test_geometry_out_of_range():
-    mesh = unit_right_triangle()
-    with pytest.raises(IndexError):
-        geometry(mesh, 1)
+    np.testing.assert_allclose(mesh.element_centroids()[0], [1.0 / 6.0, 0.25], atol=1e-15)
+    assert abs(mesh.element_diameters()[0] - np.sqrt(1.0 / 9.0 + 0.25)) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -258,20 +260,18 @@ def test_geometry_out_of_range():
     ids=["tri", "rect"],
 )
 def test_normals(mesh):
-    for t in range(mesh.n_elements):
-        g = geometry(mesh, t)
-        np.testing.assert_allclose(np.linalg.norm(g.normals, axis=1), 1.0, atol=1e-14)
-        resultant = (g.edge_lengths[:, None] * g.normals).sum(axis=0)
+    for normals, lengths in side_geometry(mesh):
+        np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-14)
+        resultant = (lengths[:, None] * normals).sum(axis=0)
         np.testing.assert_allclose(resultant, 0.0, atol=1e-12)
 
 
 def test_interior_normals_opposite():
     mesh = build_uniform_triangular(2)
     normals = {}
-    for t in range(mesh.n_elements):
-        g = geometry(mesh, t)
+    for t, (element_normals, _) in enumerate(side_geometry(mesh)):
         for s, e in enumerate(mesh.element_edges[t]):
-            normals.setdefault(e, []).append(g.normals[s])
+            normals.setdefault(e, []).append(element_normals[s])
     for e, ns in normals.items():
         if not mesh.boundary_edge[e]:
             assert len(ns) == 2
@@ -285,7 +285,7 @@ def test_diameter_is_max_vertex_distance():
         dmax = max(
             np.linalg.norm(p - q) for p in verts for q in verts
         )
-        assert abs(geometry(mesh, t).diameter - dmax) <= 1e-15
+        assert abs(mesh.element_diameters()[t] - dmax) <= 1e-15
 
 
 def test_refinement_nests_vertices():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gwgfem.mesh import build_uniform_rectangular, build_uniform_triangular, geometry
+from gwgfem.mesh import build_uniform_rectangular, build_uniform_triangular
 from gwgfem.polybasis import (
     EdgeBasis,
     ElementBasis,
@@ -181,8 +181,7 @@ def test_edge_mass_diagonal():
 
 
 def element_mass(mesh, t, degree):
-    g = geometry(mesh, t)
-    basis = ElementBasis(degree, g.centroid, g.diameter)
+    basis = ElementBasis(degree, mesh.element_centroids()[t], mesh.element_diameters()[t])
     shape = "triangle" if mesh.elements.shape[1] == 3 else "rectangle"
     rule = element_quadrature(shape, 2 * degree)
     pts, w = map_to_element(rule, mesh.vertices[mesh.elements[t]])

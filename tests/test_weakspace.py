@@ -18,7 +18,6 @@ from gwgfem import (
     assemble,
     build_uniform_rectangular,
     build_uniform_triangular,
-    geometry,
     project_Qh,
     solve,
 )
@@ -46,8 +45,8 @@ def unit_right_triangle():
 
 
 def interior_values(mesh, wf, element, pts):
-    geom = geometry(mesh, element)
-    basis = ElementBasis(wf.dofmap.signature.k, geom.centroid, geom.diameter)
+    centroid, diameter = mesh.element_centroids()[element], mesh.element_diameters()[element]
+    basis = ElementBasis(wf.dofmap.signature.k, centroid, diameter)
     return basis.eval(pts) @ wf.interior(element)
 
 
@@ -136,10 +135,10 @@ def test_project_q0_constant_and_linear():
     assert abs(c[0] - 3.5) < 1e-13 and np.all(np.abs(c[1:]) < 1e-13)
 
     c = project_Qh(lambda p: p[:, 0], mesh, WeakSpaceSignature(1, 1, 0)).interior(1)
-    geom = geometry(mesh, 1)
+    centroid, diameter = mesh.element_centroids()[1], mesh.element_diameters()[1]
     rng = np.random.default_rng(3)
-    pts = geom.centroid + 0.05 * rng.standard_normal((20, 2))
-    vals = ElementBasis(1, geom.centroid, geom.diameter).eval(pts) @ c
+    pts = centroid + 0.05 * rng.standard_normal((20, 2))
+    vals = ElementBasis(1, centroid, diameter).eval(pts) @ c
     np.testing.assert_allclose(vals, pts[:, 0], atol=1e-13)
 
 
@@ -147,10 +146,10 @@ def test_project_q0_reproduces_cubics():
     mesh = build_uniform_triangular(2)
     f = lambda p: p[:, 0] ** 3 - 2 * p[:, 0] * p[:, 1] + 1.0
     c = project_Qh(f, mesh, WeakSpaceSignature(3, 3, 0)).interior(5)
-    geom = geometry(mesh, 5)
+    centroid, diameter = mesh.element_centroids()[5], mesh.element_diameters()[5]
     rng = np.random.default_rng(4)
-    pts = geom.centroid + 0.04 * rng.standard_normal((20, 2))
-    vals = ElementBasis(3, geom.centroid, geom.diameter).eval(pts) @ c
+    pts = centroid + 0.04 * rng.standard_normal((20, 2))
+    vals = ElementBasis(3, centroid, diameter).eval(pts) @ c
     np.testing.assert_allclose(vals, f(pts), rtol=0, atol=1e-12)
 
 
@@ -176,9 +175,9 @@ def test_project_qh_reproduces_low_degree():
     p = lambda pts: pts[:, 0] ** 2 + pts[:, 0] * pts[:, 1] - 3 * pts[:, 1] + 1.0
     wf = project_Qh(p, mesh, sig)
     for e in [0, 3, 7]:
-        geom = geometry(mesh, e)
+        centroid, diameter = mesh.element_centroids()[e], mesh.element_diameters()[e]
         rng = np.random.default_rng(e)
-        pts = geom.centroid + 0.03 * rng.standard_normal((10, 2))
+        pts = centroid + 0.03 * rng.standard_normal((10, 2))
         np.testing.assert_allclose(interior_values(mesh, wf, e, pts), p(pts), atol=1e-12)
     for edge in [0, 2, mesh.n_edges - 1]:
         a, b = mesh.edges[edge]
@@ -289,10 +288,10 @@ def test_weak_gradient_reproduces_polynomial_gradient():
     for e in range(mesh.n_elements):
         ops = cache.shape_ops(e)
         g = ops.G @ wf.coeffs[cache.dofmap.element_dofs(e)]
-        geom = geometry(mesh, e)
+        centroid, diameter = mesh.element_centroids()[e], mesh.element_diameters()[e]
         rng = np.random.default_rng(e)
-        pts = geom.centroid + 0.03 * rng.standard_normal((8, 2))
-        V = ElementBasis(sig.m, geom.centroid, geom.diameter).eval(pts)
+        pts = centroid + 0.03 * rng.standard_normal((8, 2))
+        V = ElementBasis(sig.m, centroid, diameter).eval(pts)
         expected = grad(pts)
         np.testing.assert_allclose(V @ g[:dim_m], expected[:, 0], atol=1e-11)
         np.testing.assert_allclose(V @ g[dim_m:], expected[:, 1], atol=1e-11)
@@ -339,14 +338,14 @@ def test_delta_closed_form_oracle():
     mesh = unit_right_triangle()
     sig = WeakSpaceSignature(1, 0, 1)
     ops = OperatorCache(mesh, sig).shape_ops(0)
-    geom = geometry(mesh, 0)
+    centroid, diameter = mesh.element_centroids()[0], mesh.element_diameters()[0]
     vloc = np.zeros(ops.n_loc)
-    vloc[0] = geom.centroid[0]
-    vloc[1] = geom.diameter
+    vloc[0] = centroid[0]
+    vloc[1] = diameter
     d = ops.delta @ vloc
     rng = np.random.default_rng(11)
     pts = np.array([1.0, 1.0]) * rng.random((12, 2)) * 0.4 + 0.05
-    V = ElementBasis(1, geom.centroid, geom.diameter).eval(pts)
+    V = ElementBasis(1, centroid, diameter).eval(pts)
     np.testing.assert_allclose(V @ d[:3], 3 - 6 * pts[:, 0] - 6 * pts[:, 1], atol=1e-12)
     np.testing.assert_allclose(V @ d[3:], 6 - 6 * pts[:, 0] - 12 * pts[:, 1], atol=1e-12)
 
