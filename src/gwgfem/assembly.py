@@ -83,15 +83,6 @@ class SchemeParameters:
     def is_identity(self) -> bool:
         return self.coefficient is None
 
-    def tensor(self, element: int | None = None) -> np.ndarray:
-        if self.coefficient is None:
-            return np.eye(2)
-        if self.coefficient.ndim == 2:
-            return self.coefficient
-        if element is None:
-            raise ValueError("per-element coefficient requires an element index")
-        return self.coefficient[element]
-
 
 class SingularSystem(RuntimeError):
     """The global matrix is (numerically) singular or not positive definite.

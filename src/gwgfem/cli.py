@@ -50,18 +50,14 @@ class StudyConfig:
         return SchemeParameters(rho=self.rho, gamma=self.gamma)
 
 
-# configuration keys and their defaults; None marks a required key
-_DEFAULTS = {f.name: None if f.default is MISSING else f.default for f in fields(StudyConfig)}
-
-
 def _parse_element(text: str):
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != 3:
-        raise ConfigError(f"element must be three comma-separated degrees k,j,l, got {text!r}")
+        raise ConfigError(f"expected three comma-separated degrees k,j,l, got {text!r}")
     try:
         degrees = tuple(int(p) for p in parts)
     except ValueError:
-        raise ConfigError(f"element degrees must be integers, got {text!r}") from None
+        raise ConfigError(f"degrees must be integers, got {text!r}") from None
     return degrees
 
 
@@ -70,18 +66,48 @@ def _parse_levels(text: str):
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
-        raise ConfigError(f"levels must be comma-separated integers, got {text!r}") from None
+        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_bool(text):
-    if isinstance(text, bool):
-        return text
     value = str(text).strip().lower()
     if value in ("1", "true", "yes", "on"):
         return True
     if value in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+def _join(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+# Every StudyConfig field, in field order: (text parser, manifest formatter or
+# None, help text).  Defaults come from StudyConfig; value checks are the
+# library's (see _study_args).
+_KEYS = {
+    "element": (_parse_element, _join, "degrees k,j,l of the element family"),
+    "levels": (_parse_levels, _join, "comma-separated refinement labels (nominal 1/h)"),
+    "mesh": (str, str, "mesh family"),
+    "rho": (float, "{:.17g}".format, "stabilizer weight"),
+    "gamma": (float, "{:.17g}".format, "stabilizer mesh-power"),
+    "case": (str, str, "manufactured solution name"),
+    "alpha": (float, "{:.17g}".format, "regularity index for case 'lowreg'"),
+    "output": (lambda text: text or None, None, "write the study table to this CSV file"),
+    "manifest": (
+        _parse_bool, None, "prefix the CSV with '# key = value' lines recording the configuration"
+    ),
+}
+
+
+def _study_args(config: StudyConfig) -> tuple:
+    """run_convergence_study's arguments (case, mesh family, levels, signature, params).
+
+    Each value is checked by the library itself, which raises ValueError.
+    """
+    _mesh_args(config.mesh, config.levels)
+    case = get_case(config.case, alpha=config.alpha)
+    return case, config.mesh, config.levels, config.signature, config.params
 
 
 def _read_config_file(path: str) -> dict:
@@ -98,7 +124,7 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
@@ -109,87 +135,71 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gwg-study",
         description="Run a convergence study of the weak Galerkin scheme.",
     )
-    parser.add_argument("--element", help="degrees k,j,l of the element family")
-    parser.add_argument("--levels", help="comma-separated refinement labels (nominal 1/h)")
-    parser.add_argument("--mesh", choices=["tri", "rect"], help="mesh family (default tri)")
-    parser.add_argument("--rho", type=float, help="stabilizer weight (default 1)")
-    parser.add_argument("--gamma", type=float, help="stabilizer mesh-power (default -1)")
-    parser.add_argument("--case", help="manufactured solution name (default cospi_cospi)")
-    parser.add_argument("--alpha", type=float, help="regularity index for case 'lowreg'")
-    parser.add_argument("--output", help="write the study table to this CSV file")
+    for f in fields(StudyConfig):
+        _, show, text = _KEYS[f.name]
+        if isinstance(f.default, bool):
+            parser.add_argument(f"--{f.name}", action="store_const", const="true", help=text)
+            continue
+        if f.default is MISSING:
+            text += " (required)"
+        elif f.default is not None:
+            text += f" (default {show(f.default)})"
+        parser.add_argument(f"--{f.name}", help=text)
     parser.add_argument("--config", help="read defaults from a 'key = value' file")
-    parser.add_argument(
-        "--manifest",
-        action="store_true",
-        default=None,
-        help="prefix the CSV with '# key = value' lines recording the configuration",
-    )
     return parser
+
+
+def _attach_negative_numbers(argv) -> list:
+    """argv with '--key -1e-3' rewritten as '--key=-1e-3'.
+
+    argparse reads a token that starts with '-' as an option unless it looks
+    like '-5' or '-.5', so an exponent-form negative value must be attached.
+    """
+    flags = {f"--{key}" for key in _KEYS}
+    out = []
+    for token in argv:
+        if out and out[-1] in flags and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
 
 
 def parse_config(argv=None) -> StudyConfig:
     """Merge flags over config-file values and validate; raises ConfigError."""
-    args = _build_parser().parse_args(argv)
-    merged = dict(_DEFAULTS)
-    if args.config:
-        merged.update(_read_config_file(args.config))
-    for key in _DEFAULTS:
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
-
-    if merged["element"] is None:
-        raise ConfigError("element degrees are required (--element k,j,l or config)")
-    if merged["levels"] is None:
-        raise ConfigError("refinement levels are required (--levels ... or config)")
-    element = _parse_element(merged["element"])
-    levels = _parse_levels(merged["levels"])
-    mesh = str(merged["mesh"])
-    case = str(merged["case"])
+    argv = sys.argv[1:] if argv is None else argv
+    args = vars(_build_parser().parse_args(_attach_negative_numbers(argv)))
+    merged = _read_config_file(args["config"]) if args["config"] else {}
+    merged.update((key, args[key]) for key in _KEYS if args[key] is not None)
+    values = {}
+    for f in fields(StudyConfig):
+        if f.name in merged:
+            try:
+                values[f.name] = _KEYS[f.name][0](merged[f.name])
+            except ValueError as err:
+                raise ConfigError(f"{f.name}: {err}") from None
+        elif f.default is MISSING:
+            raise ConfigError(f"{f.name} is required (--{f.name} or config file)")
+    config = StudyConfig(**values)
     try:
-        rho = float(merged["rho"])
-        gamma = float(merged["gamma"])
-        alpha = None if merged["alpha"] is None else float(merged["alpha"])
+        _study_args(config)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    # the library's own checks, reported as configuration errors
-    try:
-        WeakSpaceSignature(*element)
-        _mesh_args(mesh, levels)
-        SchemeParameters(rho=rho, gamma=gamma)
-        get_case(case, alpha=alpha)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    output = merged["output"]
-    return StudyConfig(
-        element=element,
-        levels=levels,
-        mesh=mesh,
-        rho=rho,
-        gamma=gamma,
-        case=case,
-        alpha=alpha,
-        output=None if output in (None, "") else str(output),
-        manifest=_parse_bool(merged["manifest"]),
-    )
+    return config
 
 
 def _csv_lines(report: ErrorReport, config: StudyConfig) -> list:
     lines = []
     if config.manifest:
-        element = ",".join(str(d) for d in config.element)
-        levels = ",".join(str(v) for v in config.levels)
-        items = [
-            ("element", element),
-            ("levels", levels),
-            ("mesh", config.mesh),
-            ("rho", f"{config.rho:.17g}"),
-            ("gamma", f"{config.gamma:.17g}"),
-            ("case", config.case),
-        ]
-        if config.alpha is not None:
-            items.append(("alpha", f"{config.alpha:.17g}"))
-        lines.extend(f"# {key} = {value}" for key, value in items)
+        for key, (_, show, _) in _KEYS.items():
+            value = getattr(config, key)
+            if show is not None and value is not None:
+                lines.append(f"# {key} = {show(value)}")
     lines.append(CSV_HEADER)
     rates = report.rates()
     for i, row in enumerate(report.rows):
@@ -201,12 +211,6 @@ def _csv_lines(report: ErrorReport, config: StudyConfig) -> list:
             cells.append("" if rate is None else f"{rate:.17g}")
         lines.append(",".join(cells))
     return lines
-
-
-def _write_csv(report: ErrorReport, config: StudyConfig) -> None:
-    text = "\n".join(_csv_lines(report, config)) + "\n"
-    with open(config.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _print_table(report: ErrorReport, stream) -> None:
@@ -225,32 +229,21 @@ def run(config: StudyConfig, stdout=None, stderr=None) -> int:
     """Execute the configured study; returns the process exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    case = get_case(config.case, alpha=config.alpha)
     try:
-        report = run_convergence_study(
-            case,
-            config.mesh,
-            config.levels,
-            config.signature,
-            config.params,
-        )
+        report, code = run_convergence_study(*_study_args(config)), 0
     except SingularSystem as err:
         stderr.write(f"error: level {err.level}: {err}\n")
-        if config.output and err.partial is not None:
-            try:
-                _write_csv(err.partial, config)
-            except OSError as io_err:
-                stderr.write(f"error: cannot write {config.output}: {io_err}\n")
-                return 4
-        return 3
-    if config.output:
+        report, code = err.partial, 3
+    if config.output and report is not None:
         try:
-            _write_csv(report, config)
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(_csv_lines(report, config)) + "\n")
         except OSError as err:
             stderr.write(f"error: cannot write {config.output}: {err}\n")
             return 4
-    _print_table(report, stdout)
-    return 0
+    if code == 0:
+        _print_table(report, stdout)
+    return code
 
 
 def main(argv=None) -> int:

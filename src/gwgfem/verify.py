@@ -25,7 +25,7 @@ from .assembly import (
     solve,
 )
 from .mesh import build_uniform_rectangular, build_uniform_triangular
-from .weakspace import OperatorCache, WeakFunction, WeakSpaceSignature, project_Qh
+from .weakspace import OperatorCache, WeakFunction, WeakSpaceSignature, _cache_for, project_Qh
 
 __all__ = [
     "ManufacturedCase",
@@ -217,8 +217,14 @@ def error_function(case: ManufacturedCase, u_h: WeakFunction, cache: OperatorCac
     return qhu - u_h
 
 
+def _check_space(wf: WeakFunction, cache: OperatorCache) -> None:
+    """Raise ValueError unless wf lives on the mesh and signature of cache."""
+    _cache_for(wf.dofmap.mesh, wf.dofmap.signature, cache)
+
+
 def energy_norm(wf: WeakFunction, params: SchemeParameters, cache: OperatorCache) -> float:
     """Scheme energy: (sum_T (a grad_g v, grad_g v)_T + s(v, v))^(1/2)."""
+    _check_space(wf, cache)
     _check_coefficient(params, cache.mesh)
     dm = cache.dofmap
     total = 0.0
@@ -231,6 +237,7 @@ def energy_norm(wf: WeakFunction, params: SchemeParameters, cache: OperatorCache
 
 def l2_norm_e0(wf: WeakFunction, cache: OperatorCache) -> float:
     """L2 norm of the interior component over the domain."""
+    _check_space(wf, cache)
     dm = cache.dofmap
     n0 = cache.signature.interior_dim
     total = 0.0
@@ -242,6 +249,7 @@ def l2_norm_e0(wf: WeakFunction, cache: OperatorCache) -> float:
 
 def edge_norm_eb(wf: WeakFunction, cache: OperatorCache) -> float:
     """(sum_T h_T ||v_b||^2 over the element boundary)^(1/2)."""
+    _check_space(wf, cache)
     mesh, dm = cache.mesh, cache.dofmap
     nb = cache.signature.edge_dim
     total = 0.0

@@ -157,8 +157,8 @@ class WeakFunction:
 
     def __sub__(self, other: "WeakFunction") -> "WeakFunction":
         if (
-            other.dofmap.signature != self.dofmap.signature
-            or other.dofmap.total != self.dofmap.total
+            other.dofmap.mesh is not self.dofmap.mesh
+            or other.dofmap.signature != self.dofmap.signature
         ):
             raise ValueError("weak functions live on different spaces")
         return WeakFunction(self.dofmap, self.coeffs - other.coeffs)

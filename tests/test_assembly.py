@@ -154,7 +154,8 @@ def brute_global_system(mesh, sig, params, f, g):
     A = np.zeros((total, total))
     b = np.zeros(total)
     for e in range(ne):
-        a_mat = None if params.is_identity else params.tensor(e)
+        a = params.coefficient
+        a_mat = None if a is None else (a if a.ndim == 2 else a[e])
         stiff, stab, h_T = brute_local_matrices(mesh, e, sig, a_mat)
         local = stiff + params.rho * h_T**params.gamma * stab
         nv = mesh.elements.shape[1]
@@ -235,12 +236,7 @@ def test_scheme_parameters_validation():
             SchemeParameters(**bad)
     params = SchemeParameters(coefficient=[[2.0, 0.5], [0.5, 1.0]])
     assert not params.is_identity
-    assert np.allclose(params.tensor(), [[2.0, 0.5], [0.5, 1.0]])
-    per_element = np.tile(np.eye(2), (5, 1, 1))
-    params = SchemeParameters(coefficient=per_element)
-    assert np.allclose(params.tensor(3), np.eye(2))
-    with pytest.raises(ValueError):
-        params.tensor()
+    assert np.allclose(params.coefficient, [[2.0, 0.5], [0.5, 1.0]])
 
 
 def test_default_parameters():

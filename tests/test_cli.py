@@ -5,10 +5,12 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 
 import pytest
 
 from gwgfem.cli import (
+    _KEYS,
     CSV_HEADER,
     ConfigError,
     StudyConfig,
@@ -102,12 +104,38 @@ def test_solver_option_is_gone(tmp_path):
         (["--rho", "inf"], "rho must be finite"),
         (["--gamma", "inf"], "gamma must be finite"),
         (["--gamma=-inf"], "gamma must be finite"),
+        (["--rho", "-1e-3"], "rho must be finite and non-negative"),
+        (["--mesh", "hex"], "unknown mesh family 'hex'"),
     ],
 )
 def test_parse_reports_library_messages(argv, message):
     # configuration checks are the library's own, surfaced as ConfigError
     with pytest.raises(ConfigError, match=message):
         parse(["--element", "1,1,1", "--levels", "2,4", *argv])
+
+
+def test_parse_accepts_exponent_form_negative_values(tmp_path):
+    # argparse alone reads '-1e-3' as an option, not as the value of --gamma
+    config = parse(["--element", "1,1,1", "--levels", "2,4", "--gamma", "-1e-3"])
+    assert config.gamma == -0.001
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("element = 1,1,1\nlevels = 2,4\ngamma = -1e-3\n")
+    assert parse(["--config", str(cfg)]).gamma == -0.001
+
+
+def test_key_table_covers_every_config_field():
+    assert list(_KEYS) == [f.name for f in fields(StudyConfig)]
+
+
+def test_help_shows_dataclass_defaults(capsys):
+    assert main(["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for f in fields(StudyConfig):
+        if f.default is MISSING:
+            assert re.search(rf"--{f.name} {f.name.upper()} (?:(?! --).)*\(required\)", text)
+        elif f.default is not None and not isinstance(f.default, bool):
+            shown = _KEYS[f.name][1](f.default)
+            assert re.search(rf"--{f.name} {f.name.upper()} (?:(?! --).)*\(default {shown}\)", text)
 
 
 def test_parse_accepts_rect_labels():

@@ -208,6 +208,28 @@ def test_error_function_vanishes_on_projection():
     assert edge_norm_eb(e, cache) <= 1e-14
 
 
+def test_norms_reject_a_weak_function_from_another_space():
+    # a (2,2,2) projection measured with caches of another signature, another
+    # resolution, or an equal but distinct mesh object
+    mesh = build_uniform_triangular(4)
+    sig = WeakSpaceSignature(2, 2, 2)
+    case = get_case("cospi_cospi")
+    wf = project_Qh(case.u, mesh, sig)
+    norms = [
+        lambda c: energy_norm(wf, SchemeParameters(), c),
+        lambda c: l2_norm_e0(wf, c),
+        lambda c: edge_norm_eb(wf, c),
+    ]
+    for cache, message in [
+        (OperatorCache(mesh, WeakSpaceSignature(1, 1, 1)), r"for WeakSpaceSignature\(k=1, j=1"),
+        (OperatorCache(build_uniform_triangular(2), sig), "another mesh"),
+        (OperatorCache(build_uniform_triangular(4), sig), "another mesh"),
+    ]:
+        for norm in norms:
+            with pytest.raises(ValueError, match=message):
+                norm(cache)
+
+
 def test_affine_solution_error_is_machine_zero():
     # solving with an affine exact solution must hit the projection exactly
     mesh = build_uniform_triangular(2)

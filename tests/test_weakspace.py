@@ -123,6 +123,11 @@ def test_weakfunction_views_and_arithmetic():
     other = OperatorCache(mesh, WeakSpaceSignature(2, 0, 0)).dofmap
     with pytest.raises(ValueError):
         v - WeakFunction(other)
+    # same signature and size, but another mesh
+    twin = OperatorCache(build_uniform_triangular(1), sig).dofmap
+    assert twin.total == dm.total
+    with pytest.raises(ValueError, match="different spaces"):
+        v - WeakFunction(twin)
 
 
 # -------------------------------------------------------------- projections
