@@ -46,7 +46,7 @@ wq = project_Qh(quadratic, mesh, sig, cache=cache)
 worst = 0.0
 for e in range(mesh.n_elements):
     ops = cache.shape_ops(e)
-    c = wq.coeffs[cache.dofmap.element_dofs(e)]
+    c = wq.coeffs[cache.dofmap.element_dof_table[e]]
     worst = max(worst, float(np.abs(ops.delta @ c).max()))
 print("largest correction coefficient on a projected quadratic: %.3e" % worst)
 
@@ -57,7 +57,7 @@ rule = element_quadrature("triangle", 2 * (sig.k + sig.m) + 6)
 worst = 0.0
 for e in range(mesh.n_elements):
     ops = cache.shape_ops(e)
-    c = wf.coeffs[cache.dofmap.element_dofs(e)]
+    c = wf.coeffs[cache.dofmap.element_dof_table[e]]
     gx, gy = ops.Gx @ c, ops.Gy @ c
     pts, w = map_to_element(rule, mesh.vertices[mesh.elements[e]])
     V = ops.basis.eval(pts - cache.centroids[e])
@@ -80,7 +80,7 @@ print(
 err2, nrm2 = 0.0, 0.0
 for e in range(mesh.n_elements):
     ops = cache.shape_ops(e)
-    c = wf.coeffs[cache.dofmap.element_dofs(e)]
+    c = wf.coeffs[cache.dofmap.element_dof_table[e]]
     pts, w = map_to_element(rule, mesh.vertices[mesh.elements[e]])
     V = ops.basis.eval(pts - cache.centroids[e])
     wg = np.stack([V[:, :dim_m] @ (ops.Gx @ c), V[:, :dim_m] @ (ops.Gy @ c)], axis=1)

@@ -12,7 +12,6 @@ from .mesh import (
     Mesh,
     build_uniform_rectangular,
     build_uniform_triangular,
-    dump_mesh,
 )
 from .polybasis import (
     EdgeBasis,
@@ -35,7 +34,6 @@ from .assembly import (
     SchemeParameters,
     SingularSystem,
     assemble,
-    dump_system,
     solve,
 )
 from .verify import (

@@ -42,7 +42,6 @@ __all__ = [
     "SingularSystem",
     "assemble",
     "solve",
-    "dump_system",
 ]
 
 _PIVOT_RTOL = 1e-12
@@ -79,19 +78,14 @@ class SchemeParameters:
                 raise ValueError("coefficient matrix must be positive definite")
             object.__setattr__(self, "coefficient", a)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.coefficient is None
-
 
 class SingularSystem(RuntimeError):
     """The global matrix is (numerically) singular or not positive definite.
 
-    pivot names the offending unknown when known.  Raised by assemble, it is
-    the global coefficient index of an interior unknown whose element block
-    K00 is singular; raised by solve, it is a position in system.free, the
-    unknowns of the condensed system.  level/partial are filled in by
-    convergence studies.
+    pivot is the global coefficient index of the offending unknown when
+    known: an interior unknown whose element block K00 is singular (raised
+    by assemble) or an edge unknown of the condensed system (raised by
+    solve).  level/partial are filled in by convergence studies.
     """
 
     def __init__(self, message: str, pivot: int | None = None):
@@ -143,9 +137,7 @@ def _class_matrices(ops, elems, params: SchemeParameters) -> np.ndarray:
     it varies per element.
     """
     local = params.rho * ops.h_T**params.gamma * ops.stab_unit
-    if params.is_identity:
-        return ops.Sxx + ops.Syy + local
-    a = params.coefficient
+    a = np.eye(2) if params.coefficient is None else params.coefficient
     if a.ndim == 3:
         a = a[elems]
     return (
@@ -314,7 +306,7 @@ def solve(system: GlobalSystem) -> WeakFunction:
     ordering of A^T + A and no row pivoting, which is stable only because the
     matrix is symmetric positive definite.  A pivot that is not positive, or
     not above _PIVOT_RTOL times the largest pivot, raises SingularSystem
-    naming the offending unknown by its position in system.free; so does a
+    naming the offending unknown by its global coefficient index; so does a
     matrix that is exactly singular or not positive definite, and a
     solution whose residual ||A x - b|| exceeds _RESIDUAL_RTOL * ||b||.
     """
@@ -327,7 +319,7 @@ def solve(system: GlobalSystem) -> WeakFunction:
         scale = np.abs(system.A.data).max() if system.A.nnz else 1.0
         shifted = system.A + 1e-14 * scale * sp.eye(system.A.shape[0])
         try:
-            pivot = int(np.argmin(_pivots(_factor(shifted))))
+            pivot = int(system.free[np.argmin(_pivots(_factor(shifted)))])
         except RuntimeError:
             pass
         raise SingularSystem(
@@ -336,17 +328,18 @@ def solve(system: GlobalSystem) -> WeakFunction:
     # a zero diagonal pivot, which no SPD matrix has, makes SuperLU swap rows
     swapped = np.flatnonzero(lu.perm_r != lu.perm_c)
     if swapped.size:
-        pivot = int(swapped[np.argmin(lu.perm_c[swapped])])
+        pivot = int(system.free[swapped[np.argmin(lu.perm_c[swapped])]])
         raise SingularSystem(
             f"global system is not positive definite (zero pivot at unknown {pivot})",
             pivot=pivot,
         )
     piv = _pivots(lu)
     if piv.size and piv.min() <= _PIVOT_RTOL * piv.max():
-        pivot = int(np.argmin(piv))
+        p = int(np.argmin(piv))
+        pivot = int(system.free[p])
         raise SingularSystem(
             f"global system is numerically singular or not positive definite "
-            f"(pivot {pivot} is {piv[pivot]:.3e}, largest pivot {piv.max():.3e}); "
+            f"(pivot of unknown {pivot} is {piv[p]:.3e}, largest pivot {piv.max():.3e}); "
             f"an unstabilized family may lack edge control",
             pivot=pivot,
         )
@@ -369,14 +362,3 @@ def solve(system: GlobalSystem) -> WeakFunction:
     for (_, elems), C in zip(system.cache.classes(), system.C):
         u0[elems] = system.y[elems] - _mv(C, coeffs[dm.element_dof_table[elems, n0:]])
     return WeakFunction(dm, coeffs)
-
-
-def dump_system(system: GlobalSystem, stream) -> None:
-    """Write the condensed matrix A as 'row col value' lines (17 significant digits).
-
-    Rows and columns are positions in system.free, as in A itself.
-    """
-    coo = system.A.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-        stream.write(f"{r} {c} {v:.17g}\n")

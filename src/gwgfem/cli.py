@@ -134,6 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gwg-study",
         description="Run a convergence study of the weak Galerkin scheme.",
+        allow_abbrev=False,
     )
     for f in fields(StudyConfig):
         _, show, text = _KEYS[f.name]
@@ -154,6 +155,7 @@ def _attach_negative_numbers(argv) -> list:
 
     argparse reads a token that starts with '-' as an option unless it looks
     like '-5' or '-.5', so an exponent-form negative value must be attached.
+    The parser accepts no abbreviated flags, so these are all its flags.
     """
     flags = {f"--{key}" for key in _KEYS}
     out = []

@@ -14,7 +14,6 @@ __all__ = [
     "Mesh",
     "build_uniform_triangular",
     "build_uniform_rectangular",
-    "dump_mesh",
 ]
 
 _PARALLELOGRAM_RTOL = 1e-10
@@ -35,10 +34,9 @@ class Mesh:
         element_edge_signs: (ne, nsides) int array, +1 where the element
             traverses the side in ascending vertex order, -1 otherwise.
         boundary_edge: (nE,) bool mask.
-        inv_h: nominal mesh label 1/h used in convergence reports.
     """
 
-    def __init__(self, vertices, elements, inv_h: int | None = None):
+    def __init__(self, vertices, elements):
         self.vertices = np.asarray(vertices, dtype=float)
         raw = np.asarray(elements)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -58,7 +56,6 @@ class Mesh:
                 f"element {bad} has vertex indices outside [0, {nv}): {raw[bad].tolist()}"
             )
         self.elements = raw.astype(np.int64, copy=False)
-        self.inv_h = inv_h
 
         areas = _signed_areas(self.vertices, self.elements)
         if np.any(areas <= 0.0):
@@ -147,7 +144,7 @@ def _diameters(verts):
 def build_uniform_triangular(n: int) -> Mesh:
     """n x n grid of squares, each cut by its lower-left to upper-right diagonal.
 
-    Produces 2*n**2 congruent right triangles with mesh label 1/h = n.
+    Produces 2*n**2 congruent right triangles; convergence studies label it 1/h = n.
     """
     if n < 1:
         raise ValueError("subdivision count n must be at least 1")
@@ -159,14 +156,14 @@ def build_uniform_triangular(n: int) -> Mesh:
     ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
     lr, ul, ur = ll + 1, ll + n + 1, ll + n + 2
     elems = np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
-    return Mesh(vertices, elems, inv_h=n)
+    return Mesh(vertices, elems)
 
 
 def build_uniform_rectangular(level: int) -> Mesh:
     """Refinement `level` of the 3 x 2 partition of the unit square.
 
     Each level quarters every rectangle, so level L has 6*4**L cells of
-    size (1/3)/2**L by (1/2)/2**L.  The mesh label is 1/h = 4*2**L.
+    size (1/3)/2**L by (1/2)/2**L.  Convergence studies label it 1/h = 4*2**L.
     """
     if level < 0:
         raise ValueError("refinement level must be non-negative")
@@ -178,19 +175,4 @@ def build_uniform_rectangular(level: int) -> Mesh:
 
     ll = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
     elems = np.column_stack([ll, ll + 1, ll + nx + 2, ll + nx + 1])
-    return Mesh(vertices, elems, inv_h=4 * 2**level)
-
-
-def dump_mesh(mesh: Mesh, stream) -> None:
-    """Line-oriented text dump: `v x y`, `t i j k` / `q i j k l`, `e a b left right`.
-
-    The left (right) column of an edge record is the element lying left
-    (right) of the edge's ascending vertex direction, or -1 if absent.
-    """
-    for x, y in mesh.vertices:
-        stream.write(f"v {x:.17g} {y:.17g}\n")
-    tag = "t" if mesh.elements.shape[1] == 3 else "q"
-    for cyc in mesh.elements:
-        stream.write(tag + " " + " ".join(str(int(i)) for i in cyc) + "\n")
-    for (a, b), (lft, rgt) in zip(mesh.edges, mesh.edge_elements):
-        stream.write(f"e {a} {b} {lft} {rgt}\n")
+    return Mesh(vertices, elems)

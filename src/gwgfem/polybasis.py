@@ -129,7 +129,7 @@ class EdgeBasis:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points and weights on a reference domain, exact to polynomial degree `degree`.
+    """Points and weights on a reference domain.
 
     Reference domains: unit triangle {x, y >= 0, x + y <= 1}, unit square
     [0, 1]^2, and the interval [-1, 1] for edges (1-d points).
@@ -137,7 +137,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
 
 @lru_cache(maxsize=None)
@@ -170,7 +169,7 @@ def element_quadrature(shape: str, d: int) -> QuadratureRule:
         raise ValueError(f"unknown element shape: {shape!r}")
     pts.setflags(write=False)
     ww.setflags(write=False)
-    return QuadratureRule(points=pts, weights=ww, degree=d)
+    return QuadratureRule(points=pts, weights=ww)
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +181,7 @@ def edge_quadrature(d: int) -> QuadratureRule:
     x, w = roots_legendre(n)
     x.setflags(write=False)
     w.setflags(write=False)
-    return QuadratureRule(points=x, weights=w, degree=d)
+    return QuadratureRule(points=x, weights=w)
 
 
 def map_to_element(rule: QuadratureRule, verts) -> tuple[np.ndarray, np.ndarray]:

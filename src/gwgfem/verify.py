@@ -45,85 +45,46 @@ __all__ = [
 class ManufacturedCase:
     """Exact solution with matching source and boundary data.
 
-    u, f, g are vectorized (n, 2) -> (n,); grad_u is (n, 2) -> (n, 2).
-    singular_point/singular_strength describe a point where u behaves like
-    r**singular_strength, so that integration can be graded toward it.
+    u, f, g are vectorized (n, 2) -> (n,).  singularity, if given, is a
+    (point, strength) pair: u behaves like r**strength near point, so that
+    integration can be graded toward it.
     """
 
     name: str
     u: object
-    grad_u: object
     f: object
     g: object
-    note: str = ""
-    singular_point: object = None
-    singular_strength: float | None = None
-
-    @property
-    def singularity(self):
-        if self.singular_point is None:
-            return None
-        return (np.asarray(self.singular_point, dtype=float), float(self.singular_strength))
+    singularity: tuple | None = None
 
 
 def _cospi_cospi() -> ManufacturedCase:
     def u(p):
         return np.cos(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1])
 
-    def grad_u(p):
-        return np.column_stack(
-            [
-                -np.pi * np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1]),
-                -np.pi * np.cos(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
-            ]
-        )
-
     def f(p):
         return 2.0 * np.pi**2 * u(p)
 
-    return ManufacturedCase(
-        "cospi_cospi", u, grad_u, f, u, note="u = cos(pi x) cos(pi y), smooth"
-    )
+    return ManufacturedCase("cospi_cospi", u, f, u)
 
 
 def _cospi_sinpi() -> ManufacturedCase:
     def u(p):
         return np.cos(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
 
-    def grad_u(p):
-        return np.column_stack(
-            [
-                -np.pi * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
-                np.pi * np.cos(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1]),
-            ]
-        )
-
     def f(p):
         return 2.0 * np.pi**2 * u(p)
 
-    return ManufacturedCase(
-        "cospi_sinpi", u, grad_u, f, u, note="u = cos(pi x) sin(pi y), smooth"
-    )
+    return ManufacturedCase("cospi_sinpi", u, f, u)
 
 
 def _x2_cospi() -> ManufacturedCase:
     def u(p):
         return p[:, 0] ** 2 * np.cos(np.pi * p[:, 1])
 
-    def grad_u(p):
-        return np.column_stack(
-            [
-                2.0 * p[:, 0] * np.cos(np.pi * p[:, 1]),
-                -np.pi * p[:, 0] ** 2 * np.sin(np.pi * p[:, 1]),
-            ]
-        )
-
     def f(p):
         return (np.pi**2 * p[:, 0] ** 2 - 2.0) * np.cos(np.pi * p[:, 1])
 
-    return ManufacturedCase(
-        "x2_cospi", u, grad_u, f, u, note="u = x^2 cos(pi y), smooth"
-    )
+    return ManufacturedCase("x2_cospi", u, f, u)
 
 
 _SMOOTH_CASES = {
@@ -156,17 +117,6 @@ def lowreg_case(alpha: float) -> ManufacturedCase:
         out[m] = r2[m] ** beta * P[m]
         return out
 
-    def grad_u(p):
-        x, y, r2, P = _pieces(p)
-        out = np.zeros((p.shape[0], 2))
-        m = r2 > 0.0
-        px = (2.0 * x - 1.0) * y * (y - 1.0)
-        py = x * (x - 1.0) * (2.0 * y - 1.0)
-        w = r2[m] ** beta
-        out[m, 0] = w * (px[m] + 2.0 * beta * P[m] * x[m] / r2[m])
-        out[m, 1] = w * (py[m] + 2.0 * beta * P[m] * y[m] / r2[m])
-        return out
-
     def f(p):
         x, y, r2, P = _pieces(p)
         out = np.zeros(p.shape[0])
@@ -182,16 +132,7 @@ def lowreg_case(alpha: float) -> ManufacturedCase:
     def g(p):
         return np.zeros(p.shape[0])
 
-    return ManufacturedCase(
-        "lowreg",
-        u,
-        grad_u,
-        f,
-        g,
-        note=f"u = r^(alpha-2) x(x-1) y(y-1) with alpha = {alpha}",
-        singular_point=(0.0, 0.0),
-        singular_strength=alpha,
-    )
+    return ManufacturedCase("lowreg", u, f, g, singularity=((0.0, 0.0), float(alpha)))
 
 
 def get_case(name: str, alpha: float | None = None) -> ManufacturedCase:

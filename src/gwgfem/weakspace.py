@@ -90,9 +90,9 @@ class GlobalDofMap:
     """Global numbering: all interior blocks first, then one block per edge.
 
     Element e owns coefficients [e*n0, (e+1)*n0); edge E owns
-    [n_interior + E*nb, n_interior + (E+1)*nb).  The per-element gather
-    table orders local degrees of freedom as interior block followed by the
-    edge block of each side in side order.
+    [n_interior + E*nb, n_interior + (E+1)*nb).  Row e of the gather table
+    element_dof_table holds element e's global indices, ordered as interior
+    block followed by the edge block of each side in side order.
     """
 
     def __init__(self, mesh: Mesh, signature: WeakSpaceSignature):
@@ -116,10 +116,6 @@ class GlobalDofMap:
 
     def edge_offset(self, edge: int) -> int:
         return self.n_interior + edge * self.signature.edge_dim
-
-    def element_dofs(self, element: int) -> np.ndarray:
-        """Local-to-global indices: interior block, then side edge blocks."""
-        return self.element_dof_table[element]
 
     @cached_property
     def boundary_dofs(self) -> np.ndarray:
@@ -151,9 +147,6 @@ class WeakFunction:
     def edge(self, edge: int) -> np.ndarray:
         off = self.dofmap.edge_offset(edge)
         return self.coeffs[off : off + self.dofmap.signature.edge_dim]
-
-    def copy(self) -> "WeakFunction":
-        return WeakFunction(self.dofmap, self.coeffs.copy())
 
     def __sub__(self, other: "WeakFunction") -> "WeakFunction":
         if (

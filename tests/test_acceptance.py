@@ -217,7 +217,7 @@ def test_weak_gradient_commutes_with_projection():
                 wf = project_Qh(phi, mesh, sig, cache=cache)
                 e = int(rng.integers(mesh.n_elements))
                 ops = cache.shape_ops(e)
-                c = wf.coeffs[cache.dofmap.element_dofs(e)]
+                c = wf.coeffs[cache.dofmap.element_dof_table[e]]
                 gx, gy = ops.Gx @ c, ops.Gy @ c
                 rule = element_quadrature(cache.shape, 2 * (sig.k + 2 + sig.m) + 2)
                 pts, w = map_to_element(rule, mesh.vertices[mesh.elements[e]])
@@ -350,7 +350,7 @@ def test_gradient_correction_vanishes_on_matching_traces():
                 wf = project_Qh(u, mesh, sig, cache=cache)
                 for e in range(mesh.n_elements):
                     ops = cache.shape_ops(e)
-                    c = wf.coeffs[cache.dofmap.element_dofs(e)]
+                    c = wf.coeffs[cache.dofmap.element_dof_table[e]]
                     worst = max(worst, float(np.abs(ops.delta @ c).max()))
     report(
         "gradient correction vanishes on matching traces",

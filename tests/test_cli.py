@@ -123,6 +123,14 @@ def test_parse_accepts_exponent_form_negative_values(tmp_path):
     assert parse(["--config", str(cfg)]).gamma == -0.001
 
 
+@pytest.mark.parametrize("argv", [["--gam", "-1e-3"], ["--gam=-1e-3"]], ids=["spaced", "attached"])
+def test_abbreviated_flags_are_rejected(argv, capsys):
+    # only full flag names are accepted, so every flag that takes a value is
+    # one that '--key -1e-3' attachment knows
+    assert main(["--element", "1,1,1", "--levels", "2,4", *argv]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_key_table_covers_every_config_field():
     assert list(_KEYS) == [f.name for f in fields(StudyConfig)]
 

@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from gwgfem.mesh import (
     Mesh,
     build_uniform_rectangular,
     build_uniform_triangular,
-    dump_mesh,
 )
 
 # Hand-enumerated entity counts for the smallest triangular meshes
@@ -28,7 +26,6 @@ def test_triangular_counts(n):
     assert mesh.n_elements == ne
     assert mesh.n_edges == nE
     assert int((~mesh.boundary_edge).sum()) == n_int
-    assert mesh.inv_h == n
 
 
 def test_triangular_area_conservation():
@@ -50,7 +47,6 @@ def test_rectangular_level0():
     h = verts[:, 1].max() - verts[:, 1].min()
     assert abs(w - 1.0 / 3.0) <= 1e-15
     assert abs(h - 0.5) <= 1e-15
-    assert mesh.inv_h == 4
 
 
 def test_rectangular_level1_boundary():
@@ -294,20 +290,3 @@ def test_refinement_nests_vertices():
     fine_set = {tuple(np.round(p, 12)) for p in fine.vertices}
     for p in coarse.vertices:
         assert tuple(np.round(p, 12)) in fine_set
-
-
-def test_dump_roundtrip():
-    mesh = build_uniform_triangular(1)
-    buf = io.StringIO()
-    dump_mesh(mesh, buf)
-    lines = buf.getvalue().strip().splitlines()
-    v = [ln for ln in lines if ln.startswith("v ")]
-    t = [ln for ln in lines if ln.startswith("t ")]
-    e = [ln for ln in lines if ln.startswith("e ")]
-    assert (len(v), len(t), len(e)) == (4, 2, 5)
-    xy = np.array([[float(w) for w in ln.split()[1:]] for ln in v])
-    np.testing.assert_allclose(xy, mesh.vertices)
-    for ln in e:
-        a, b, lft, rgt = (int(w) for w in ln.split()[1:])
-        assert a < b
-        assert (lft == -1) + (rgt == -1) <= 1

