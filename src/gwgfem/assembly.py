@@ -101,13 +101,14 @@ class GlobalSystem:
 
     A x = b is the SPD system left after eliminating every element's
     interior coefficients and the boundary edge coefficients; x holds the
-    coefficients at the global indices free.  Per shape class, in the order
-    of cache.classes(), C[c] is K00^-1 K0b (one matrix, or one per element
+    coefficients at the global indices free, the edge coefficients of the
+    interior edges in ascending order.  Per shape class, in the order of
+    cache.classes(), C[c] is K00^-1 K0b (one matrix, or one per element
     when the coefficient varies per element), and y[e] = K00^-1 F0 is
     element e's interior load, so u0 = y - C ub recovers the interior
-    coefficients from the edge coefficients ub.  The boundary edge
-    coefficients cache.dofmap.boundary_dofs take dirichlet_values; the mesh,
-    signature and dof map are those of cache.
+    coefficients, cache.dofmap.interiors, from the edge coefficients ub.
+    The boundary edge coefficients cache.dofmap.boundary_dofs take
+    dirichlet_values; the mesh, signature and dof map are those of cache.
     """
 
     A: sp.csr_matrix
@@ -216,9 +217,8 @@ def assemble(
     cache = _cache_for(mesh, signature, cache)
     dm = cache.dofmap
     n0 = signature.interior_dim
-    n_edge_dofs = dm.total - dm.n_interior
     F0 = _interior_moments(cache, f, singularity)
-    b = np.zeros(n_edge_dofs)
+    b = np.zeros(dm.total)
     rows_parts, cols_parts, vals_parts, C_parts = [], [], [], []
     y = np.empty_like(F0)
     for ops, elems in cache.classes():
@@ -245,31 +245,27 @@ def assemble(
         C_parts.append(L_inv_t @ W)
         y[elems] = _mv(L_inv_t, z)
 
-        edofs = dm.element_dof_table[elems, n0:] - dm.n_interior
+        edofs = dm.element_dof_table[elems, n0:]
         nb_loc = edofs.shape[1]
         rows_parts.append(np.repeat(edofs, nb_loc, axis=1).ravel())
         cols_parts.append(np.tile(edofs, (1, nb_loc)).ravel())
         vals_parts.append(np.broadcast_to(Kbb - Wt @ W, (elems.size, nb_loc, nb_loc)).ravel())
-        b -= np.bincount(edofs.ravel(), _mv(Wt, z).ravel(), minlength=n_edge_dofs)
+        b -= np.bincount(edofs.ravel(), _mv(Wt, z).ravel(), minlength=dm.total)
     S = sp.coo_matrix(
         (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
-        shape=(n_edge_dofs, n_edge_dofs),
+        shape=(dm.total, dm.total),
     ).tocsr()
 
     bedges = np.nonzero(mesh.boundary_edge)[0]
     dirichlet = _edge_projection(cache, g, bedges, singularity).ravel()
-    constrained_pos = dm.boundary_dofs - dm.n_interior
-    is_free = np.ones(n_edge_dofs, dtype=bool)
-    is_free[constrained_pos] = False
-    free_pos = np.flatnonzero(is_free)
-    S_rows = S[free_pos]
-    b_free = b[free_pos] - S_rows[:, constrained_pos] @ dirichlet
+    free = dm.edges(np.arange(dm.total))[~mesh.boundary_edge].ravel()
+    S_rows = S[free]
     return GlobalSystem(
-        A=S_rows[:, free_pos].tocsr(),
-        b=b_free,
+        A=S_rows[:, free].tocsr(),
+        b=b[free] - S_rows[:, dm.boundary_dofs] @ dirichlet,
         C=C_parts,
         y=y,
-        free=dm.n_interior + free_pos,
+        free=free,
         dirichlet_values=dirichlet,
         cache=cache,
     )
@@ -358,7 +354,7 @@ def solve(system: GlobalSystem) -> WeakFunction:
     coeffs = np.empty(dm.total)
     coeffs[system.free] = x
     coeffs[dm.boundary_dofs] = system.dirichlet_values
-    u0 = coeffs[: dm.n_interior].reshape(-1, n0)  # a view: writes fill coeffs
+    u0 = dm.interiors(coeffs)  # a view: writes fill coeffs
     for (_, elems), C in zip(system.cache.classes(), system.C):
         u0[elems] = system.y[elems] - _mv(C, coeffs[dm.element_dof_table[elems, n0:]])
     return WeakFunction(dm, coeffs)

@@ -137,8 +137,10 @@ def _signed_areas(vertices, elements):
 
 
 def _diameters(verts):
-    diff = verts[:, :, None, :] - verts[:, None, :, :]
-    return np.sqrt((diff**2).sum(axis=-1)).max(axis=(1, 2))
+    """Largest vertex distance of each polygon in verts, shape (n, w, 2)."""
+    i, j = np.triu_indices(verts.shape[1], 1)
+    diff = verts[:, i] - verts[:, j]
+    return np.sqrt((diff**2).sum(axis=-1).max(axis=1))
 
 
 def build_uniform_triangular(n: int) -> Mesh:

@@ -191,14 +191,11 @@ def l2_norm_e0(wf: WeakFunction, cache: OperatorCache) -> float:
 def edge_norm_eb(wf: WeakFunction, cache: OperatorCache) -> float:
     """(sum_T h_T ||v_b||^2 over the element boundary)^(1/2)."""
     _check_space(wf, cache)
-    mesh, dm = cache.mesh, cache.dofmap
-    nb = cache.signature.edge_dim
+    dm, n0 = cache.dofmap, cache.signature.interior_dim
     total = 0.0
     for ops, elems in cache.classes():
-        for side in range(ops.n_sides):
-            eidx = mesh.element_edges[elems, side]
-            c = wf.coeffs[dm.n_interior + eidx[:, None] * nb + np.arange(nb)]
-            total += ops.h_T * float(np.einsum("ei,i,ei->", c, ops.edge_mass[side], c))
+        c = wf.coeffs[dm.element_dof_table[elems, n0:]].reshape(elems.size, ops.n_sides, -1)
+        total += ops.h_T * float(np.einsum("esi,si,esi->", c, ops.edge_mass, c))
     return math.sqrt(max(total, 0.0))
 
 
@@ -246,13 +243,16 @@ class ErrorReport:
         return self.rates()[-1] if len(self.rows) > 1 else (None, None, None)
 
 
-def _mesh_args(mesh_family: str, labels) -> list:
-    """Check a study's mesh labels and return the mesh-builder argument of each.
+def _mesh_args(mesh_family: str, labels) -> tuple:
+    """Check a study's labels; return them as ints and each one's mesh-builder argument.
 
-    Labels are nominal 1/h values, at least two and strictly increasing:
+    Labels are nominal 1/h values: integers, at least two, strictly increasing;
     n subdivisions per side for 'tri', 4*2^L for 'rect' (whose builder takes
     L).  Raises ValueError on a bad family or label, before any mesh is built.
     """
+    labels = list(labels)
+    if any(int(v) != v for v in labels):
+        raise ValueError(f"refinement levels must be integers, got {labels}")
     labels = [int(v) for v in labels]
     if len(labels) < 2:
         raise ValueError("a convergence study needs at least two refinement levels")
@@ -261,7 +261,7 @@ def _mesh_args(mesh_family: str, labels) -> list:
     if mesh_family == "tri":
         if labels[0] < 1:
             raise ValueError(f"triangular mesh labels must be positive, got {labels[0]}")
-        return labels
+        return labels, labels
     if mesh_family != "rect":
         raise ValueError(f"unknown mesh family {mesh_family!r}; expected 'tri' or 'rect'")
     levels = []
@@ -270,7 +270,7 @@ def _mesh_args(mesh_family: str, labels) -> list:
         if level < 0 or label != 4 * 2**level:
             raise ValueError(f"rectangular mesh labels are 4*2^L, got {label}")
         levels.append(level)
-    return levels
+    return labels, levels
 
 
 def run_convergence_study(
@@ -287,8 +287,7 @@ def run_convergence_study(
     level produces a singular system the raised SingularSystem carries the
     offending label (.level) and the completed rows (.partial).
     """
-    labels = [int(v) for v in levels]
-    mesh_args = _mesh_args(mesh_family, labels)
+    labels, mesh_args = _mesh_args(mesh_family, levels)
     build = build_uniform_triangular if mesh_family == "tri" else build_uniform_rectangular
 
     report = ErrorReport(case.name, mesh_family, signature, params)

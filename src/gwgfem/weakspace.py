@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .mesh import Mesh
+from .mesh import Mesh, _diameters
 from .polybasis import (
     EdgeBasis,
     ElementBasis,
@@ -87,42 +86,35 @@ class WeakSpaceSignature:
 
 
 class GlobalDofMap:
-    """Global numbering: all interior blocks first, then one block per edge.
+    """The one owner of the coefficient layout: interior blocks first, then one per edge.
 
-    Element e owns coefficients [e*n0, (e+1)*n0); edge E owns
-    [n_interior + E*nb, n_interior + (E+1)*nb).  Row e of the gather table
-    element_dof_table holds element e's global indices, ordered as interior
-    block followed by the edge block of each side in side order.
+    interiors(c) and edges(c) view a coefficient vector c as (n_elements,
+    interior_dim) and (n_edges, edge_dim) blocks that write through to c;
+    the index sets are taken from them.  Row e of element_dof_table holds
+    element e's interior block, then the edge block of each side in side
+    order; boundary_dofs holds the boundary edges' blocks in edge order.
     """
 
     def __init__(self, mesh: Mesh, signature: WeakSpaceSignature):
         self.mesh = mesh
         self.signature = signature
-        n0, nb = signature.interior_dim, signature.edge_dim
-        ne = mesh.n_elements
-        self.n_interior = ne * n0
-        self.total = self.n_interior + mesh.n_edges * nb
-        width = mesh.elements.shape[1]
-        table = np.empty((ne, n0 + width * nb), dtype=np.int64)
-        table[:, :n0] = n0 * np.arange(ne)[:, None] + np.arange(n0)
-        for side in range(width):
-            base = self.n_interior + mesh.element_edges[:, side] * nb
-            table[:, n0 + side * nb : n0 + (side + 1) * nb] = base[:, None] + np.arange(nb)
+        self.n_interior = mesh.n_elements * signature.interior_dim
+        self.total = self.n_interior + mesh.n_edges * signature.edge_dim
+        index = np.arange(self.total)
+        edges = self.edges(index)
+        sides = edges[mesh.element_edges].reshape(mesh.n_elements, -1)
+        table = np.hstack([self.interiors(index), sides])
         table.setflags(write=False)
         self.element_dof_table = table
+        self.boundary_dofs = edges[mesh.boundary_edge].ravel()
 
-    def interior_offset(self, element: int) -> int:
-        return element * self.signature.interior_dim
+    def interiors(self, c: np.ndarray) -> np.ndarray:
+        """Interior blocks of the coefficient vector c, shape (n_elements, interior_dim)."""
+        return c[: self.n_interior].reshape(self.mesh.n_elements, -1)
 
-    def edge_offset(self, edge: int) -> int:
-        return self.n_interior + edge * self.signature.edge_dim
-
-    @cached_property
-    def boundary_dofs(self) -> np.ndarray:
-        """Indices of edge coefficients sitting on the domain boundary."""
-        nb = self.signature.edge_dim
-        edges = np.nonzero(self.mesh.boundary_edge)[0]
-        return (self.n_interior + edges[:, None] * nb + np.arange(nb)).ravel()
+    def edges(self, c: np.ndarray) -> np.ndarray:
+        """Edge blocks of the coefficient vector c, shape (n_edges, edge_dim)."""
+        return c[self.n_interior :].reshape(self.mesh.n_edges, -1)
 
 
 class WeakFunction:
@@ -141,12 +133,10 @@ class WeakFunction:
         self.coeffs = coeffs
 
     def interior(self, element: int) -> np.ndarray:
-        off = self.dofmap.interior_offset(element)
-        return self.coeffs[off : off + self.dofmap.signature.interior_dim]
+        return self.dofmap.interiors(self.coeffs)[element]
 
     def edge(self, edge: int) -> np.ndarray:
-        off = self.dofmap.edge_offset(edge)
-        return self.coeffs[off : off + self.dofmap.signature.edge_dim]
+        return self.dofmap.edges(self.coeffs)[edge]
 
     def __sub__(self, other: "WeakFunction") -> "WeakFunction":
         if (
@@ -163,81 +153,58 @@ class _ShapeOps:
     All matrices act on the local coefficient vector ordered as
     [interior block | side-0 edge block | side-1 edge block | ...], with
     edge polynomials always expressed in the canonical (ascending vertex
-    index) orientation of each edge.
+    index) orientation of each edge.  One element rule (offsets, weights;
+    phi0 is the P_k basis at its points) gives M0, M_m and data moments.
     """
 
     def __init__(self, shape, rel_verts, canon_flags, signature):
         k, j, ell, m = signature.k, signature.j, signature.ell, signature.m
         n0, nb = signature.interior_dim, signature.edge_dim
         dim_l, dim_m = dim_pk(ell), dim_pk(m)
-        n_sides = rel_verts.shape[0]
-        self.n_sides = n_sides
+        self.n_sides = n_sides = rel_verts.shape[0]
         self.n_loc = n0 + n_sides * nb
 
         d = np.roll(rel_verts, -1, axis=0) - rel_verts
         self.edge_lengths = np.linalg.norm(d, axis=1)
         self.normals = np.column_stack([d[:, 1], -d[:, 0]]) / self.edge_lengths[:, None]
-        diffs = rel_verts[:, None, :] - rel_verts[None, :, :]
-        self.h_T = float(np.sqrt((diffs**2).sum(axis=2)).max())
-        self.area = 0.5 * float(
-            np.sum(rel_verts[:, 0] * np.roll(rel_verts[:, 1], -1)
-                   - np.roll(rel_verts[:, 0], -1) * rel_verts[:, 1])
-        )
+        self.h_T = float(_diameters(rel_verts[None])[0])
 
-        degree = max(k, m)
-        self.basis = ElementBasis(degree, (0.0, 0.0), self.h_T)
-        rule = element_quadrature(shape, 2 * degree)
-        q_offsets, q_weights = map_to_element(rule, rel_verts)
-        V = self.basis.eval(q_offsets)
-        M_full = V.T @ (q_weights[:, None] * V)
+        self.basis = ElementBasis(max(k, m), (0.0, 0.0), self.h_T)
+        rule = element_quadrature(shape, _element_rule_degree(signature))
+        self.offsets, self.weights = map_to_element(rule, rel_verts)
+        V = self.basis.eval(self.offsets)
+        M_full = V.T @ (self.weights[:, None] * V)
         self.M0 = M_full[:n0, :n0]
         self.M_m = M_full[:dim_m, :dim_m]
-
-        # higher-order rule for moments of smooth, non-polynomial data
-        data_rule = element_quadrature(shape, max(2 * k, k + 4))
-        self.data_offsets, self.data_weights = map_to_element(data_rule, rel_verts)
-        self.phi_k_data = self.basis.eval(self.data_offsets)[:, :n0]
-        # Q0 takes its mass matrix from the same rule as its moments
-        self._cho_data_M0 = cho_factor(
-            self.phi_k_data.T @ (self.data_weights[:, None] * self.phi_k_data)
-        )
+        self.phi0 = V[:, :n0]
 
         edge_basis = EdgeBasis(j)
         edge_rule = edge_quadrature(2 * max(k, j, ell))
-        Bx = np.zeros((dim_l, self.n_loc))
-        By = np.zeros((dim_l, self.n_loc))
-        St = np.zeros((self.n_loc, self.n_loc))
+        E = edge_basis.eval(edge_rule.points)
+        self.edge_mass = edge_basis.mass_diagonal(self.edge_lengths[:, None])  # (n_sides, nb)
+        B = np.zeros((2, dim_l, self.n_loc))  # x and y moments of the correction
+        self.stab_unit = np.zeros((self.n_loc, self.n_loc))
         self.trace_ops = []
-        self.edge_mass = []
         for side in range(n_sides):
             p, q = rel_verts[side], rel_verts[(side + 1) % n_sides]
             if canon_flags[side] < 0:
                 p, q = q, p
-            pts, ew, t = map_to_edge(edge_rule, p, q)
-            E = edge_basis.eval(t)
+            pts, ew, _ = map_to_edge(edge_rule, p, q)
             V_side = self.basis.eval(pts)
-            D = edge_basis.mass_diagonal(self.edge_lengths[side])
+            D = self.edge_mass[side]
             # L2 trace projection onto the edge space: coefficients of Qb v0
             T_e = (E.T @ (ew[:, None] * V_side[:, :n0])) / D[:, None]
-            jump = np.zeros((t.size, self.n_loc))
-            jump[:, :n0] = -E @ T_e
-            block = slice(n0 + side * nb, n0 + (side + 1) * nb)
-            jump[:, block] = E
-            moments = V_side[:, :dim_l].T @ (ew[:, None] * jump)
-            nx, ny = self.normals[side]
-            Bx += nx * moments
-            By += ny * moments
+            # N_e v = Legendre coefficients of Qb v0 - vb on this side
             N_e = np.zeros((nb, self.n_loc))
             N_e[:, :n0] = T_e
-            N_e[:, block] = -np.eye(nb)
-            St += N_e.T @ (D[:, None] * N_e)
+            N_e[:, n0 + side * nb : n0 + (side + 1) * nb] = -np.eye(nb)
+            moments = -V_side[:, :dim_l].T @ (ew[:, None] * (E @ N_e))
+            B += self.normals[side][:, None, None] * moments
+            self.stab_unit += N_e.T @ (D[:, None] * N_e)
             self.trace_ops.append(T_e)
-            self.edge_mass.append(D)
-        self.stab_unit = St
 
         cho_l = cho_factor(M_full[:dim_l, :dim_l])
-        delta_x = cho_solve(cho_l, Bx)
-        delta_y = cho_solve(cho_l, By)
+        delta_x, delta_y = cho_solve(cho_l, B[0]), cho_solve(cho_l, B[1])
         self.delta = np.vstack([delta_x, delta_y])
 
         # grad v0 embedded into [P_m]^2 (coefficients of the scaled basis)
@@ -296,11 +263,6 @@ class OperatorCache:
             np.nonzero(self.class_ids == cid)[0] for cid in range(len(self.class_ops))
         ]
 
-        j = signature.j
-        rule = edge_quadrature(max(2 * j, j + 4))
-        eb = EdgeBasis(j)
-        self.edge_data = (rule.points, rule.weights, eb.eval(rule.points), eb)
-
     def shape_ops(self, element: int) -> _ShapeOps:
         return self.class_ops[self.class_ids[element]]
 
@@ -340,23 +302,28 @@ def _touching(mesh: Mesh, cells: np.ndarray, singularity):
     return rows, hit[rows].argmax(axis=1)
 
 
+def _element_rule_degree(signature: WeakSpaceSignature) -> int:
+    """Exactness of the element rule: P_max(k,m) mass matrices, and data against P_k."""
+    return max(2 * max(signature.k, signature.m), signature.k + 4)
+
+
 def _interior_moments(cache: OperatorCache, fn, singularity=None) -> np.ndarray:
     """(fn, phi_i)_T against the P_k basis of every element, shape (n_elements, n0).
 
     singularity, if given, is a (point, strength) pair; elements with a
     vertex at the point are integrated with a rule graded toward it.
     """
-    mesh, k = cache.mesh, cache.signature.k
+    mesh = cache.mesh
     out = np.empty((mesh.n_elements, cache.signature.interior_dim))
     for ops, elems in cache.classes():
-        pts = cache.centroids[elems][:, None, :] + ops.data_offsets[None, :, :]
+        pts = cache.centroids[elems][:, None, :] + ops.offsets[None, :, :]
         values = np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(elems.size, -1)
-        out[elems] = (values * ops.data_weights) @ ops.phi_k_data
+        out[elems] = (values * ops.weights) @ ops.phi0
     for e, corner in zip(*_touching(mesh, mesh.elements, singularity)):
         ops = cache.shape_ops(e)
         depth = _grading_depth(singularity[1], ops.h_T)
         verts = mesh.vertices[mesh.elements[e]]
-        pts, w = graded_element_rule(verts, corner, max(2 * k, k + 4), depth)
+        pts, w = graded_element_rule(verts, corner, _element_rule_degree(cache.signature), depth)
         phi = ops.basis.eval(pts - cache.centroids[e])[:, : out.shape[1]]
         out[e] = phi.T @ (w * np.asarray(fn(pts), dtype=float))
     return out
@@ -368,17 +335,20 @@ def _edge_projection(cache: OperatorCache, fn, edges, singularity=None) -> np.nd
     Edges with an endpoint at the singular point use a rule graded toward it.
     """
     mesh, j = cache.mesh, cache.signature.j
-    t, w_ref, legendre_vals, eb = cache.edge_data
+    degree = max(2 * j, j + 4)  # exactness of both the plain and the graded rule
+    rule, eb = edge_quadrature(degree), EdgeBasis(j)
     p0 = mesh.vertices[mesh.edges[edges, 0]]
     p1 = mesh.vertices[mesh.edges[edges, 1]]
-    pts = (p0 + p1)[:, None, :] / 2.0 + t[None, :, None] * (p1 - p0)[:, None, :] / 2.0
+    t = rule.points[None, :, None]
+    pts = (p0 + p1)[:, None, :] / 2.0 + t * (p1 - p0)[:, None, :] / 2.0
     values = np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(edges.size, -1)
-    out = ((values * w_ref) @ legendre_vals) / eb.mass_diagonal(2.0)  # reference edge [-1, 1]
+    # Legendre coefficients on the reference edge [-1, 1]
+    out = ((values * rule.weights) @ eb.eval(rule.points)) / eb.mass_diagonal(2.0)
     for i, end in zip(*_touching(mesh, mesh.edges[edges], singularity)):
         a, b = mesh.vertices[mesh.edges[edges[i]]]
         length = float(np.linalg.norm(b - a))
         depth = _grading_depth(singularity[1], length)
-        pts, w, s = graded_edge_rule(a, b, end == 0, max(2 * j, j + 4), depth)
+        pts, w, s = graded_edge_rule(a, b, end == 0, degree, depth)
         out[i] = eb.eval(s).T @ (w * np.asarray(fn(pts), dtype=float)) / eb.mass_diagonal(length)
     return out
 
@@ -399,8 +369,11 @@ def project_Qh(
     built for another mesh or signature raises ValueError.
     """
     cache = _cache_for(mesh, signature, cache)
-    q0 = _interior_moments(cache, fn, singularity)
+    dm = cache.dofmap
+    wf = WeakFunction(dm)
+    q0 = dm.interiors(wf.coeffs)
+    q0[:] = _interior_moments(cache, fn, singularity)
     for ops, elems in cache.classes():
-        q0[elems] = cho_solve(ops._cho_data_M0, q0[elems].T).T
-    qb = _edge_projection(cache, fn, np.arange(mesh.n_edges), singularity)
-    return WeakFunction(cache.dofmap, np.concatenate([q0.ravel(), qb.ravel()]))
+        q0[elems] = cho_solve(cho_factor(ops.M0), q0[elems].T).T
+    dm.edges(wf.coeffs)[:] = _edge_projection(cache, fn, np.arange(mesh.n_edges), singularity)
+    return wf

@@ -46,7 +46,7 @@ def fd_laplacian(u, pts, h=1e-5):
 
 
 @pytest.mark.parametrize("name", ["cospi_cospi", "cospi_sinpi", "x2_cospi"])
-def test_smooth_case_source_and_gradient_consistent(name):
+def test_smooth_case_source_consistent(name):
     case = get_case(name)
     pts = RNG.uniform(0.1, 0.9, size=(40, 2))
     lap = fd_laplacian(case.u, pts)
@@ -57,7 +57,7 @@ def test_smooth_case_source_and_gradient_consistent(name):
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
-def test_lowreg_case_source_and_gradient_consistent(alpha):
+def test_lowreg_case_source_consistent(alpha):
     # away from the singular corner the data must satisfy f = -lap(u)
     case = get_case("lowreg", alpha=alpha)
     pts = RNG.uniform(0.3, 0.9, size=(40, 2))
@@ -313,6 +313,20 @@ def test_study_checks_every_label_before_building_a_mesh(monkeypatch):
             SchemeParameters(),
         )
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "family, labels, shown",
+    [("tri", [4.9, 8.2], "[4.9, 8.2]"), ("rect", (4.5, 8.9), "[4.5, 8.9]")],
+    ids=["tri", "rect"],
+)
+def test_study_rejects_non_integer_labels(family, labels, shown):
+    with pytest.raises(ValueError) as err:
+        run_convergence_study(
+            get_case("cospi_cospi"), family, labels, WeakSpaceSignature(1, 1, 1),
+            SchemeParameters(),
+        )
+    assert str(err.value) == f"refinement levels must be integers, got {shown}"
 
 
 def test_study_collects_rows_and_rates():

@@ -85,13 +85,22 @@ def test_dofmap_layout():
     assert dm.element_dof_table.shape == (mesh.n_elements, 3 + 3 * 2)
     # every dof is referenced by at least one element
     assert np.array_equal(np.unique(dm.element_dof_table), np.arange(dm.total))
-    # interior blocks are disjoint between elements
+    # interior blocks come first, element by element, then one block per edge
+    index = np.arange(dm.total)
+    interiors, edges = dm.interiors(index), dm.edges(index)
+    assert np.array_equal(interiors, index[: dm.n_interior].reshape(-1, 3))
+    assert np.array_equal(edges, index[dm.n_interior :].reshape(-1, 2))
     for e in range(mesh.n_elements):
-        assert dm.interior_offset(e) == 3 * e
-    # boundary dofs are distinct edge coefficients, two per boundary edge
-    bdofs = dm.boundary_dofs
-    assert bdofs.size == int(mesh.boundary_edge.sum()) * 2
-    assert np.unique(bdofs).size == bdofs.size and bdofs.min() >= dm.n_interior
+        expected = np.concatenate([interiors[e], edges[mesh.element_edges[e]].ravel()])
+        assert np.array_equal(dm.element_dof_table[e], expected)
+    # boundary dofs are the edge coefficients of the boundary edges, two per edge
+    assert np.array_equal(dm.boundary_dofs, edges[mesh.boundary_edge].ravel())
+    assert dm.boundary_dofs.size == int(mesh.boundary_edge.sum()) * 2
+    # the free unknowns of the condensed system are all the other edge coefficients
+    one = lambda p: np.ones(p.shape[0])
+    system = assemble(mesh, sig, SchemeParameters(), one, one, cache=cache)
+    expected_free = np.setdiff1d(index[dm.n_interior :], dm.boundary_dofs)
+    assert np.array_equal(system.free, expected_free)
 
 
 def test_dofmap_shared_edge_indices():
@@ -99,7 +108,7 @@ def test_dofmap_shared_edge_indices():
     sig = WeakSpaceSignature(2, 1, 1)
     dm = OperatorCache(mesh, sig).dofmap
     shared = edge_index(mesh, 0, 3)
-    block = np.arange(dm.edge_offset(shared), dm.edge_offset(shared) + 2)
+    block = dm.edges(np.arange(dm.total))[shared]
     n0 = sig.interior_dim
     for e in range(2):
         side = int(np.nonzero(mesh.element_edges[e] == shared)[0][0])
@@ -114,8 +123,13 @@ def test_weakfunction_views_and_arithmetic():
     v = WeakFunction(dm)
     v.interior(1)[0] = 2.0
     v.edge(3)[0] = -1.0
-    assert v.coeffs[dm.interior_offset(1)] == 2.0
-    assert v.coeffs[dm.edge_offset(3)] == -1.0
+    assert v.coeffs[3] == 2.0
+    assert v.coeffs[dm.n_interior + 3] == -1.0
+    # writes through the block views land in the coefficient vector
+    dm.interiors(v.coeffs)[0, 2] = 5.0
+    dm.edges(v.coeffs)[4] = 7.0
+    assert v.coeffs[2] == 5.0 and v.coeffs[dm.n_interior + 4] == 7.0
+    assert np.count_nonzero(v.coeffs) == 4
     w = v - WeakFunction(dm, v.coeffs.copy())
     assert not np.any(w.coeffs)
     with pytest.raises(ValueError):
@@ -219,13 +233,14 @@ def test_shape_classes_on_uniform_meshes():
     assert len(cache.class_ops) == 2
     sizes = sorted(idx.size for idx in cache.class_elements)
     assert sizes == [16, 16]
+    # M0[0, 0] integrates the constant basis function 1 over the element
     for ops, elems in cache.classes():
         np.testing.assert_allclose(
-            cache.mesh.element_areas()[elems], ops.area, rtol=1e-13
+            cache.mesh.element_areas()[elems], ops.M0[0, 0], rtol=1e-13
         )
     cache = OperatorCache(build_uniform_rectangular(1), WeakSpaceSignature(1, 0, 0))
     assert len(cache.class_ops) == 1
-    assert abs(cache.class_ops[0].area - (1.0 / 6.0) * (1.0 / 4.0)) < 1e-15
+    assert abs(cache.class_ops[0].M0[0, 0] - (1.0 / 6.0) * (1.0 / 4.0)) < 1e-15
 
 
 def test_shape_classes_separate_tiny_elements_of_different_size():
@@ -235,8 +250,8 @@ def test_shape_classes_separate_tiny_elements_of_different_size():
     mesh = Mesh(V * 1e-13, [[0, 1, 2], [3, 4, 5]])
     cache = OperatorCache(mesh, WeakSpaceSignature(1, 1, 1))
     assert len(cache.class_ops) == 2
-    assert cache.shape_ops(0).area / 1e-26 == pytest.approx(0.5, rel=1e-12)
-    assert cache.shape_ops(1).area / 1e-26 == pytest.approx(1.0, rel=1e-12)
+    assert cache.shape_ops(0).M0[0, 0] / 1e-26 == pytest.approx(0.5, rel=1e-12)
+    assert cache.shape_ops(1).M0[0, 0] / 1e-26 == pytest.approx(1.0, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
