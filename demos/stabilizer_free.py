@@ -27,12 +27,12 @@ try:
         WeakSpaceSignature(0, 0, 0),
         SchemeParameters(rho=0.0, gamma=-1.0),
     )
-    print("unexpected: lowest-order family factorized without a penalty")
+    print("unexpected: lowest-order family solved without a penalty")
 except SingularSystem as err:
     print("P0/P0/[P0]^2 with rho=0: %s" % err)
 print()
 
-# P2/P1/[P3]^2 with rho=0 factorizes and superconverges at (3, 4, 4)
+# P2/P1/[P3]^2 with rho=0 stays solvable and superconverges at (3, 4, 4)
 report = run_convergence_study(
     case,
     "rect",

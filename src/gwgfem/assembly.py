@@ -9,12 +9,14 @@ edges such that
 
 for all v in the homogeneous weak space.  The interior coefficients u0 of
 an element couple only to that element's edge coefficients, so assemble
-eliminates them element by element (static condensation) and solve factors
-only the SPD system on the free edge coefficients, then recovers u0 element
-by element.  rho = 0 (no stabilizer) is admitted; whether the resulting
-system is solvable then depends on the degree family, and a singular
-interior block or a singular edge system is reported as such instead of
-returning garbage.
+eliminates them element by element (static condensation).  solve runs
+conjugate gradients on the SPD system left on the free edge coefficients,
+preconditioned by a two-level auxiliary-space step (block Jacobi on the
+edges around a conforming P1/Q1 coarse correction, whose small matrix is
+the only one factored), then recovers u0 element by element.  rho = 0 (no
+stabilizer) is admitted; whether the resulting system is solvable then
+depends on the degree family, and a singular interior block or a singular
+edge system is reported as such instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .mesh import Mesh
 from .weakspace import (
@@ -46,6 +49,9 @@ __all__ = [
 
 _PIVOT_RTOL = 1e-12
 _RESIDUAL_RTOL = 1e-8
+_CG_RTOL = 1e-12
+_CG_MAXITER = 1000
+_OMEGA = 0.7  # block-Jacobi damping
 
 
 @dataclass(frozen=True)
@@ -287,59 +293,163 @@ def _factor(A):
     )
 
 
-def _pivots(lu) -> np.ndarray:
-    """Pivots of a symmetric-mode factorization, indexed like the reduced system."""
-    return lu.U.diagonal()[lu.perm_c]
+def _preconditioner(system: GlobalSystem):
+    """One symmetric two-level auxiliary-space step for the edge system, as r -> z.
+
+    A damped block-Jacobi sweep over the per-edge diagonal blocks, a coarse
+    correction in the conforming P1 (triangles) or Q1 (parallelograms) space
+    on the interior vertices, and a second sweep.  The transfer P sends the
+    nodal values (a, b) at an edge's vertices edges[E, 0] and edges[E, 1] to
+    the Legendre coefficients ((a + b)/2, (b - a)/2, 0, ...) of the linear
+    function between them; the coarse matrix P^T A P is factored once.  With
+    no interior vertex the coarse correction is skipped.
+
+    Raises SingularSystem when a diagonal block has a Cholesky pivot not
+    above _PIVOT_RTOL times its largest diagonal entry (.pivot names that
+    edge coefficient), or when the coarse matrix is exactly singular.
+    """
+    A, mesh = system.A, system.cache.mesh
+    nb = system.cache.signature.edge_dim
+    n_blocks = A.shape[0] // nb
+    index = np.arange(A.shape[0]).reshape(n_blocks, nb)
+    D = np.zeros((n_blocks, nb, nb))
+    if n_blocks:  # sampling no entry at all would return a scalar
+        rows, cols = np.repeat(index, nb, axis=1).ravel(), np.tile(index, (1, nb)).ravel()
+        D[:] = np.asarray(A[rows, cols]).reshape(D.shape)
+    tol = _PIVOT_RTOL * np.diagonal(D, axis1=-2, axis2=-1).max(axis=-1)
+    L_inv, failed = _inverse_cholesky(D, tol)
+    if failed is not None:
+        block, col = failed
+        pivot = int(system.free[block * nb + col])
+        raise SingularSystem(
+            f"edge system is singular or not positive definite: the diagonal block of "
+            f"an interior edge has no positive pivot at its coefficient {col} (global "
+            f"index {pivot}); an unstabilized family may lack edge control",
+            pivot=pivot,
+        )
+    blocks = _OMEGA * np.swapaxes(L_inv, -1, -2) @ L_inv  # omega D^-1, block by block
+    smoother = sp.bsr_matrix(
+        (blocks, np.arange(n_blocks), np.arange(n_blocks + 1)), shape=A.shape
+    ).tocsr()
+
+    interior = np.ones(mesh.n_vertices, dtype=bool)
+    interior[mesh.edges[mesh.boundary_edge]] = False
+    n_coarse = int(np.count_nonzero(interior))
+    coarse = None
+    if n_coarse:
+        vertex = np.full(mesh.n_vertices, -1)
+        vertex[interior] = np.arange(n_coarse)
+        ends = vertex[mesh.edges[~mesh.boundary_edge]]  # (n_blocks, 2), -1 on the boundary
+        weights = np.array([[0.5, 0.5], [-0.5, 0.5]])[: min(nb, 2)]
+        rows, cols, vals = np.broadcast_arrays(
+            index[:, : len(weights), None], ends[:, None, :], weights
+        )
+        keep = cols >= 0
+        P = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(A.shape[0], n_coarse))
+        AP = A @ P
+        try:
+            lu = _factor(P.T @ AP)
+        except RuntimeError as err:
+            raise SingularSystem(f"coarse auxiliary-space matrix is singular: {err}") from err
+        coarse = P, AP, lu
+
+    def apply(r):
+        z = smoother @ r
+        r = r - A @ z
+        if coarse is not None:
+            P, AP, lu = coarse
+            e = lu.solve(P.T @ r)
+            z += P @ e
+            r -= AP @ e
+        return z + smoother @ r
+
+    return apply
+
+
+def _pcg(A, b, precondition):
+    """Preconditioned CG on the SPD system A x = b, from x = 0.
+
+    Stops when ||r|| <= _CG_RTOL ||b|| for the updated residual r.  Returns
+    (x, iterations, (lam_min, lam_max)), the last pair the extreme Ritz
+    values of the preconditioned operator from the Lanczos tridiagonal matrix
+    that the CG coefficients define (NaN when b = 0 and no iteration runs).
+    Raises SingularSystem when a curvature p.Ap or a preconditioned residual
+    product r.z is not positive, when _CG_MAXITER iterations do not
+    converge, or when lam_min is not above _PIVOT_RTOL * lam_max.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    target = _CG_RTOL * np.linalg.norm(b)
+    if not target > 0:
+        return x, 0, (math.nan, math.nan)
+    z = precondition(r)
+    rz = r @ z
+    p = z
+    alphas, betas = [], []
+    for iteration in range(1, _CG_MAXITER + 1):
+        if not rz > 0:  # also rejects NaN
+            raise SingularSystem(
+                f"preconditioned residual product r.z = {rz:.3e} is not positive at "
+                f"CG iteration {iteration}; the edge system is not positive definite"
+            )
+        q = A @ p
+        curvature = p @ q
+        if not curvature > 0:
+            raise SingularSystem(
+                f"curvature p.Ap = {curvature:.3e} is not positive at CG iteration "
+                f"{iteration}; the edge system is not positive definite"
+            )
+        alpha = rz / curvature
+        alphas.append(alpha)
+        x += alpha * p
+        r -= alpha * q
+        if np.linalg.norm(r) <= target:
+            break
+        z = precondition(r)
+        rz, rz_old = r @ z, rz
+        betas.append(rz / rz_old)
+        p = z + betas[-1] * p
+    else:
+        raise SingularSystem(
+            f"CG did not reach ||r|| <= {_CG_RTOL:g} ||b|| in {_CG_MAXITER} iterations"
+        )
+    # Lanczos: T = tridiag(sqrt(beta_j)/alpha_j, 1/alpha_j + beta_(j-1)/alpha_(j-1))
+    alphas, betas = np.array(alphas), np.array(betas)
+    diagonal = 1.0 / alphas
+    diagonal[1:] += betas / alphas[:-1]
+    ritz = eigvalsh_tridiagonal(diagonal, np.sqrt(betas) / alphas[:-1])
+    lam_min, lam_max = ritz[0], ritz[-1]
+    if not lam_min > _PIVOT_RTOL * lam_max:
+        raise SingularSystem(
+            f"edge system is numerically singular or not positive definite: the "
+            f"preconditioned operator's extreme Ritz values are {lam_min:.3e} and "
+            f"{lam_max:.3e}"
+        )
+    return x, iteration, (lam_min, lam_max)
 
 
 def solve(system: GlobalSystem) -> WeakFunction:
     """Solve the condensed edge system; returns the full weak function u_h.
 
-    The interior coefficients are recovered per shape class as
-    u0 = y - C ub from the solved edge coefficients ub.
+    The edge system is solved by conjugate gradients preconditioned with one
+    symmetric two-level auxiliary-space step (Xu 1996): damped block Jacobi
+    over the per-edge diagonal blocks around a coarse correction in the
+    conforming P1/Q1 space on the interior vertices, whose matrix alone is
+    factored (sparse LU).  CG stops at ||r|| <= 1e-12 ||b||.  The interior
+    coefficients are then recovered per shape class as u0 = y - C ub from
+    the solved edge coefficients ub.
 
-    The matrix is factored with a symmetric-mode sparse LU: a minimum-degree
-    ordering of A^T + A and no row pivoting, which is stable only because the
-    matrix is symmetric positive definite.  A pivot that is not positive, or
-    not above _PIVOT_RTOL times the largest pivot, raises SingularSystem
-    naming the offending unknown by its global coefficient index; so does a
-    matrix that is exactly singular or not positive definite, and a
-    solution whose residual ||A x - b|| exceeds _RESIDUAL_RTOL * ||b||.
+    Raises SingularSystem when the system is singular or not positive
+    definite: a per-edge diagonal block whose Cholesky pivot is not above
+    _PIVOT_RTOL times its largest diagonal entry (.pivot is that edge
+    coefficient's global index, one of system.free), a coarse matrix that is
+    exactly singular, a non-positive CG curvature or preconditioned residual
+    product, no convergence within _CG_MAXITER iterations, or a smallest
+    Lanczos eigenvalue estimate not above _PIVOT_RTOL times the largest.  A
+    solution whose residual ||A x - b|| exceeds _RESIDUAL_RTOL * ||b||
+    raises SingularSystem too.
     """
-    try:
-        lu = _factor(system.A)
-    except RuntimeError as err:
-        # exactly singular: refactor with a tiny diagonal shift purely to
-        # locate the vanishing pivot for the error message
-        pivot = None
-        scale = np.abs(system.A.data).max() if system.A.nnz else 1.0
-        shifted = system.A + 1e-14 * scale * sp.eye(system.A.shape[0])
-        try:
-            pivot = int(system.free[np.argmin(_pivots(_factor(shifted)))])
-        except RuntimeError:
-            pass
-        raise SingularSystem(
-            f"global system is singular (pivot {pivot}): {err}", pivot=pivot
-        ) from err
-    # a zero diagonal pivot, which no SPD matrix has, makes SuperLU swap rows
-    swapped = np.flatnonzero(lu.perm_r != lu.perm_c)
-    if swapped.size:
-        pivot = int(system.free[swapped[np.argmin(lu.perm_c[swapped])]])
-        raise SingularSystem(
-            f"global system is not positive definite (zero pivot at unknown {pivot})",
-            pivot=pivot,
-        )
-    piv = _pivots(lu)
-    if piv.size and piv.min() <= _PIVOT_RTOL * piv.max():
-        p = int(np.argmin(piv))
-        pivot = int(system.free[p])
-        raise SingularSystem(
-            f"global system is numerically singular or not positive definite "
-            f"(pivot of unknown {pivot} is {piv[p]:.3e}, largest pivot {piv.max():.3e}); "
-            f"an unstabilized family may lack edge control",
-            pivot=pivot,
-        )
-    x = lu.solve(system.b)
+    x, _, _ = _pcg(system.A, system.b, _preconditioner(system))
 
     residual = np.linalg.norm(system.A @ x - system.b)
     b_norm = np.linalg.norm(system.b)

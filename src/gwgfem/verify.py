@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -251,7 +252,7 @@ def _mesh_args(mesh_family: str, labels) -> tuple:
     L).  Raises ValueError on a bad family or label, before any mesh is built.
     """
     labels = list(labels)
-    if any(int(v) != v for v in labels):
+    if any(not (isinstance(v, Real) and math.isfinite(v) and int(v) == v) for v in labels):
         raise ValueError(f"refinement levels must be integers, got {labels}")
     labels = [int(v) for v in labels]
     if len(labels) < 2:

@@ -418,16 +418,29 @@ def test_stiffness_alone_is_positive_semidefinite():
         ("tri", 3, 4, 4, 1.0, False),
         ("rect", 2, 1, 3, 0.0, False),
         ("tri", 2, 1, 2, 1.0, True),
+        ("tri1", 3, 4, 4, 1.0, False),
     ],
-    ids=["tri-1-1-1-1.0", "tri-3-4-4-1.0", "rect-2-1-3-0.0", "tri-2-1-2-1.0-per_element"],
+    ids=[
+        "tri-1-1-1-1.0",
+        "tri-3-4-4-1.0",
+        "rect-2-1-3-0.0",
+        "tri-2-1-2-1.0-per_element",
+        "tri1-3-4-4-1.0",
+    ],
 )
 def test_solve_matches_dense_solver(shape, k, j, ell, rho, per_element):
     # the dense solve of the full (uncondensed) system checks the condensed
     # edge solve and the recovery of every interior coefficient.  The load
     # moments of the non-polynomial f come from the package's own quadrature
     # (test_global_system_matches_brute_force checks them on a polynomial
-    # load), so the comparison does not see the oracle's different rule
-    mesh = build_uniform_triangular(3) if shape == "tri" else build_uniform_rectangular(1)
+    # load), so the comparison does not see the oracle's different rule.
+    # tri1 (two triangles) has no interior vertex, so the preconditioner has
+    # no coarse space and CG runs on block Jacobi alone
+    mesh = {
+        "tri": build_uniform_triangular(3),
+        "rect": build_uniform_rectangular(1),
+        "tri1": build_uniform_triangular(1),
+    }[shape]
     sig = WeakSpaceSignature(k, j, ell)
     coefficient = None
     if per_element:
@@ -494,9 +507,9 @@ def _small_system():
     ids=["negated", "antidiagonal"],
 )
 def test_solve_rejects_matrix_that_is_not_positive_definite(indefinite):
-    # the unpivoted factorization is only valid for SPD matrices: a negative
-    # definite matrix, or a symmetric permutation matrix whose zero diagonal
-    # forces row swaps, must be rejected rather than solved
+    # CG and its block smoother are only valid for SPD matrices: a negative
+    # definite matrix, or a symmetric permutation matrix whose diagonal
+    # blocks are zero or indefinite, must be rejected rather than solved
     system = _small_system()
     with pytest.raises(SingularSystem) as err:
         solve(dataclasses.replace(system, A=indefinite(system.A)))
@@ -504,7 +517,7 @@ def test_solve_rejects_matrix_that_is_not_positive_definite(indefinite):
 
 
 def test_solve_reports_exactly_singular_system_by_global_index():
-    # a zero row and column leave SuperLU without any pivot candidate; the
+    # a zero row and column leave that edge's diagonal block singular; the
     # error names that unknown by its global coefficient index
     system = _small_system()
     A = system.A.tolil()
@@ -516,13 +529,88 @@ def test_solve_reports_exactly_singular_system_by_global_index():
 
 
 def test_solve_rejects_large_residual(monkeypatch):
-    # a factorization that returns a wrong vector without complaint is
-    # caught by the residual check
+    # a CG that returns a wrong vector without complaint (here the solution
+    # of A + I) is caught by the residual check
     system = _small_system()
-    wrong = spla.splu((system.A + sp.eye(system.A.shape[0])).tocsc())
-    monkeypatch.setattr(assembly, "_factor", lambda A: wrong)
+    wrong = spla.spsolve((system.A + sp.eye(system.A.shape[0])).tocsc(), system.b)
+    monkeypatch.setattr(assembly, "_pcg", lambda A, b, precondition: (wrong, 1, (1.0, 1.0)))
     with pytest.raises(SingularSystem, match="residual"):
         solve(system)
+
+
+def _diagonal_blocks(system):
+    nb = system.cache.signature.edge_dim
+    A = system.A.toarray()
+    return [A[i : i + nb, i : i + nb] for i in range(0, A.shape[0], nb)]
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [build_uniform_triangular(4), build_uniform_rectangular(0)],
+    ids=["tri", "rect"],
+)
+@pytest.mark.parametrize("element", [(0, 2, 1), (0, 3, 1), (0, 3, 2), (1, 3, 2)])
+def test_unsolvable_unstabilized_family_fails_at_an_edge_block(mesh, element, monkeypatch):
+    # without the stabilizer these families leave some edge's own block
+    # singular (smallest over largest eigenvalue at most 6e-18, against at
+    # least 3e-2 for every solvable family checked), so the block Cholesky
+    # of the smoother rejects them before CG takes a single step
+    def f(p):
+        return np.sin(p[:, 0] + 2.0 * p[:, 1])
+
+    def g(p):
+        return p[:, 0] * p[:, 1]
+
+    system = assemble(mesh, WeakSpaceSignature(*element), SchemeParameters(rho=0.0), f, g)
+    eigenvalues = [np.linalg.eigvalsh(D) for D in _diagonal_blocks(system)]
+    assert min(ev[0] / ev[-1] for ev in eigenvalues) <= 1e-15
+
+    def no_cg(A, b, precondition):
+        raise AssertionError("CG ran on a system with a singular edge block")
+
+    monkeypatch.setattr(assembly, "_pcg", no_cg)
+    with pytest.raises(SingularSystem, match="diagonal block") as err:
+        solve(system)
+    assert err.value.pivot in system.free
+
+
+def test_solve_rejects_indefinite_matrix_with_positive_definite_blocks():
+    # shifting by half the smallest block eigenvalue keeps every diagonal
+    # block SPD, so the smoother sets up, but the matrix is indefinite: CG's
+    # curvature, its r.z or its Lanczos estimate must reject it
+    system = _small_system()
+    s = 0.5 * min(np.linalg.eigvalsh(D)[0] for D in _diagonal_blocks(system))
+    shifted = dataclasses.replace(system, A=(system.A - s * sp.eye(system.A.shape[0])).tocsr())
+    assert min(np.linalg.eigvalsh(D)[0] for D in _diagonal_blocks(shifted)) > 0
+    assert np.linalg.eigvalsh(shifted.A.toarray())[0] < 0
+    with pytest.raises(SingularSystem, match=r"p\.Ap|r\.z|Ritz"):
+        solve(shifted)
+
+
+@pytest.mark.parametrize(
+    "shape,element,rho,labels,bound",
+    [("tri", (3, 4, 4), 1.0, (8, 16, 32, 64), 24), ("rect", (2, 1, 3), 0.0, (0, 1, 2, 3), 13)],
+    ids=["tri-3-4-4", "rect-2-1-3-rho0"],
+)
+def test_cg_iterations_do_not_grow_with_refinement(shape, element, rho, labels, bound):
+    # the two-level preconditioner makes the iteration count independent of
+    # h (19 on tri and 9-10 on rect when this was written); block Jacobi
+    # alone would need about twice as many iterations per halving of h
+    def f(p):
+        return np.sin(p[:, 0] + 2.0 * p[:, 1])
+
+    def g(p):
+        return p[:, 0] * p[:, 1]
+
+    build = build_uniform_triangular if shape == "tri" else build_uniform_rectangular
+    sig, params = WeakSpaceSignature(*element), SchemeParameters(rho=rho)
+    counts = []
+    for label in labels:
+        system = assemble(build(label), sig, params, f, g)
+        _, iterations, _ = assembly._pcg(system.A, system.b, assembly._preconditioner(system))
+        counts.append(iterations)
+    assert max(counts) <= bound, counts
+    assert counts[-1] <= counts[0] + 1, counts
 
 
 def test_zero_data_gives_zero_solution():
@@ -557,6 +645,24 @@ def test_linear_solution_reproduced_exactly(shape, k, j, ell, gamma):
     u_h = solve(assemble(mesh, sig, params, zero, u, cache=cache))
     ref = project_Qh(u, mesh, sig, cache=cache)
     assert np.abs(u_h.coeffs - ref.coeffs).max() <= 1e-10
+
+
+def test_mesh_without_interior_edge_is_solved():
+    # on a single triangle every edge is a boundary edge: the edge system is
+    # empty and solve only recovers the interior from the Dirichlet data
+    mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
+    sig = WeakSpaceSignature(1, 1, 1)
+
+    def u(p):
+        return 1.0 + 2.0 * p[:, 0] - 3.0 * p[:, 1]
+
+    def zero(p):
+        return np.zeros(p.shape[0])
+
+    system = assemble(mesh, sig, SchemeParameters(), zero, u)
+    assert system.A.shape == (0, 0)
+    u_h = solve(system)
+    assert np.abs(u_h.coeffs - project_Qh(u, mesh, sig, cache=system.cache).coeffs).max() <= 1e-12
 
 
 def test_unstabilized_lowest_order_family_is_singular():

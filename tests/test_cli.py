@@ -85,7 +85,7 @@ def test_parse_rejects_bad_configuration(argv):
 
 
 def test_solver_option_is_gone(tmp_path):
-    # the direct factorization is the only solver, so there is nothing to choose
+    # preconditioned CG is the only solver, so there is nothing to choose
     assert main(["--element", "1,1,1", "--levels", "2,4", "--solver", "direct"]) == 2
     cfg = tmp_path / "study.cfg"
     cfg.write_text("element = 1,1,1\nlevels = 2,4\nsolver = direct\n")

@@ -317,8 +317,14 @@ def test_study_checks_every_label_before_building_a_mesh(monkeypatch):
 
 @pytest.mark.parametrize(
     "family, labels, shown",
-    [("tri", [4.9, 8.2], "[4.9, 8.2]"), ("rect", (4.5, 8.9), "[4.5, 8.9]")],
-    ids=["tri", "rect"],
+    [
+        ("tri", [4.9, 8.2], "[4.9, 8.2]"),
+        ("rect", (4.5, 8.9), "[4.5, 8.9]"),
+        ("tri", [4, float("inf")], "[4, inf]"),
+        ("rect", [4, float("nan")], "[4, nan]"),
+        ("tri", ["4", "8"], "['4', '8']"),
+    ],
+    ids=["tri", "rect", "tri-inf", "rect-nan", "tri-str"],
 )
 def test_study_rejects_non_integer_labels(family, labels, shown):
     with pytest.raises(ValueError) as err:
