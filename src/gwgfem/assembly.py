@@ -89,9 +89,12 @@ class SingularSystem(RuntimeError):
     """The global matrix is (numerically) singular or not positive definite.
 
     pivot is the global coefficient index of the offending unknown when
-    known: an interior unknown whose element block K00 is singular (raised
-    by assemble) or an edge unknown of the condensed system (raised by
-    solve).  level/partial are filled in by convergence studies.
+    known.  One block pivot test raises it in two places, with one message:
+    a Cholesky pivot not above _PIVOT_RTOL times the block's scale, in an
+    element's interior block K00 (raised by assemble; .pivot is an interior
+    coefficient) or in an interior edge's diagonal block of the condensed
+    system (raised by solve; .pivot is one of system.free).  level/partial
+    are filled in by convergence studies.
     """
 
     def __init__(self, message: str, pivot: int | None = None):
@@ -155,21 +158,31 @@ def _class_matrices(ops, elems, params: SchemeParameters) -> np.ndarray:
     )
 
 
-def _inverse_cholesky(K, tol):
+def _inverse_cholesky(K, scale, index, block: str):
     """Inverse Cholesky factor of one SPD matrix, or of a stack, K of shape (..., n, n).
 
-    Returns (L^-1, None) with L L^T = K, or (None, (i, col)) when the pivot
-    of column col of matrix i (the index along the stack axis; 0 for one
-    matrix) is not above tol[i] (tol has the stack's shape).
+    Returns L^-1 with L L^T = K.  Raises SingularSystem when the pivot of
+    column col of matrix i (the index along the stack axis; 0 for one
+    matrix) is not above _PIVOT_RTOL * scale[i] (scale has the stack's
+    shape); the message names the block and .pivot is index[i, col], that
+    unknown's global coefficient index.
     """
     n = K.shape[-1]
+    tol = _PIVOT_RTOL * scale
     L = np.zeros_like(K)
     L_inv = np.zeros_like(K)
     for col in range(n):
         pivot = K[..., col, col] - np.sum(L[..., col, :col] ** 2, axis=-1)
         bad = np.flatnonzero(~(pivot > tol))  # also catches NaN
         if bad.size:
-            return None, (int(bad[0]), col)
+            i, unknown = bad[0], int(index[bad[0], col])
+            raise SingularSystem(
+                f"{block} is singular or not positive definite: its Cholesky pivot at "
+                f"coefficient {col} (global index {unknown}) is {np.ravel(pivot)[i]:.3e}, "
+                f"not above {np.ravel(tol)[i]:.3e}; an unstabilized family may lack "
+                f"control of that coefficient",
+                pivot=unknown,
+            )
         L[..., col, col] = np.sqrt(pivot)
         d = L[..., col, col, None]
         below = K[..., col + 1 :, col] - _mv(L[..., col + 1 :, :col], L[..., col, :col])
@@ -177,7 +190,7 @@ def _inverse_cholesky(K, tol):
         # row col of L^-1 by forward substitution, from the finished row col of L
         done = (L[..., col, None, :col] @ L_inv[..., :col, :])[..., 0, :]
         L_inv[..., col, :] = (np.eye(n)[col] - done) / d
-    return L_inv, None
+    return L_inv
 
 
 def _mv(M, v):
@@ -232,18 +245,10 @@ def assemble(
         K0b, Kbb = K[..., :n0, n0:], K[..., n0:, n0:]
         # pivots are measured against the whole local matrix: a K00 that is
         # rounding noise throughout would pass a test against its own diagonal
-        tol = _PIVOT_RTOL * np.diagonal(K, axis1=-2, axis2=-1).max(axis=-1)
-        L_inv, failed = _inverse_cholesky(K[..., :n0, :n0], tol)
-        if failed is not None:
-            stack, col = failed
-            element = int(elems[stack])
-            pivot = int(dm.element_dof_table[element, col])
-            raise SingularSystem(
-                f"interior block of element {element} is singular or not positive "
-                f"definite (pivot of its interior coefficient {col}, global index "
-                f"{pivot}); an unstabilized family may lack interior control",
-                pivot=pivot,
-            )
+        scale = np.diagonal(K, axis1=-2, axis2=-1).max(axis=-1)
+        L_inv = _inverse_cholesky(
+            K[..., :n0, :n0], scale, dm.element_dof_table[elems], "the interior block of an element"
+        )
         L_inv_t = np.swapaxes(L_inv, -1, -2)
         W = L_inv @ K0b
         Wt = np.swapaxes(W, -1, -2)
@@ -277,22 +282,6 @@ def assemble(
     )
 
 
-def _factor(A):
-    """Sparse LU of an SPD matrix: minimum-degree ordering of A^T + A, no row pivoting.
-
-    SuperLU keeps the diagonal pivot unless it is exactly zero, so the
-    factorization is a symmetric permutation P A P^T = L U and every pivot of
-    an SPD matrix is positive.  Raises RuntimeError when a column has no
-    nonzero pivot candidate (exactly singular).
-    """
-    return spla.splu(
-        A.tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-
-
 def _preconditioner(system: GlobalSystem):
     """One symmetric two-level auxiliary-space step for the edge system, as r -> z.
 
@@ -316,17 +305,10 @@ def _preconditioner(system: GlobalSystem):
     if n_blocks:  # sampling no entry at all would return a scalar
         rows, cols = np.repeat(index, nb, axis=1).ravel(), np.tile(index, (1, nb)).ravel()
         D[:] = np.asarray(A[rows, cols]).reshape(D.shape)
-    tol = _PIVOT_RTOL * np.diagonal(D, axis1=-2, axis2=-1).max(axis=-1)
-    L_inv, failed = _inverse_cholesky(D, tol)
-    if failed is not None:
-        block, col = failed
-        pivot = int(system.free[block * nb + col])
-        raise SingularSystem(
-            f"edge system is singular or not positive definite: the diagonal block of "
-            f"an interior edge has no positive pivot at its coefficient {col} (global "
-            f"index {pivot}); an unstabilized family may lack edge control",
-            pivot=pivot,
-        )
+    scale = np.diagonal(D, axis1=-2, axis2=-1).max(axis=-1)
+    L_inv = _inverse_cholesky(
+        D, scale, system.free.reshape(n_blocks, nb), "the diagonal block of an interior edge"
+    )
     blocks = _OMEGA * np.swapaxes(L_inv, -1, -2) @ L_inv  # omega D^-1, block by block
     smoother = sp.bsr_matrix(
         (blocks, np.arange(n_blocks), np.arange(n_blocks + 1)), shape=A.shape
@@ -348,7 +330,14 @@ def _preconditioner(system: GlobalSystem):
         P = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(A.shape[0], n_coarse))
         AP = A @ P
         try:
-            lu = _factor(P.T @ AP)
+            # minimum-degree ordering of A^T + A and no row pivoting: a symmetric
+            # permutation, so every pivot of the SPD coarse matrix stays positive
+            lu = spla.splu(
+                (P.T @ AP).tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
         except RuntimeError as err:
             raise SingularSystem(f"coarse auxiliary-space matrix is singular: {err}") from err
         coarse = P, AP, lu
@@ -437,11 +426,14 @@ def solve(system: GlobalSystem) -> WeakFunction:
     conforming P1/Q1 space on the interior vertices, whose matrix alone is
     factored (sparse LU).  CG stops at ||r|| <= 1e-12 ||b||.  The interior
     coefficients are then recovered per shape class as u0 = y - C ub from
-    the solved edge coefficients ub.
+    the solved edge coefficients ub.  A zero load gives x = 0, but CG still
+    runs once on a fixed-seed random right-hand side, its solution
+    discarded, so the checks below see the matrix.
 
     Raises SingularSystem when the system is singular or not positive
     definite: a per-edge diagonal block whose Cholesky pivot is not above
-    _PIVOT_RTOL times its largest diagonal entry (.pivot is that edge
+    _PIVOT_RTOL times its largest diagonal entry (the one block pivot
+    message, as for assemble's interior blocks; .pivot is that edge
     coefficient's global index, one of system.free), a coarse matrix that is
     exactly singular, a non-positive CG curvature or preconditioned residual
     product, no convergence within _CG_MAXITER iterations, or a smallest
@@ -449,7 +441,15 @@ def solve(system: GlobalSystem) -> WeakFunction:
     solution whose residual ||A x - b|| exceeds _RESIDUAL_RTOL * ||b||
     raises SingularSystem too.
     """
-    x, _, _ = _pcg(system.A, system.b, _preconditioner(system))
+    precondition = _preconditioner(system)
+    if np.any(system.b):
+        x, _, _ = _pcg(system.A, system.b, precondition)
+    else:
+        # x = 0 solves a zero load; a probe right-hand side lets CG's
+        # curvature and Lanczos checks still see A
+        probe = np.random.default_rng(0).standard_normal(system.b.size)
+        _pcg(system.A, probe, precondition)
+        x = np.zeros_like(system.b)
 
     residual = np.linalg.norm(system.A @ x - system.b)
     b_norm = np.linalg.norm(system.b)

@@ -12,11 +12,15 @@ matrices are exactly diagonal.
 Quadrature rules are constructed for a requested polynomial exactness
 degree d: tensor Gauss-Legendre on rectangles, a collapsed (Duffy) tensor
 rule with a Gauss-Jacobi factor absorbing the volume Jacobian on
-triangles, and Gauss-Legendre on edges.
+triangles, and Gauss-Legendre on edges.  For integrands with a point
+singularity at a vertex, graded_rule composes the rule for a segment or an
+element with one dyadic grading toward that vertex: level i is the cell
+scaled by 2^-i about it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -219,7 +223,10 @@ def map_to_edge(rule: QuadratureRule, p0, p1):
 
 
 def _corner_split(v: np.ndarray) -> list[np.ndarray]:
-    """Split an element into 4 congruent children; child 0 keeps vertex 0."""
+    """Split a segment in 2, or an element in 4, congruent children; child 0 keeps vertex 0."""
+    if v.shape[0] == 2:
+        m = (v[0] + v[1]) / 2
+        return [np.array([v[0], m]), np.array([m, v[1]])]
     if v.shape[0] == 3:
         m01, m12, m02 = (v[0] + v[1]) / 2, (v[1] + v[2]) / 2, (v[0] + v[2]) / 2
         return [
@@ -239,57 +246,47 @@ def _corner_split(v: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def graded_element_rule(verts, corner: int, d: int, depth: int):
-    """Composite rule grading dyadically toward one vertex of the element.
+def _base_rule(cell: np.ndarray, d: int):
+    """Rule of exactness d mapped onto a segment, triangle or parallelogram: (points, weights)."""
+    if cell.shape[0] == 2:
+        pts, w, _ = map_to_edge(edge_quadrature(d), cell[0], cell[1])
+        return pts, w
+    shape = "triangle" if cell.shape[0] == 3 else "rectangle"
+    return map_to_element(element_quadrature(shape, d), cell)
 
-    The element is split into 4 congruent children; the child holding the
-    `corner` vertex is split again, `depth` times, applying the base rule
-    of exactness d on every child peeled off along the way and on the final
-    innermost piece.  Used for integrands with a point singularity at that
-    vertex.
+
+def graded_rule(verts, corner: int, d: int, depth: int):
+    """Composite rule grading dyadically toward one vertex of a segment or element.
+
+    verts holds a segment (2 vertices), a triangle (3) or a parallelogram
+    (4).  Level i of the grading is the cell scaled by 2^-i about vertex
+    `corner`: the base rule of exactness d is applied on the children of
+    every level i < depth that do not hold the corner, and on the innermost
+    cell, the one at scale 2^-depth.  Returns (points, weights), the weights
+    summing to the cell's length or area.  Each point is the corner plus an
+    exactly scaled offset, so with the corner at the origin the points
+    approach it without cancellation.  Used for integrands with a point
+    singularity at that vertex.
     """
-    verts = np.asarray(verts, dtype=float)
-    w = verts.shape[0]
-    order = [(corner + i) % w for i in range(w)]
-    cur = verts[order]
-    base = element_quadrature("triangle" if w == 3 else "rectangle", d)
-    all_pts, all_w = [], []
-    for _ in range(depth):
-        children = _corner_split(cur)
-        for child in children[1:]:
-            p, ww = map_to_element(base, child)
-            all_pts.append(p)
-            all_w.append(ww)
-        cur = children[0]
-    p, ww = map_to_element(base, cur)
-    all_pts.append(p)
-    all_w.append(ww)
-    return np.vstack(all_pts), np.concatenate(all_w)
+    cell = np.roll(np.asarray(verts, dtype=float), -corner, axis=0)
+    apex = cell[0]
+    dim = 1 if cell.shape[0] == 2 else 2
+    outer = [_base_rule(child, d) for child in _corner_split(cell)[1:]]
+    outer_pts = np.concatenate([p for p, _ in outer]) - apex
+    outer_w = np.concatenate([w for _, w in outer])
+    inner_pts, inner_w = _base_rule(cell, d)
+    # all levels 0..depth-1 of the outer children in one broadcast, then the innermost cell
+    level = -np.arange(depth)[:, None]
+    pts = np.concatenate(
+        [np.ldexp(outer_pts, level[..., None]).reshape(-1, 2), np.ldexp(inner_pts - apex, -depth)]
+    )
+    w = np.concatenate([np.ldexp(outer_w, dim * level).ravel(), np.ldexp(inner_w, -dim * depth)])
+    return apex + pts, w
 
 
-def graded_edge_rule(p0, p1, singular_at_start: bool, d: int, depth: int):
-    """Composite edge rule grading dyadically toward one endpoint.
-
-    Returns (points, weights, t) like map_to_edge, with t measured along
-    p0 -> p1 regardless of which endpoint carries the singularity.
-    """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    base = edge_quadrature(d)
-    pieces = [(0.5 ** (i + 1), 0.5**i) for i in range(depth)]
-    pieces.append((0.0, 0.5**depth))
-    s_all, w_all = [], []
-    for lo, hi in pieces:
-        s_all.append((lo + hi) / 2.0 + base.points * (hi - lo) / 2.0)
-        w_all.append(base.weights * (hi - lo) / 2.0)
-    s = np.concatenate(s_all)  # fraction of the edge, measured from the singular end
-    w_s = np.concatenate(w_all)
-    # points come straight from s so tiny offsets from the singular end are
-    # not lost to cancellation; t only feeds polynomial evaluation
-    if singular_at_start:
-        t = 2.0 * s - 1.0
-        pts = p0[None, :] + np.outer(s, p1 - p0)
-    else:
-        t = 1.0 - 2.0 * s
-        pts = p1[None, :] + np.outer(s, p0 - p1)
-    return pts, w_s * np.linalg.norm(p1 - p0), t
+def _grading_depth(strength: float, h: float) -> int:
+    # Choose the dyadic depth so the untouched innermost piece, of size
+    # h * 2^-depth, contributes O((h 2^-depth)^strength) ~ 2^-40 or less;
+    # capped so r**(strength - 2) stays inside double range.
+    depth = math.ceil(40.0 / strength + math.log2(max(h, 1e-300)))
+    return int(min(480, max(4, depth)))

@@ -19,7 +19,6 @@ them exactly translation invariant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +31,8 @@ from .polybasis import (
     dim_pk,
     edge_quadrature,
     element_quadrature,
-    graded_edge_rule,
-    graded_element_rule,
+    _grading_depth,
+    graded_rule,
     map_to_edge,
     map_to_element,
     monomial_exponents,
@@ -48,8 +47,6 @@ __all__ = [
 ]
 
 _VERTEX_TOL = 1e-12
-# shape-class keys: centroid-relative vertices rounded to this many decimals of h_max
-_SHAPE_DECIMALS = 10
 
 
 @dataclass(frozen=True)
@@ -248,14 +245,18 @@ class OperatorCache:
 
         rel = mesh.vertices[mesh.elements] - self.centroids[:, None, :]
         signs = mesh.element_edge_signs
-        scaled = np.round(rel / mesh.h_max, _SHAPE_DECIMALS).reshape(mesh.n_elements, -1)
-        # one opaque byte string per row sorts far faster than unique(axis=0);
-        # + 0.0 turns -0.0 into 0.0 so equal floats have equal bytes
-        keys = np.hstack([scaled, signs]) + 0.0
-        rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        keys = np.hstack([(rel / mesh.h_max).reshape(mesh.n_elements, -1), signs])
+        tol = 1e-10 + 64 * np.finfo(float).eps * np.abs(mesh.vertices).max() / mesh.h_max
+        # partition refinement: sort each key column within the current groups
+        # and split wherever neighbours differ by more than tol
+        group = np.zeros(mesh.n_elements, dtype=np.int64)
+        for column in keys.T:
+            order = np.lexsort((column, group))
+            split = (np.diff(column[order]) > tol) | (np.diff(group[order]) != 0)
+            group[order] = np.concatenate([[0], np.cumsum(split)])
+        first = np.unique(group, return_index=True)[1]  # first element of each group
         order = np.argsort(first)  # classes in order of first appearance
-        self.class_ids = np.argsort(order)[inverse.reshape(-1)]
+        self.class_ids = np.argsort(order)[group]
         self.class_ops: list[_ShapeOps] = [
             _ShapeOps(self.shape, rel[e], signs[e], signature) for e in first[order]
         ]
@@ -280,14 +281,6 @@ def _cache_for(mesh: Mesh, signature: WeakSpaceSignature, cache) -> OperatorCach
     if cache.signature != signature:
         raise ValueError(f"cache was built for {cache.signature}, not {signature}")
     return cache
-
-
-def _grading_depth(strength: float, h: float) -> int:
-    # Choose the dyadic depth so the untouched innermost piece, of size
-    # h * 2^-depth, contributes O((h 2^-depth)^strength) ~ 2^-40 or less;
-    # capped so r**(strength - 2) stays inside double range.
-    depth = math.ceil(40.0 / strength + math.log2(max(h, 1e-300)))
-    return int(min(480, max(4, depth)))
 
 
 def _touching(mesh: Mesh, cells: np.ndarray, singularity):
@@ -323,7 +316,7 @@ def _interior_moments(cache: OperatorCache, fn, singularity=None) -> np.ndarray:
         ops = cache.shape_ops(e)
         depth = _grading_depth(singularity[1], ops.h_T)
         verts = mesh.vertices[mesh.elements[e]]
-        pts, w = graded_element_rule(verts, corner, _element_rule_degree(cache.signature), depth)
+        pts, w = graded_rule(verts, corner, _element_rule_degree(cache.signature), depth)
         phi = ops.basis.eval(pts - cache.centroids[e])[:, : out.shape[1]]
         out[e] = phi.T @ (w * np.asarray(fn(pts), dtype=float))
     return out
@@ -345,11 +338,11 @@ def _edge_projection(cache: OperatorCache, fn, edges, singularity=None) -> np.nd
     # Legendre coefficients on the reference edge [-1, 1]
     out = ((values * rule.weights) @ eb.eval(rule.points)) / eb.mass_diagonal(2.0)
     for i, end in zip(*_touching(mesh, mesh.edges[edges], singularity)):
-        a, b = mesh.vertices[mesh.edges[edges[i]]]
+        a, b = ends = mesh.vertices[mesh.edges[edges[i]]]
         length = float(np.linalg.norm(b - a))
-        depth = _grading_depth(singularity[1], length)
-        pts, w, s = graded_edge_rule(a, b, end == 0, degree, depth)
-        out[i] = eb.eval(s).T @ (w * np.asarray(fn(pts), dtype=float)) / eb.mass_diagonal(length)
+        pts, w = graded_rule(ends, end, degree, _grading_depth(singularity[1], length))
+        t = 2.0 * (pts - a) @ (b - a) / ((b - a) @ (b - a)) - 1.0  # Legendre coordinate
+        out[i] = eb.eval(t).T @ (w * np.asarray(fn(pts), dtype=float)) / eb.mass_diagonal(length)
     return out
 
 

@@ -160,7 +160,7 @@ def test_low_regularity_half():
 
 
 def test_stabilizer_free_family():
-    # rho=0 with P2/P1/[P3]^2: the system stays factorizable without any
+    # rho=0 with P2/P1/[P3]^2: the system is solved without any
     # penalty term and superconverges at (3, 4, 4)
     try:
         rep = study("x2_cospi", "rect", [8, 16, 32, 64], (2, 1, 3), 0.0, -1.0)
@@ -172,7 +172,7 @@ def test_stabilizer_free_family():
     report(
         "stabilizer-free family (2,1,3), rho=0",
         ok,
-        f"factorized at every level; final rates {fmt_rates(rates)} "
+        f"solved at every level; final rates {fmt_rates(rates)} "
         f"vs (3.00, 4.00, 4.00) +-0.15",
     )
 

@@ -624,6 +624,22 @@ def test_zero_data_gives_zero_solution():
     assert np.abs(u_h.coeffs).max() <= 1e-12
 
 
+def test_zero_load_still_checks_the_matrix():
+    # x = 0 solves any zero load, but a matrix that is singular only
+    # globally (its diagonal blocks stay positive definite) must still be
+    # reported, not solved
+    def zero(p):
+        return np.zeros(p.shape[0])
+
+    mesh, sig = build_uniform_triangular(3), WeakSpaceSignature(1, 1, 1)
+    system = assemble(mesh, sig, SchemeParameters(), zero, zero)
+    assert not np.any(system.b)
+    shift = np.linalg.eigvalsh(system.A.toarray())[0]
+    singular = (system.A - shift * sp.eye(system.A.shape[0])).tocsr()
+    with pytest.raises(SingularSystem):
+        solve(dataclasses.replace(system, A=singular))
+
+
 @pytest.mark.parametrize(
     "shape,k,j,ell,gamma",
     [("tri", 1, 1, 1, -1.0), ("tri", 1, 0, 1, 0.0), ("rect", 2, 1, 2, -1.0)],

@@ -25,12 +25,11 @@ from gwgfem.polybasis import (
     ElementBasis,
     EdgeBasis,
     dim_pk,
+    _grading_depth,
     element_quadrature,
-    graded_edge_rule,
-    graded_element_rule,
+    graded_rule,
     map_to_element,
 )
-from gwgfem.weakspace import _grading_depth
 
 
 def edge_index(mesh, a, b):
@@ -254,6 +253,29 @@ def test_shape_classes_separate_tiny_elements_of_different_size():
     assert cache.shape_ops(1).M0[0, 0] / 1e-26 == pytest.approx(1.0, rel=1e-12)
 
 
+def test_far_translated_meshes_keep_their_shape_classes():
+    # rounding the keys to a fixed number of decimals split classes once a
+    # mesh sat far from the origin; grouping within a tolerance must not
+    rng = np.random.default_rng(20)
+    sig = WeakSpaceSignature(1, 1, 1)
+    for _ in range(30):
+        base = build_uniform_triangular(int(rng.integers(1, 7)))
+        moved = Mesh(base.vertices + rng.uniform(-1e6, 1e6, 2), base.elements)
+        ref, out = OperatorCache(base, sig), OperatorCache(moved, sig)
+        np.testing.assert_array_equal(out.class_ids, ref.class_ids)
+
+
+def test_moved_vertex_splits_the_elements_around_it():
+    # a displacement far above rounding, here 3e-7 at h = 1/4, changes the
+    # shape of the six triangles around the vertex: each becomes its own class
+    mesh = build_uniform_triangular(4)
+    vertices = mesh.vertices.copy()
+    vertex = np.flatnonzero(np.all((vertices > 0) & (vertices < 1), axis=1))[0]
+    vertices[vertex] += 3e-7
+    cache = OperatorCache(Mesh(vertices, mesh.elements), WeakSpaceSignature(1, 0, 0))
+    assert len(cache.class_ops) == 8
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(1, 6),
@@ -422,28 +444,27 @@ def test_graded_element_rule_integrates_corner_singularity():
         epsabs=1e-14,
         epsrel=1e-14,
     )[0]
-    pts, w = graded_element_rule(verts, 0, 12, 30)
+    pts, w = graded_rule(verts, 0, 12, 30)
     r = np.sqrt((pts**2).sum(axis=1))
     np.testing.assert_allclose(w @ r ** (-0.5), exact, rtol=1e-7)
 
 
 def test_graded_element_rule_still_exact_for_polynomials():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    pts, w = graded_element_rule(verts, 2, 6, 6)
+    pts, w = graded_rule(verts, 2, 6, 6)
     val = w @ (pts[:, 0] ** 3 * pts[:, 1] ** 3)
     np.testing.assert_allclose(val, 1.0 / 16.0, rtol=1e-13)
 
 
 def test_graded_edge_rule_both_orientations():
+    # the singular end is the corner whichever way the segment is given
     origin, far = np.array([0.0, 0.0]), np.array([1.0, 0.0])
-    pts, w, t = graded_edge_rule(origin, far, True, 12, 80)
-    np.testing.assert_allclose(w @ pts[:, 0] ** (-0.5), 2.0, rtol=1e-7)
-    # t still parametrizes p0 -> p1
-    np.testing.assert_allclose(pts[:, 0], (t + 1) / 2, atol=1e-15)
-    # same edge traversed the other way, singular end now at t = +1
-    pts, w, t = graded_edge_rule(far, origin, False, 12, 80)
-    np.testing.assert_allclose(w @ pts[:, 0] ** (-0.5), 2.0, rtol=1e-7)
-    np.testing.assert_allclose(pts[:, 0], 1.0 - (t + 1) / 2, atol=1e-15)
+    for verts, corner in (([origin, far], 0), ([far, origin], 1)):
+        pts, w = graded_rule(np.array(verts), corner, 12, 80)
+        np.testing.assert_allclose(w @ pts[:, 0] ** (-0.5), 2.0, rtol=1e-7)
+        np.testing.assert_array_equal(pts[:, 1], 0.0)
+        # the points reach the singular end without cancellation
+        assert pts[:, 0].min() < 1e-20
 
 
 def test_grading_depth_bounds():
