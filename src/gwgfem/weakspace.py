@@ -245,11 +245,12 @@ class OperatorCache:
 
         rel = mesh.vertices[mesh.elements] - self.centroids[:, None, :]
         signs = mesh.element_edge_signs
-        keys = np.hstack([(rel / mesh.h_max).reshape(mesh.n_elements, -1), signs])
+        keys = (rel / mesh.h_max).reshape(mesh.n_elements, -1)
         tol = 1e-10 + 64 * np.finfo(float).eps * np.abs(mesh.vertices).max() / mesh.h_max
-        # partition refinement: sort each key column within the current groups
-        # and split wherever neighbours differ by more than tol
-        group = np.zeros(mesh.n_elements, dtype=np.int64)
+        # partition refinement: start from the exact edge-sign pattern, then
+        # sort each key column within the current groups and split wherever
+        # neighbours differ by more than tol
+        group = (signs > 0) @ (1 << np.arange(width))
         for column in keys.T:
             order = np.lexsort((column, group))
             split = (np.diff(column[order]) > tol) | (np.diff(group[order]) != 0)
