@@ -60,7 +60,8 @@ class SchemeParameters:
 
     rho must be finite and non-negative, gamma finite.  coefficient may be
     None (identity), a constant (2, 2) SPD matrix, or an (n_elements, 2, 2)
-    array of per-element SPD matrices.
+    array of per-element SPD matrices; entries finite, each tensor symmetric
+    to 1e-14 times its largest entry.
     """
 
     rho: float = 1.0
@@ -78,7 +79,10 @@ class SchemeParameters:
             a = np.asarray(self.coefficient, dtype=float)
             if a.shape != (2, 2) and not (a.ndim == 3 and a.shape[1:] == (2, 2)):
                 raise ValueError("coefficient must be a (2, 2) matrix or an (n, 2, 2) array")
-            if not np.allclose(a, np.swapaxes(a, -1, -2), rtol=0, atol=1e-14):
+            if not np.isfinite(a).all():
+                raise ValueError("coefficient must be finite")
+            asymmetry = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
+            if np.any(asymmetry > 1e-14 * np.abs(a).max(axis=(-2, -1))):
                 raise ValueError("coefficient matrix must be symmetric")
             if np.min(np.linalg.eigvalsh(a)) <= 0:
                 raise ValueError("coefficient matrix must be positive definite")
@@ -108,16 +112,17 @@ class SingularSystem(RuntimeError):
 class GlobalSystem:
     """Condensed linear system on the free edge coefficients.
 
-    A x = b is the SPD system left after eliminating every element's
-    interior coefficients and the boundary edge coefficients; x holds the
-    coefficients at the global indices free, the edge coefficients of the
-    interior edges in ascending order.  Per shape class, in the order of
-    cache.classes(), C[c] is K00^-1 K0b (one matrix, or one per element
-    when the coefficient varies per element), and y[e] = K00^-1 F0 is
-    element e's interior load, so u0 = y - C ub recovers the interior
-    coefficients, cache.dofmap.interiors, from the edge coefficients ub.
-    The boundary edge coefficients cache.dofmap.boundary_dofs take
-    dirichlet_values; the mesh, signature and dof map are those of cache.
+    A x = b, A of shape (n_free, n_free), is the SPD system left after
+    eliminating, element by element, the interior and boundary edge
+    coefficients; x holds the coefficients at the global indices free, the
+    interior edges' coefficients in ascending order.  Per shape class, in
+    the order of cache.classes(), C[c] = K00^-1 K0b has shape
+    (n0, n_loc - n0), or (n_class, n0, n_loc - n0) when the coefficient
+    varies per element, and y[e] = K00^-1 F0 is element e's interior load,
+    so u0 = y - C ub recovers the interior coefficients,
+    cache.dofmap.interiors, from the edge coefficients ub.  The boundary
+    edge coefficients cache.dofmap.boundary_dofs take dirichlet_values; the
+    mesh, signature and dof map are those of cache.
     """
 
     A: sp.csr_matrix
@@ -213,10 +218,10 @@ def assemble(
     The interior coefficients of each element couple only to its own edge
     coefficients, so they are eliminated element by element: with the local
     matrix split as [[K00, K0b], [K0b^T, Kbb]] (interior first) and the
-    interior load F0, each element adds the Schur complement
-    Kbb - K0b^T K00^-1 K0b to the edge matrix and -K0b^T K00^-1 F0 to the
-    edge load.  The full matrix is never formed.  Boundary edge coefficients
-    are then eliminated with their Dirichlet values.
+    interior load F0, each element adds its Schur complement
+    S = Kbb - K0b^T K00^-1 K0b, between free edge coefficients, to A, and
+    -K0b^T K00^-1 F0 - S gb to b, gb its edge coefficients of Qb g (zero on
+    interior edges).  No matrix larger than A is formed.
 
     f and g must be vectorized ((n, 2) points -> (n,) values).  singularity,
     if given, is a (point, strength) pair; load moments on elements touching
@@ -237,7 +242,13 @@ def assemble(
     dm = cache.dofmap
     n0 = signature.interior_dim
     F0 = _interior_moments(cache, f, singularity)
-    b = np.zeros(dm.total)
+    free = dm.edges(np.arange(dm.total))[~mesh.boundary_edge].ravel()
+    bedges = np.flatnonzero(mesh.boundary_edge)
+    known = np.zeros(dm.total)  # Qb g on the boundary edges, zero elsewhere
+    known[dm.boundary_dofs] = _edge_projection(cache, g, bedges, singularity).ravel()
+    position = np.full(dm.total, -1)  # row of each free edge coefficient, -1 for the rest
+    position[free] = np.arange(free.size)
+    b = np.zeros(free.size)
     rows_parts, cols_parts, vals_parts, C_parts = [], [], [], []
     y = np.empty_like(F0)
     for ops, elems in cache.classes():
@@ -256,30 +267,23 @@ def assemble(
         C_parts.append(L_inv_t @ W)
         y[elems] = _mv(L_inv_t, z)
 
+        S = Kbb - Wt @ W
         edofs = dm.element_dof_table[elems, n0:]
-        nb_loc = edofs.shape[1]
-        rows_parts.append(np.repeat(edofs, nb_loc, axis=1).ravel())
-        cols_parts.append(np.tile(edofs, (1, nb_loc)).ravel())
-        vals_parts.append(np.broadcast_to(Kbb - Wt @ W, (elems.size, nb_loc, nb_loc)).ravel())
-        b -= np.bincount(edofs.ravel(), _mv(Wt, z).ravel(), minlength=dm.total)
-    S = sp.coo_matrix(
+        rows = position[edofs]
+        keep = rows >= 0
+        load = _mv(Wt, z) + _mv(S, known[edofs])
+        b -= np.bincount(rows[keep], load[keep], minlength=free.size)
+        # (row, column) pairs of the element's sides with both ends free
+        nb_loc = rows.shape[1]
+        both = np.repeat(keep, nb_loc, axis=1).ravel() & np.tile(keep, (1, nb_loc)).ravel()
+        rows_parts.append(np.repeat(rows, nb_loc, axis=1).ravel()[both])
+        cols_parts.append(np.tile(rows, (1, nb_loc)).ravel()[both])
+        vals_parts.append(np.broadcast_to(S, (elems.size, nb_loc, nb_loc)).ravel()[both])
+    A = sp.coo_matrix(
         (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
-        shape=(dm.total, dm.total),
+        shape=(free.size, free.size),
     ).tocsr()
-
-    bedges = np.nonzero(mesh.boundary_edge)[0]
-    dirichlet = _edge_projection(cache, g, bedges, singularity).ravel()
-    free = dm.edges(np.arange(dm.total))[~mesh.boundary_edge].ravel()
-    S_rows = S[free]
-    return GlobalSystem(
-        A=S_rows[:, free].tocsr(),
-        b=b[free] - S_rows[:, dm.boundary_dofs] @ dirichlet,
-        C=C_parts,
-        y=y,
-        free=free,
-        dirichlet_values=dirichlet,
-        cache=cache,
-    )
+    return GlobalSystem(A, b, C_parts, y, free, known[dm.boundary_dofs], cache)
 
 
 def _preconditioner(system: GlobalSystem):

@@ -46,6 +46,8 @@ class Mesh:
             raise ValueError(f"vertex {int(np.argmin(finite))} is not finite")
         if raw.ndim != 2 or raw.shape[1] not in (3, 4):
             raise ValueError("elements must be an (ne, 3) or (ne, 4) array")
+        if raw.shape[0] == 0:
+            raise ValueError("mesh has no elements")
         if not np.issubdtype(raw.dtype, np.integer):
             raise ValueError(f"element vertex indices must be integers, got dtype {raw.dtype}")
         nv = self.vertices.shape[0]

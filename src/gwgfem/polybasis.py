@@ -207,18 +207,18 @@ def map_to_element(rule: QuadratureRule, verts) -> tuple[np.ndarray, np.ndarray]
 
 
 def map_to_edge(rule: QuadratureRule, p0, p1):
-    """Map an edge rule onto the segment p0 -> p1.
+    """Map an edge rule onto the segments p0 -> p1, p0 and p1 of shape (..., 2).
 
-    Returns (points, weights, t) with weights summing to the segment length
-    and t the reference coordinates (t = -1 at p0, t = +1 at p1).
+    Returns (points (..., n, 2), weights (..., n) summing to each segment's
+    length, t (n,)), t the reference coordinates (t = -1 at p0, t = +1 at p1).
     """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
+    p0 = np.asarray(p0, dtype=float)[..., None, :]
+    p1 = np.asarray(p1, dtype=float)[..., None, :]
     mid = (p0 + p1) / 2.0
     half = (p1 - p0) / 2.0
     t = rule.points
-    pts = mid + np.outer(t, half)
-    w = rule.weights * np.linalg.norm(half)
+    pts = mid + t[:, None] * half
+    w = rule.weights * np.linalg.norm(half, axis=-1)
     return pts, w, t
 
 

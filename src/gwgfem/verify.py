@@ -159,45 +159,40 @@ def error_function(case: ManufacturedCase, u_h: WeakFunction, cache: OperatorCac
     return qhu - u_h
 
 
-def _check_space(wf: WeakFunction, cache: OperatorCache) -> None:
-    """Raise ValueError unless wf lives on the mesh and signature of cache."""
+def _norm(wf: WeakFunction, cache: OperatorCache, local) -> float:
+    """(sum_T v_T^T Q_T v_T)^(1/2) over the local coefficient vectors v_T of wf.
+
+    local(ops, elems) gives a shape class's Q_T, one (n_loc, n_loc) matrix or
+    one per element.  Raises ValueError unless wf lives on cache's space.
+    """
     _cache_for(wf.dofmap.mesh, wf.dofmap.signature, cache)
+    table = cache.dofmap.element_dof_table
+    total = 0.0
+    for ops, elems in cache.classes():
+        v, Q = wf.coeffs[table[elems]], local(ops, elems)
+        Qv = v @ Q if Q.ndim == 2 else (v[:, None, :] @ Q)[:, 0]  # one Q, or one per element
+        total += float(np.sum(Qv * v))
+    return math.sqrt(max(total, 0.0))
 
 
 def energy_norm(wf: WeakFunction, params: SchemeParameters, cache: OperatorCache) -> float:
     """Scheme energy: (sum_T (a grad_g v, grad_g v)_T + s(v, v))^(1/2)."""
-    _check_space(wf, cache)
     _check_coefficient(params, cache.mesh)
-    dm = cache.dofmap
-    total = 0.0
-    for ops, elems in cache.classes():
-        vloc = wf.coeffs[dm.element_dof_table[elems]]
-        Kv = (vloc[:, None, :] @ _class_matrices(ops, elems, params))[:, 0]
-        total += float(np.sum(Kv * vloc))
-    return math.sqrt(max(total, 0.0))
+    return _norm(wf, cache, lambda ops, elems: _class_matrices(ops, elems, params))
 
 
 def l2_norm_e0(wf: WeakFunction, cache: OperatorCache) -> float:
     """L2 norm of the interior component over the domain."""
-    _check_space(wf, cache)
-    dm = cache.dofmap
     n0 = cache.signature.interior_dim
-    total = 0.0
-    for ops, elems in cache.classes():
-        v0 = wf.coeffs[dm.element_dof_table[elems, :n0]]
-        total += float(np.einsum("ei,ij,ej->", v0, ops.M0, v0))
-    return math.sqrt(max(total, 0.0))
+    return _norm(wf, cache, lambda ops, _: np.pad(ops.M0, (0, ops.n_loc - n0)))
 
 
 def edge_norm_eb(wf: WeakFunction, cache: OperatorCache) -> float:
     """(sum_T h_T ||v_b||^2 over the element boundary)^(1/2)."""
-    _check_space(wf, cache)
-    dm, n0 = cache.dofmap, cache.signature.interior_dim
-    total = 0.0
-    for ops, elems in cache.classes():
-        c = wf.coeffs[dm.element_dof_table[elems, n0:]].reshape(elems.size, ops.n_sides, -1)
-        total += ops.h_T * float(np.einsum("esi,si,esi->", c, ops.edge_mass, c))
-    return math.sqrt(max(total, 0.0))
+    n0 = cache.signature.interior_dim
+    return _norm(
+        wf, cache, lambda ops, _: np.diag(np.pad(ops.h_T * ops.edge_mass.ravel(), (n0, 0)))
+    )
 
 
 # ------------------------------------------------------------- studies

@@ -331,17 +331,15 @@ def _edge_projection(cache: OperatorCache, fn, edges, singularity=None) -> np.nd
     mesh, j = cache.mesh, cache.signature.j
     degree = max(2 * j, j + 4)  # exactness of both the plain and the graded rule
     rule, eb = edge_quadrature(degree), EdgeBasis(j)
-    p0 = mesh.vertices[mesh.edges[edges, 0]]
-    p1 = mesh.vertices[mesh.edges[edges, 1]]
-    t = rule.points[None, :, None]
-    pts = (p0 + p1)[:, None, :] / 2.0 + t * (p1 - p0)[:, None, :] / 2.0
+    ends = mesh.vertices[mesh.edges[edges]]
+    pts, _, _ = map_to_edge(rule, ends[:, 0], ends[:, 1])
     values = np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(edges.size, -1)
     # Legendre coefficients on the reference edge [-1, 1]
     out = ((values * rule.weights) @ eb.eval(rule.points)) / eb.mass_diagonal(2.0)
     for i, end in zip(*_touching(mesh, mesh.edges[edges], singularity)):
-        a, b = ends = mesh.vertices[mesh.edges[edges[i]]]
+        a, b = ends[i]
         length = float(np.linalg.norm(b - a))
-        pts, w = graded_rule(ends, end, degree, _grading_depth(singularity[1], length))
+        pts, w = graded_rule(ends[i], end, degree, _grading_depth(singularity[1], length))
         t = 2.0 * (pts - a) @ (b - a) / ((b - a) @ (b - a)) - 1.0  # Legendre coordinate
         out[i] = eb.eval(t).T @ (w * np.asarray(fn(pts), dtype=float)) / eb.mass_diagonal(length)
     return out

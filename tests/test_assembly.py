@@ -228,6 +228,15 @@ def test_scheme_parameters_validation():
         SchemeParameters(coefficient=[[1.0, 2.0], [2.0, 1.0]])  # indefinite
     with pytest.raises(ValueError):
         SchemeParameters(coefficient=np.ones((3, 2)))
+    nan_stack = np.tile(np.eye(2), (3, 1, 1))
+    nan_stack[1, 0, 0] = math.nan
+    for bad in [[[math.inf, 0.0], [0.0, 1.0]], [[math.nan, 0.0], [0.0, 1.0]], nan_stack]:
+        with pytest.raises(ValueError, match="coefficient must be finite"):
+            SchemeParameters(coefficient=bad)
+    # symmetry is measured relative to each tensor's largest entry
+    with pytest.raises(ValueError, match="must be symmetric"):
+        SchemeParameters(coefficient=1e-20 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+    SchemeParameters(coefficient=1e8 * np.array([[2.0, 1.0], [1.0 + 4e-15, 2.0]]))
     for bad in [{"rho": math.nan}, {"rho": math.inf}, {"gamma": math.nan}, {"gamma": -math.inf}]:
         with pytest.raises(ValueError, match="must be finite"):
             SchemeParameters(**bad)
@@ -322,13 +331,27 @@ def test_local_stiffness_anisotropic_matches_brute_force():
 
 
 @pytest.mark.parametrize(
-    "shape,k,j,ell,gamma",
-    [("tri", 0, 0, 0, 0.0), ("tri", 1, 0, 1, -1.0), ("rect", 2, 1, 2, 1.0)],
+    "shape,k,j,ell,gamma,per_element",
+    [
+        ("tri", 0, 0, 0, 0.0, False),
+        ("tri", 1, 0, 1, -1.0, False),
+        ("rect", 2, 1, 2, 1.0, False),
+        ("rect", 1, 1, 1, -1.0, True),
+    ],
+    ids=["tri-0-0-0-0.0", "tri-1-0-1--1.0", "rect-2-1-2-1.0", "rect-1-1-1--1.0-per_element"],
 )
-def test_global_system_matches_brute_force(shape, k, j, ell, gamma):
+def test_global_system_matches_brute_force(shape, k, j, ell, gamma, per_element):
     mesh = build_uniform_triangular(1) if shape == "tri" else build_uniform_rectangular(0)
     sig = WeakSpaceSignature(k, j, ell)
-    params = SchemeParameters(rho=1.0, gamma=gamma)
+    coefficient = None
+    if per_element:
+        # a different anisotropic SPD tensor on every element, and g != 0:
+        # the Dirichlet load S gb then runs on a per-element stack of S
+        t = np.linspace(0.0, 1.0, mesh.n_elements)
+        coefficient = np.stack(
+            [np.stack([1.0 + t, 0.5 * t], -1), np.stack([0.5 * t, 1.0 - 0.5 * t], -1)], -2
+        )
+    params = SchemeParameters(rho=1.0, gamma=gamma, coefficient=coefficient)
 
     def f(p):
         return 1.0 + p[:, 0] - 2.0 * p[:, 1]
@@ -354,13 +377,14 @@ def test_per_element_coefficient_matches_constant():
         return np.ones(p.shape[0])
 
     def g(p):
-        return np.zeros(p.shape[0])
+        return 1.0 + p[:, 0] ** 2 - p[:, 1]
 
     constant = assemble(mesh, sig, SchemeParameters(coefficient=a_mat), f, g)
     stacked = np.tile(a_mat, (mesh.n_elements, 1, 1))
     per_elem = assemble(mesh, sig, SchemeParameters(coefficient=stacked), f, g)
     diff = (constant.A - per_elem.A).toarray()
     assert np.abs(diff).max() <= 1e-13 * np.abs(constant.A.toarray()).max()
+    assert np.abs(constant.b - per_elem.b).max() <= 1e-13 * np.abs(constant.b).max()
 
 
 @pytest.mark.parametrize("shape", ["tri", "rect"])

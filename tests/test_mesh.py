@@ -189,6 +189,11 @@ def test_non_finite_vertex_rejected():
         Mesh([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]], [[0, 1, 2]])
 
 
+def test_mesh_without_elements_rejected():
+    with pytest.raises(ValueError, match="mesh has no elements"):
+        Mesh(np.zeros((0, 2)), np.zeros((0, 3), dtype=int))
+
+
 def test_non_integer_vertex_index_rejected():
     with pytest.raises(ValueError, match="must be integers"):
         Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2.7]])
