@@ -31,6 +31,7 @@ from .weakspace import (
 )
 from .assembly import (
     GlobalSystem,
+    NotConverged,
     SchemeParameters,
     SingularSystem,
     assemble,

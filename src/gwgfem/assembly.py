@@ -12,11 +12,15 @@ an element couple only to that element's edge coefficients, so assemble
 eliminates them element by element (static condensation).  solve runs
 conjugate gradients on the SPD system left on the free edge coefficients,
 preconditioned by a two-level auxiliary-space step (block Jacobi on the
-edges around a conforming P1/Q1 coarse correction, whose small matrix is
-the only one factored), then recovers u0 element by element.  rho = 0 (no
-stabilizer) is admitted; whether the resulting system is solvable then
-depends on the degree family, and a singular interior block or a singular
-edge system is reported as such instead of returning garbage.
+edges around a conforming P1/Q1 coarse correction), then recovers u0
+element by element.  The coarse correction is one l1-Jacobi V-cycle down
+the nested uniform grids, and only a coarsest grid of at most 4096
+unknowns is factored; on a general mesh the P1/Q1 matrix itself is.
+rho = 0 (no stabilizer) is admitted; whether the resulting system is
+solvable then depends on the degree family, and a singular interior block
+or a singular edge system is reported as such instead of returning
+garbage.  CG stopping at its iteration cap raises NotConverged, a
+SingularSystem that says the system did not converge.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .mesh import Mesh
+from .mesh import Mesh, _grid_prolongation
 from .weakspace import (
     OperatorCache,
     WeakFunction,
@@ -43,6 +47,7 @@ __all__ = [
     "SchemeParameters",
     "GlobalSystem",
     "SingularSystem",
+    "NotConverged",
     "assemble",
     "solve",
 ]
@@ -52,6 +57,9 @@ _RESIDUAL_RTOL = 1e-8
 _CG_RTOL = 1e-12
 _CG_MAXITER = 1000
 _OMEGA = 0.7  # block-Jacobi damping
+# largest coarse matrix that is factored; a larger one is solved by a V-cycle
+# down the builder's nested grids until a level is at most this size
+_COARSEST_LU = 4096
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,21 @@ class SingularSystem(RuntimeError):
         self.pivot = pivot
         self.level = None
         self.partial = None
+
+
+class NotConverged(SingularSystem):
+    """CG stopped at its iteration cap without reaching its tolerance.
+
+    The system need not be singular: a valid SPD system that converges too
+    slowly ends here too.  iterations is the number of CG steps taken and
+    ritz the (smallest, largest) Lanczos eigenvalue estimates of the
+    preconditioned operator over those steps.
+    """
+
+    def __init__(self, message: str, iterations: int, ritz: tuple):
+        super().__init__(message)
+        self.iterations = iterations
+        self.ritz = ritz
 
 
 @dataclass
@@ -271,7 +294,10 @@ def assemble(
         edofs = dm.element_dof_table[elems, n0:]
         rows = position[edofs]
         keep = rows >= 0
-        load = _mv(Wt, z) + _mv(S, known[edofs])
+        load = _mv(Wt, z)
+        # known is zero off the boundary: only elements with a boundary side move S gb
+        touch = np.flatnonzero(~keep.all(axis=1))
+        load[touch] += _mv(S if S.ndim == 2 else S[touch], known[edofs[touch]])
         b -= np.bincount(rows[keep], load[keep], minlength=free.size)
         # (row, column) pairs of the element's sides with both ends free
         nb_loc = rows.shape[1]
@@ -286,6 +312,57 @@ def assemble(
     return GlobalSystem(A, b, C_parts, y, free, known[dm.boundary_dofs], cache)
 
 
+def _coarse_levels(A, grid):
+    """Galerkin levels under the P1/Q1 matrix A, and the LU of the coarsest one.
+
+    While the current level has more than _COARSEST_LU unknowns and the
+    mesh builder's grid (None for a general mesh) halves, it becomes a level
+    (A_l, R_l, d_l) and A_(l+1) = R_l^T A_l R_l, R_l the nodal prolongation
+    from the halved grid and d_l the inverse l1 row sums of A_l.  The last
+    matrix reached is factored; with no level that is A itself.  Raises
+    SingularSystem when it is exactly singular.
+    """
+    levels = []
+    while A.shape[0] > _COARSEST_LU and (step := _grid_prolongation(grid)) is not None:
+        R, grid = step
+        levels.append((A, R, 1.0 / (abs(A) @ np.ones(A.shape[0]))))
+        A = R.T @ (A @ R)
+    try:
+        # minimum-degree ordering of A^T + A and no row pivoting: a symmetric
+        # permutation, so every pivot of the SPD coarse matrix stays positive
+        lu = spla.splu(
+            A.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as err:
+        raise SingularSystem(f"coarse auxiliary-space matrix is singular: {err}") from err
+    return levels, lu
+
+
+def _vcycle(levels, lu, r):
+    """One symmetric V(2,2)-cycle for A_0 e = r over _coarse_levels' output.
+
+    Two l1-Jacobi sweeps (Baker, Falgout, Kolev and Yang 2011) on the way
+    down, the coarsest LU, and two more sweeps on the way up with the same
+    diagonals, so the cycle is a symmetric operator; l1-Jacobi converges on
+    any SPD level without a damping constant.  With no level it is the LU.
+    """
+    down = []
+    for A, R, d in levels:
+        x = d * r
+        x += d * (r - A @ x)
+        down.append((r, x))
+        r = R.T @ (r - A @ x)
+    x = lu.solve(r)
+    for (A, R, d), (r, x_pre) in zip(reversed(levels), reversed(down)):
+        x = x_pre + R @ x
+        x += d * (r - A @ x)
+        x += d * (r - A @ x)
+    return x
+
+
 def _preconditioner(system: GlobalSystem):
     """One symmetric two-level auxiliary-space step for the edge system, as r -> z.
 
@@ -294,12 +371,16 @@ def _preconditioner(system: GlobalSystem):
     on the interior vertices, and a second sweep.  The transfer P sends the
     nodal values (a, b) at an edge's vertices edges[E, 0] and edges[E, 1] to
     the Legendre coefficients ((a + b)/2, (b - a)/2, 0, ...) of the linear
-    function between them; the coarse matrix P^T A P is factored once.  With
-    no interior vertex the coarse correction is skipped.
+    function between them.  The coarse system in P^T A P is solved by one
+    V-cycle (_vcycle) over the nested grids of the mesh builder, with an LU
+    only on a coarsest level of at most _COARSEST_LU unknowns; a general
+    mesh, an odd grid, or a P^T A P already that small gets a cycle with no
+    level, which is the exact LU of P^T A P.  With no interior vertex the
+    coarse correction is skipped.
 
     Raises SingularSystem when a diagonal block has a Cholesky pivot not
     above _PIVOT_RTOL times its largest diagonal entry (.pivot names that
-    edge coefficient), or when the coarse matrix is exactly singular.
+    edge coefficient), or when the coarsest matrix is exactly singular.
     """
     A, mesh = system.A, system.cache.mesh
     nb = system.cache.signature.edge_dim
@@ -333,30 +414,32 @@ def _preconditioner(system: GlobalSystem):
         keep = cols >= 0
         P = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(A.shape[0], n_coarse))
         AP = A @ P
-        try:
-            # minimum-degree ordering of A^T + A and no row pivoting: a symmetric
-            # permutation, so every pivot of the SPD coarse matrix stays positive
-            lu = spla.splu(
-                (P.T @ AP).tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError as err:
-            raise SingularSystem(f"coarse auxiliary-space matrix is singular: {err}") from err
-        coarse = P, AP, lu
+        coarse = P, AP, *_coarse_levels(P.T @ AP, mesh._grid)
 
     def apply(r):
         z = smoother @ r
         r = r - A @ z
         if coarse is not None:
-            P, AP, lu = coarse
-            e = lu.solve(P.T @ r)
+            P, AP, levels, lu = coarse
+            e = _vcycle(levels, lu, P.T @ r)
             z += P @ e
             r -= AP @ e
         return z + smoother @ r
 
     return apply
+
+
+def _ritz(alphas, betas):
+    """Extreme eigenvalues of the Lanczos tridiagonal matrix of CG's alpha_j, beta_j.
+
+    T = tridiag(sqrt(beta_j)/alpha_j, 1/alpha_j + beta_(j-1)/alpha_(j-1)),
+    from the first len(alphas) steps; returns (lam_min, lam_max).
+    """
+    alphas, betas = np.array(alphas), np.array(betas[: len(alphas) - 1])
+    diagonal = 1.0 / alphas
+    diagonal[1:] += betas / alphas[:-1]
+    ritz = eigvalsh_tridiagonal(diagonal, np.sqrt(betas) / alphas[:-1])
+    return ritz[0], ritz[-1]
 
 
 def _pcg(A, b, precondition):
@@ -367,8 +450,9 @@ def _pcg(A, b, precondition):
     values of the preconditioned operator from the Lanczos tridiagonal matrix
     that the CG coefficients define (NaN when b = 0 and no iteration runs).
     Raises SingularSystem when a curvature p.Ap or a preconditioned residual
-    product r.z is not positive, when _CG_MAXITER iterations do not
-    converge, or when lam_min is not above _PIVOT_RTOL * lam_max.
+    product r.z is not positive, or when lam_min is not above _PIVOT_RTOL *
+    lam_max, and its subclass NotConverged when _CG_MAXITER iterations do
+    not converge.
     """
     x = np.zeros_like(b)
     r = b.copy()
@@ -403,15 +487,15 @@ def _pcg(A, b, precondition):
         betas.append(rz / rz_old)
         p = z + betas[-1] * p
     else:
-        raise SingularSystem(
-            f"CG did not reach ||r|| <= {_CG_RTOL:g} ||b|| in {_CG_MAXITER} iterations"
+        lam_min, lam_max = _ritz(alphas, betas)
+        raise NotConverged(
+            f"CG did not converge: ||r|| = {np.linalg.norm(r):.3e} is above "
+            f"{_CG_RTOL:g} ||b|| after {iteration} iterations (extreme Ritz values of "
+            f"the preconditioned operator {lam_min:.3e} and {lam_max:.3e})",
+            iteration,
+            (lam_min, lam_max),
         )
-    # Lanczos: T = tridiag(sqrt(beta_j)/alpha_j, 1/alpha_j + beta_(j-1)/alpha_(j-1))
-    alphas, betas = np.array(alphas), np.array(betas)
-    diagonal = 1.0 / alphas
-    diagonal[1:] += betas / alphas[:-1]
-    ritz = eigvalsh_tridiagonal(diagonal, np.sqrt(betas) / alphas[:-1])
-    lam_min, lam_max = ritz[0], ritz[-1]
+    lam_min, lam_max = _ritz(alphas, betas)
     if not lam_min > _PIVOT_RTOL * lam_max:
         raise SingularSystem(
             f"edge system is numerically singular or not positive definite: the "
@@ -427,8 +511,13 @@ def solve(system: GlobalSystem) -> WeakFunction:
     The edge system is solved by conjugate gradients preconditioned with one
     symmetric two-level auxiliary-space step (Xu 1996): damped block Jacobi
     over the per-edge diagonal blocks around a coarse correction in the
-    conforming P1/Q1 space on the interior vertices, whose matrix alone is
-    factored (sparse LU).  CG stops at ||r|| <= 1e-12 ||b||.  The interior
+    conforming P1/Q1 space on the interior vertices.  That coarse system is
+    solved by one V-cycle with two l1-Jacobi sweeps before and after each
+    coarse step, over Galerkin levels on the nested grids of the mesh
+    builder, and only a coarsest level of at most _COARSEST_LU (4096)
+    unknowns is factored (sparse LU); on a general mesh, an odd grid or a
+    small one, the P1/Q1 matrix itself is factored.  CG stops at
+    ||r|| <= 1e-12 ||b||.  The interior
     coefficients are then recovered per shape class as u0 = y - C ub from
     the solved edge coefficients ub.  A zero load gives x = 0, but CG still
     runs once on a fixed-seed random right-hand side, its solution
@@ -438,12 +527,14 @@ def solve(system: GlobalSystem) -> WeakFunction:
     definite: a per-edge diagonal block whose Cholesky pivot is not above
     _PIVOT_RTOL times its largest diagonal entry (the one block pivot
     message, as for assemble's interior blocks; .pivot is that edge
-    coefficient's global index, one of system.free), a coarse matrix that is
-    exactly singular, a non-positive CG curvature or preconditioned residual
-    product, no convergence within _CG_MAXITER iterations, or a smallest
+    coefficient's global index, one of system.free), a coarsest matrix that
+    is exactly singular, a non-positive CG curvature or preconditioned
+    residual product, or a smallest
     Lanczos eigenvalue estimate not above _PIVOT_RTOL times the largest.  A
     solution whose residual ||A x - b|| exceeds _RESIDUAL_RTOL * ||b||
-    raises SingularSystem too.
+    raises SingularSystem too.  No convergence within _CG_MAXITER (1000)
+    iterations raises its subclass NotConverged, which says "did not
+    converge" and carries .iterations and the Lanczos extremes .ritz.
     """
     precondition = _preconditioner(system)
     if np.any(system.b):

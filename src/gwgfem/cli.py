@@ -7,8 +7,8 @@ Usage example:
 
 Configuration files (--config) hold 'key = value' lines with the same keys
 as the long flags; explicit flags win over file values.  Exit codes:
-0 success, 2 usage/configuration error, 3 singular system (partial results
-are still written), 4 output I/O error.
+0 success, 2 usage/configuration error, 3 singular system or CG not
+converged (partial results are still written), 4 output I/O error.
 """
 
 from __future__ import annotations

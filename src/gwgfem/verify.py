@@ -162,15 +162,23 @@ def error_function(case: ManufacturedCase, u_h: WeakFunction, cache: OperatorCac
 def _norm(wf: WeakFunction, cache: OperatorCache, local) -> float:
     """(sum_T v_T^T Q_T v_T)^(1/2) over the local coefficient vectors v_T of wf.
 
-    local(ops, elems) gives a shape class's Q_T, one (n_loc, n_loc) matrix or
-    one per element.  Raises ValueError unless wf lives on cache's space.
+    local(ops, elems) gives (block, Q): block, a slice of the local
+    coefficients, is the part v_T of them that Q_T reads, and Q_T is a
+    diagonal (one vector), one matrix, or one matrix per element.  Raises
+    ValueError unless wf lives on cache's space.
     """
     _cache_for(wf.dofmap.mesh, wf.dofmap.signature, cache)
     table = cache.dofmap.element_dof_table
     total = 0.0
     for ops, elems in cache.classes():
-        v, Q = wf.coeffs[table[elems]], local(ops, elems)
-        Qv = v @ Q if Q.ndim == 2 else (v[:, None, :] @ Q)[:, 0]  # one Q, or one per element
+        block, Q = local(ops, elems)
+        v = wf.coeffs[table[elems, block]]
+        if Q.ndim == 1:
+            Qv = v * Q
+        elif Q.ndim == 2:
+            Qv = v @ Q
+        else:
+            Qv = (v[:, None, :] @ Q)[:, 0]
         total += float(np.sum(Qv * v))
     return math.sqrt(max(total, 0.0))
 
@@ -178,21 +186,19 @@ def _norm(wf: WeakFunction, cache: OperatorCache, local) -> float:
 def energy_norm(wf: WeakFunction, params: SchemeParameters, cache: OperatorCache) -> float:
     """Scheme energy: (sum_T (a grad_g v, grad_g v)_T + s(v, v))^(1/2)."""
     _check_coefficient(params, cache.mesh)
-    return _norm(wf, cache, lambda ops, elems: _class_matrices(ops, elems, params))
+    return _norm(wf, cache, lambda ops, elems: (slice(None), _class_matrices(ops, elems, params)))
 
 
 def l2_norm_e0(wf: WeakFunction, cache: OperatorCache) -> float:
     """L2 norm of the interior component over the domain."""
     n0 = cache.signature.interior_dim
-    return _norm(wf, cache, lambda ops, _: np.pad(ops.M0, (0, ops.n_loc - n0)))
+    return _norm(wf, cache, lambda ops, _: (slice(None, n0), ops.M0))
 
 
 def edge_norm_eb(wf: WeakFunction, cache: OperatorCache) -> float:
     """(sum_T h_T ||v_b||^2 over the element boundary)^(1/2)."""
     n0 = cache.signature.interior_dim
-    return _norm(
-        wf, cache, lambda ops, _: np.diag(np.pad(ops.h_T * ops.edge_mass.ravel(), (n0, 0)))
-    )
+    return _norm(wf, cache, lambda ops, _: (slice(n0, None), ops.h_T * ops.edge_mass.ravel()))
 
 
 # ------------------------------------------------------------- studies

@@ -20,6 +20,7 @@ import scipy.sparse.linalg as spla
 
 from gwgfem import (
     Mesh,
+    NotConverged,
     OperatorCache,
     SchemeParameters,
     SingularSystem,
@@ -611,30 +612,94 @@ def test_solve_rejects_indefinite_matrix_with_positive_definite_blocks():
         solve(shifted)
 
 
+def _f(p):
+    return np.sin(p[:, 0] + 2.0 * p[:, 1])
+
+
+def _g(p):
+    return p[:, 0] * p[:, 1]
+
+
 @pytest.mark.parametrize(
     "shape,element,rho,labels,bound",
-    [("tri", (3, 4, 4), 1.0, (8, 16, 32, 64), 24), ("rect", (2, 1, 3), 0.0, (0, 1, 2, 3), 13)],
-    ids=["tri-3-4-4", "rect-2-1-3-rho0"],
+    [
+        ("tri", (3, 4, 4), 1.0, (8, 16, 32, 64), 24),
+        ("rect", (2, 1, 3), 0.0, (0, 1, 2, 3), 13),
+        ("tri", (0, 0, 0), 1.0, (32, 64, 128, 256), 22),
+    ],
+    ids=["tri-3-4-4", "rect-2-1-3-rho0", "tri-0-0-0"],
 )
 def test_cg_iterations_do_not_grow_with_refinement(shape, element, rho, labels, bound):
     # the two-level preconditioner makes the iteration count independent of
     # h (19 on tri and 9-10 on rect when this was written); block Jacobi
-    # alone would need about twice as many iterations per halving of h
-    def f(p):
-        return np.sin(p[:, 0] + 2.0 * p[:, 1])
-
-    def g(p):
-        return p[:, 0] * p[:, 1]
-
+    # alone would need about twice as many iterations per halving of h.
+    # (0, 0, 0) at 1/h = 128 and 256 has more than _COARSEST_LU P1 unknowns,
+    # so its coarse step is a V-cycle, not an LU (19 at every 1/h)
     build = build_uniform_triangular if shape == "tri" else build_uniform_rectangular
     sig, params = WeakSpaceSignature(*element), SchemeParameters(rho=rho)
     counts = []
     for label in labels:
-        system = assemble(build(label), sig, params, f, g)
+        system = assemble(build(label), sig, params, _f, _g)
         _, iterations, _ = assembly._pcg(system.A, system.b, assembly._preconditioner(system))
         counts.append(iterations)
     assert max(counts) <= bound, counts
     assert counts[-1] <= counts[0] + 1, counts
+
+
+def _count_levels(monkeypatch):
+    """Record how many V-cycle levels each _coarse_levels call builds."""
+    seen = []
+    build = assembly._coarse_levels
+
+    def spy(A, grid):
+        levels, lu = build(A, grid)
+        seen.append(len(levels))
+        return levels, lu
+
+    monkeypatch.setattr(assembly, "_coarse_levels", spy)
+    return seen
+
+
+def test_multilevel_preconditioner_is_symmetric(monkeypatch):
+    # 127^2 P1 unknowns exceed _COARSEST_LU: the coarse step is a V-cycle,
+    # and with equal pre- and post-smoothing it keeps B symmetric for CG
+    seen = _count_levels(monkeypatch)
+    system = assemble(
+        build_uniform_triangular(128), WeakSpaceSignature(0, 0, 0), SchemeParameters(), _f, _g
+    )
+    B = assembly._preconditioner(system)
+    assert seen == [1]
+    r1, r2 = np.random.default_rng(4).standard_normal((2, system.b.size))
+    scale = math.sqrt((r1 @ B(r1)) * (r2 @ B(r2)))
+    assert abs(r2 @ B(r1) - r1 @ B(r2)) <= 1e-12 * scale
+
+
+def test_general_mesh_takes_the_single_lu_path(monkeypatch):
+    # the same grid as a plain Mesh records no hierarchy: its P1 matrix is
+    # factored whole, and both paths solve to the same answer
+    seen = _count_levels(monkeypatch)
+    built = build_uniform_triangular(128)
+    sig = WeakSpaceSignature(0, 0, 0)
+    solutions = []
+    for mesh in (built, Mesh(built.vertices, built.elements)):
+        system = assemble(mesh, sig, SchemeParameters(), _f, _g)
+        x, iterations, _ = assembly._pcg(system.A, system.b, assembly._preconditioner(system))
+        assert iterations <= 20
+        solutions.append(x)
+    assert seen == [1, 0]
+    assert np.linalg.norm(solutions[1] - solutions[0]) <= 1e-9 * np.linalg.norm(solutions[0])
+
+
+def test_cg_cap_raises_not_converged(monkeypatch):
+    # a valid SPD system stopped at the iteration cap is reported as not
+    # converged, with the steps taken and their Lanczos estimates
+    monkeypatch.setattr(assembly, "_CG_MAXITER", 2)
+    with pytest.raises(NotConverged, match="did not converge") as err:
+        solve(_small_system())
+    assert isinstance(err.value, SingularSystem)
+    assert err.value.iterations == 2
+    lam_min, lam_max = err.value.ritz
+    assert np.isfinite([lam_min, lam_max]).all() and 0 < lam_min <= lam_max
 
 
 def test_zero_data_gives_zero_solution():

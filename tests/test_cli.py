@@ -9,6 +9,7 @@ from dataclasses import MISSING, fields
 
 import pytest
 
+from gwgfem import assembly
 from gwgfem.cli import (
     _KEYS,
     CSV_HEADER,
@@ -303,6 +304,18 @@ def test_singular_run_exits_3_with_partial_csv(tmp_path):
     assert "level 2" in stderr.getvalue()
     lines = out.read_text().strip().split("\n")
     assert lines[0] == CSV_HEADER and len(lines) == 1  # failed on the first level
+
+
+def test_unconverged_run_exits_3(tmp_path, monkeypatch):
+    # CG stopped at its cap is not a singular system, but the study still
+    # cannot go on: the exit code stays 3 and the message says what happened
+    monkeypatch.setattr(assembly, "_CG_MAXITER", 2)
+    out = tmp_path / "unconverged.csv"
+    config = parse(["--element", "1,1,1", "--levels", "2,4", "--output", str(out)])
+    stdout, stderr = io.StringIO(), io.StringIO()
+    assert run(config, stdout=stdout, stderr=stderr) == 3
+    assert "level 2" in stderr.getvalue() and "did not converge" in stderr.getvalue()
+    assert out.read_text().strip().split("\n") == [CSV_HEADER]
 
 
 def test_unwritable_output_exits_4(tmp_path):

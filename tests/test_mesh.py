@@ -5,6 +5,7 @@ import pytest
 from gwgfem import OperatorCache, WeakSpaceSignature
 from gwgfem.mesh import (
     Mesh,
+    _grid_prolongation,
     build_uniform_rectangular,
     build_uniform_triangular,
 )
@@ -295,3 +296,59 @@ def test_refinement_nests_vertices():
     fine_set = {tuple(np.round(p, 12)) for p in fine.vertices}
     for p in coarse.vertices:
         assert tuple(np.round(p, 12)) in fine_set
+
+
+def _interior_vertices(mesh):
+    interior = np.ones(mesh.n_vertices, dtype=bool)
+    interior[mesh.edges[mesh.boundary_edge]] = False
+    return np.flatnonzero(interior)
+
+
+def _evaluate_coarse_function(coarse, values, points):
+    """Brute force: the coarse P1 (triangles) or Q1 (rectangles) function at points."""
+    out = np.full(len(points), np.nan)
+    for cycle in coarse.elements:
+        v = coarse.vertices[cycle]
+        if len(cycle) == 3:
+            # barycentric coordinates from the affine map of the triangle
+            T = np.column_stack([v[1] - v[0], v[2] - v[0]])
+            st = np.linalg.solve(T, (points - v[0]).T).T
+            lam = np.column_stack([1.0 - st.sum(axis=1), st])
+        else:
+            # bilinear on the axis-aligned rectangle [v0, v2]
+            s, t = ((points - v[0]) / (v[2] - v[0])).T
+            lam = np.column_stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t])
+        inside = (lam >= -1e-12).all(axis=1)
+        out[inside] = lam[inside] @ values[cycle]
+    return out
+
+
+@pytest.mark.parametrize(
+    "fine,coarse",
+    [
+        (build_uniform_triangular(8), build_uniform_triangular(4)),
+        (build_uniform_triangular(16), build_uniform_triangular(8)),
+        (build_uniform_rectangular(1), build_uniform_rectangular(0)),
+        (build_uniform_rectangular(2), build_uniform_rectangular(1)),
+    ],
+    ids=["tri-8", "tri-16", "rect-1", "rect-2"],
+)
+def test_grid_prolongation_interpolates_the_coarse_function(fine, coarse):
+    R, grid = _grid_prolongation(fine._grid)
+    assert grid == coarse._grid
+    fine_interior, coarse_interior = _interior_vertices(fine), _interior_vertices(coarse)
+    assert R.shape == (fine_interior.size, coarse_interior.size)
+    values = np.zeros(coarse.n_vertices)  # zero on the boundary
+    values[coarse_interior] = np.random.default_rng(3).standard_normal(coarse_interior.size)
+    expected = _evaluate_coarse_function(coarse, values, fine.vertices[fine_interior])
+    assert np.abs(R @ values[coarse_interior] - expected).max() <= 1e-14
+
+
+def test_grid_prolongation_stops_at_odd_or_small_sides():
+    built = build_uniform_triangular(8)
+    assert Mesh(built.vertices, built.elements)._grid is None
+    assert _grid_prolongation(None) is None
+    assert _grid_prolongation(build_uniform_triangular(6)._grid) is not None
+    assert _grid_prolongation(build_uniform_triangular(7)._grid) is None
+    assert _grid_prolongation(build_uniform_triangular(2)._grid) is None
+    assert _grid_prolongation(build_uniform_rectangular(0)._grid) is None  # 3 x 2 cells
