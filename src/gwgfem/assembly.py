@@ -11,16 +11,12 @@ for all v in the homogeneous weak space.  The interior coefficients u0 of
 an element couple only to that element's edge coefficients, so assemble
 eliminates them element by element (static condensation).  solve runs
 conjugate gradients on the SPD system left on the free edge coefficients,
-preconditioned by a two-level auxiliary-space step (block Jacobi on the
-edges around a conforming P1/Q1 coarse correction), then recovers u0
-element by element.  The coarse correction is one l1-Jacobi V-cycle down
-the nested uniform grids, and only a coarsest grid of at most 4096
-unknowns is factored; on a general mesh the P1/Q1 matrix itself is.
-rho = 0 (no stabilizer) is admitted; whether the resulting system is
-solvable then depends on the degree family, and a singular interior block
-or a singular edge system is reported as such instead of returning
-garbage.  CG stopping at its iteration cap raises NotConverged, a
-SingularSystem that says the system did not converge.
+preconditioned by one auxiliary-space V-cycle (see _preconditioner), then
+recovers u0 element by element.  rho = 0 (no stabilizer) is admitted;
+whether the resulting system is solvable then depends on the degree family,
+and a singular interior block or a singular edge system is reported as such
+instead of returning garbage.  CG stopping at its iteration cap raises
+NotConverged, a SingularSystem that says the system did not converge.
 """
 
 from __future__ import annotations
@@ -57,8 +53,8 @@ _RESIDUAL_RTOL = 1e-8
 _CG_RTOL = 1e-12
 _CG_MAXITER = 1000
 _OMEGA = 0.7  # block-Jacobi damping
-# largest coarse matrix that is factored; a larger one is solved by a V-cycle
-# down the builder's nested grids until a level is at most this size
+# largest matrix below level 0 that is factored; a larger one becomes a
+# V-cycle level when the builder's grid halves
 _COARSEST_LU = 4096
 
 
@@ -246,10 +242,11 @@ def assemble(
     -K0b^T K00^-1 F0 - S gb to b, gb its edge coefficients of Qb g (zero on
     interior edges).  No matrix larger than A is formed.
 
-    f and g must be vectorized ((n, 2) points -> (n,) values).  singularity,
-    if given, is a (point, strength) pair; load moments on elements touching
-    the point, and boundary values on edges touching it, are integrated with
-    rules graded toward it.
+    f and g must be vectorized ((n, 2) points -> (n,) finite values); any
+    other shape, NaN or infinity raises ValueError naming the function.
+    singularity, if given, is a (point, strength) pair; load moments on
+    elements touching the point, and boundary values on edges touching it,
+    are integrated with rules graded toward it.
 
     Raises SingularSystem when K00 of some element is singular or not
     positive definite (a Cholesky pivot not above _PIVOT_RTOL times the
@@ -312,71 +309,26 @@ def assemble(
     return GlobalSystem(A, b, C_parts, y, free, known[dm.boundary_dofs], cache)
 
 
-def _coarse_levels(A, grid):
-    """Galerkin levels under the P1/Q1 matrix A, and the LU of the coarsest one.
-
-    While the current level has more than _COARSEST_LU unknowns and the
-    mesh builder's grid (None for a general mesh) halves, it becomes a level
-    (A_l, R_l, d_l) and A_(l+1) = R_l^T A_l R_l, R_l the nodal prolongation
-    from the halved grid and d_l the inverse l1 row sums of A_l.  The last
-    matrix reached is factored; with no level that is A itself.  Raises
-    SingularSystem when it is exactly singular.
-    """
-    levels = []
-    while A.shape[0] > _COARSEST_LU and (step := _grid_prolongation(grid)) is not None:
-        R, grid = step
-        levels.append((A, R, 1.0 / (abs(A) @ np.ones(A.shape[0]))))
-        A = R.T @ (A @ R)
-    try:
-        # minimum-degree ordering of A^T + A and no row pivoting: a symmetric
-        # permutation, so every pivot of the SPD coarse matrix stays positive
-        lu = spla.splu(
-            A.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as err:
-        raise SingularSystem(f"coarse auxiliary-space matrix is singular: {err}") from err
-    return levels, lu
-
-
-def _vcycle(levels, lu, r):
-    """One symmetric V(2,2)-cycle for A_0 e = r over _coarse_levels' output.
-
-    Two l1-Jacobi sweeps (Baker, Falgout, Kolev and Yang 2011) on the way
-    down, the coarsest LU, and two more sweeps on the way up with the same
-    diagonals, so the cycle is a symmetric operator; l1-Jacobi converges on
-    any SPD level without a damping constant.  With no level it is the LU.
-    """
-    down = []
-    for A, R, d in levels:
-        x = d * r
-        x += d * (r - A @ x)
-        down.append((r, x))
-        r = R.T @ (r - A @ x)
-    x = lu.solve(r)
-    for (A, R, d), (r, x_pre) in zip(reversed(levels), reversed(down)):
-        x = x_pre + R @ x
-        x += d * (r - A @ x)
-        x += d * (r - A @ x)
-    return x
-
-
 def _preconditioner(system: GlobalSystem):
-    """One symmetric two-level auxiliary-space step for the edge system, as r -> z.
+    """One symmetric auxiliary-space V-cycle for the edge system, as r -> z.
 
-    A damped block-Jacobi sweep over the per-edge diagonal blocks, a coarse
-    correction in the conforming P1 (triangles) or Q1 (parallelograms) space
-    on the interior vertices, and a second sweep.  The transfer P sends the
-    nodal values (a, b) at an edge's vertices edges[E, 0] and edges[E, 1] to
+    This is the auxiliary-space multigrid of Xu (1996) and Chen, Wang, Wang
+    and Ye (2015).  Level 0 is the edge system A itself, smoothed by one
+    sweep of damped block Jacobi, omega D^-1 with D the per-edge diagonal
+    blocks.  Its transfer P maps the conforming P1 (triangles) or Q1
+    (parallelograms) space on the interior vertices to the edges: the nodal
+    values (a, b) at an edge's vertices edges[E, 0] and edges[E, 1] go to
     the Legendre coefficients ((a + b)/2, (b - a)/2, 0, ...) of the linear
-    function between them.  The coarse system in P^T A P is solved by one
-    V-cycle (_vcycle) over the nested grids of the mesh builder, with an LU
-    only on a coarsest level of at most _COARSEST_LU unknowns; a general
-    mesh, an odd grid, or a P^T A P already that small gets a cycle with no
-    level, which is the exact LU of P^T A P.  With no interior vertex the
-    coarse correction is skipped.
+    function between them.  While the Galerkin matrix R^T A R below a level
+    (R = P below level 0) has more than _COARSEST_LU unknowns and the mesh
+    builder's grid halves, it becomes the next level, smoothed by two sweeps
+    of l1 Jacobi (diagonal sum_j |a_ij|; Baker, Falgout, Kolev and Yang
+    2011) with R the nodal prolongation from the halved grid.  The last
+    matrix is factored (sparse LU): P^T A P itself on a general mesh, an odd
+    grid or a small one, and an empty matrix when there is no interior
+    vertex.  Each level smooths on the way down and, with the same smoother
+    and sweep count, on the way up, so the cycle is a symmetric operator
+    that needs no damping constant below level 0.
 
     Raises SingularSystem when a diagonal block has a Cholesky pivot not
     above _PIVOT_RTOL times its largest diagonal entry (.pivot names that
@@ -402,31 +354,57 @@ def _preconditioner(system: GlobalSystem):
     interior = np.ones(mesh.n_vertices, dtype=bool)
     interior[mesh.edges[mesh.boundary_edge]] = False
     n_coarse = int(np.count_nonzero(interior))
-    coarse = None
-    if n_coarse:
-        vertex = np.full(mesh.n_vertices, -1)
-        vertex[interior] = np.arange(n_coarse)
-        ends = vertex[mesh.edges[~mesh.boundary_edge]]  # (n_blocks, 2), -1 on the boundary
-        weights = np.array([[0.5, 0.5], [-0.5, 0.5]])[: min(nb, 2)]
-        rows, cols, vals = np.broadcast_arrays(
-            index[:, : len(weights), None], ends[:, None, :], weights
+    vertex = np.full(mesh.n_vertices, -1)
+    vertex[interior] = np.arange(n_coarse)
+    ends = vertex[mesh.edges[~mesh.boundary_edge]]  # (n_blocks, 2), -1 on the boundary
+    weights = np.array([[0.5, 0.5], [-0.5, 0.5]])[: min(nb, 2)]
+    rows, cols, vals = np.broadcast_arrays(
+        index[:, : len(weights), None], ends[:, None, :], weights
+    )
+    keep = cols >= 0
+    R = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(A.shape[0], n_coarse))
+
+    levels, sweeps, grid = [], 1, mesh._grid
+    while True:
+        # R^T stored as CSR restricts faster than scipy's transpose view of R
+        Rt, AR = R.T.tocsr(), A @ R
+        levels.append((A, smoother, sweeps, R, Rt, AR))
+        A = Rt @ AR
+        if A.shape[0] <= _COARSEST_LU or (step := _grid_prolongation(grid)) is None:
+            break
+        R, grid = step
+        smoother, sweeps = sp.diags(1.0 / (abs(A) @ np.ones(A.shape[0])), format="csr"), 2
+    try:
+        # minimum-degree ordering of A^T + A and no row pivoting: a symmetric
+        # permutation, so every pivot of the SPD coarse matrix stays positive
+        lu = spla.splu(
+            A.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
         )
-        keep = cols >= 0
-        P = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(A.shape[0], n_coarse))
-        AP = A @ P
-        coarse = P, AP, *_coarse_levels(P.T @ AP, mesh._grid)
+    except RuntimeError as err:
+        raise SingularSystem(f"coarse auxiliary-space matrix is singular: {err}") from err
 
-    def apply(r):
-        z = smoother @ r
-        r = r - A @ z
-        if coarse is not None:
-            P, AP, levels, lu = coarse
-            e = _vcycle(levels, lu, P.T @ r)
-            z += P @ e
-            r -= AP @ e
-        return z + smoother @ r
+    def cycle(r):
+        down = []  # (r, x, r - A x) after pre-smoothing, per level
+        for A, smoother, sweeps, _, Rt, _ in levels:
+            x = smoother @ r
+            for _ in range(sweeps - 1):
+                x += smoother @ (r - A @ x)
+            res = r - A @ x
+            down.append((r, x, res))
+            r = Rt @ res
+        e = lu.solve(r)
+        for (A, smoother, sweeps, R, _, AR), (r, x, res) in zip(reversed(levels), reversed(down)):
+            x += R @ e
+            x += smoother @ (res - AR @ e)  # r - A (x + R e), with A R kept
+            for _ in range(sweeps - 1):
+                x += smoother @ (r - A @ x)
+            e = x
+        return e
 
-    return apply
+    return cycle
 
 
 def _ritz(alphas, betas):
@@ -509,15 +487,8 @@ def solve(system: GlobalSystem) -> WeakFunction:
     """Solve the condensed edge system; returns the full weak function u_h.
 
     The edge system is solved by conjugate gradients preconditioned with one
-    symmetric two-level auxiliary-space step (Xu 1996): damped block Jacobi
-    over the per-edge diagonal blocks around a coarse correction in the
-    conforming P1/Q1 space on the interior vertices.  That coarse system is
-    solved by one V-cycle with two l1-Jacobi sweeps before and after each
-    coarse step, over Galerkin levels on the nested grids of the mesh
-    builder, and only a coarsest level of at most _COARSEST_LU (4096)
-    unknowns is factored (sparse LU); on a general mesh, an odd grid or a
-    small one, the P1/Q1 matrix itself is factored.  CG stops at
-    ||r|| <= 1e-12 ||b||.  The interior
+    symmetric auxiliary-space V-cycle (_preconditioner), which factors only
+    its coarsest matrix.  CG stops at ||r|| <= 1e-12 ||b||.  The interior
     coefficients are then recovered per shape class as u0 = y - C ub from
     the solved edge coefficients ub.  A zero load gives x = 0, but CG still
     runs once on a fixed-seed random right-hand side, its solution

@@ -301,6 +301,29 @@ def _element_rule_degree(signature: WeakSpaceSignature) -> int:
     return max(2 * max(signature.k, signature.m), signature.k + 4)
 
 
+def _values(fn, pts) -> np.ndarray:
+    """fn at the (n, 2) points pts, checked to be n finite values.
+
+    Raises ValueError, naming fn, when it returns another shape or a value
+    that is NaN or infinite.
+    """
+    values = np.asarray(fn(pts), dtype=float)
+    name = getattr(fn, "__name__", repr(fn))
+    if values.shape != (len(pts),):
+        raise ValueError(
+            f"function {name} must return one value per point: it returned shape "
+            f"{values.shape} for {len(pts)} points"
+        )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        x, y = pts[bad[0]]
+        raise ValueError(
+            f"function {name} returned {values[bad[0]]} at ({x:.6g}, {y:.6g}); "
+            f"{bad.size} of {len(pts)} values are not finite"
+        )
+    return values
+
+
 def _interior_moments(cache: OperatorCache, fn, singularity=None) -> np.ndarray:
     """(fn, phi_i)_T against the P_k basis of every element, shape (n_elements, n0).
 
@@ -311,7 +334,7 @@ def _interior_moments(cache: OperatorCache, fn, singularity=None) -> np.ndarray:
     out = np.empty((mesh.n_elements, cache.signature.interior_dim))
     for ops, elems in cache.classes():
         pts = cache.centroids[elems][:, None, :] + ops.offsets[None, :, :]
-        values = np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(elems.size, -1)
+        values = _values(fn, pts.reshape(-1, 2)).reshape(elems.size, -1)
         out[elems] = (values * ops.weights) @ ops.phi0
     for e, corner in zip(*_touching(mesh, mesh.elements, singularity)):
         ops = cache.shape_ops(e)
@@ -319,7 +342,7 @@ def _interior_moments(cache: OperatorCache, fn, singularity=None) -> np.ndarray:
         verts = mesh.vertices[mesh.elements[e]]
         pts, w = graded_rule(verts, corner, _element_rule_degree(cache.signature), depth)
         phi = ops.basis.eval(pts - cache.centroids[e])[:, : out.shape[1]]
-        out[e] = phi.T @ (w * np.asarray(fn(pts), dtype=float))
+        out[e] = phi.T @ (w * _values(fn, pts))
     return out
 
 
@@ -333,7 +356,7 @@ def _edge_projection(cache: OperatorCache, fn, edges, singularity=None) -> np.nd
     rule, eb = edge_quadrature(degree), EdgeBasis(j)
     ends = mesh.vertices[mesh.edges[edges]]
     pts, _, _ = map_to_edge(rule, ends[:, 0], ends[:, 1])
-    values = np.asarray(fn(pts.reshape(-1, 2)), dtype=float).reshape(edges.size, -1)
+    values = _values(fn, pts.reshape(-1, 2)).reshape(edges.size, -1)
     # Legendre coefficients on the reference edge [-1, 1]
     out = ((values * rule.weights) @ eb.eval(rule.points)) / eb.mass_diagonal(2.0)
     for i, end in zip(*_touching(mesh, mesh.edges[edges], singularity)):
@@ -341,7 +364,7 @@ def _edge_projection(cache: OperatorCache, fn, edges, singularity=None) -> np.nd
         length = float(np.linalg.norm(b - a))
         pts, w = graded_rule(ends[i], end, degree, _grading_depth(singularity[1], length))
         t = 2.0 * (pts - a) @ (b - a) / ((b - a) @ (b - a)) - 1.0  # Legendre coordinate
-        out[i] = eb.eval(t).T @ (w * np.asarray(fn(pts), dtype=float)) / eb.mass_diagonal(length)
+        out[i] = eb.eval(t).T @ (w * _values(fn, pts)) / eb.mass_diagonal(length)
     return out
 
 
@@ -355,10 +378,11 @@ def project_Qh(
 ) -> WeakFunction:
     """Project a scalar field into the weak space: Qh u = {Q0 u, Qb u}.
 
-    fn must be vectorized: (n, 2) points -> (n,) values.  singularity, if
-    given, is a (point, strength) pair; integrals over elements and edges
-    touching the point are computed with rules graded toward it.  A cache
-    built for another mesh or signature raises ValueError.
+    fn must be vectorized: (n, 2) points -> (n,) finite values; any other
+    shape, NaN or infinity raises ValueError.  singularity, if given, is a
+    (point, strength) pair; integrals over elements and edges touching the
+    point are computed with rules graded toward it.  A cache built for
+    another mesh or signature raises ValueError.
     """
     cache = _cache_for(mesh, signature, cache)
     dm = cache.dofmap

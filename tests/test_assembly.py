@@ -647,31 +647,35 @@ def test_cg_iterations_do_not_grow_with_refinement(shape, element, rho, labels, 
 
 
 def _count_levels(monkeypatch):
-    """Record how many V-cycle levels each _coarse_levels call builds."""
+    """Record, per _grid_prolongation call, whether it gave a V-cycle level (1) or not (0)."""
     seen = []
-    build = assembly._coarse_levels
+    prolong = assembly._grid_prolongation
 
-    def spy(A, grid):
-        levels, lu = build(A, grid)
-        seen.append(len(levels))
-        return levels, lu
+    def spy(grid):
+        step = prolong(grid)
+        seen.append(int(step is not None))
+        return step
 
-    monkeypatch.setattr(assembly, "_coarse_levels", spy)
+    monkeypatch.setattr(assembly, "_grid_prolongation", spy)
     return seen
 
 
 def test_multilevel_preconditioner_is_symmetric(monkeypatch):
-    # 127^2 P1 unknowns exceed _COARSEST_LU: the coarse step is a V-cycle,
-    # and with equal pre- and post-smoothing it keeps B symmetric for CG
+    # 127^2 P1 unknowns (tri 128) and 95 x 63 Q1 unknowns (rect level 5, no
+    # stabilizer) exceed _COARSEST_LU: each cycle has one level below P^T A P,
+    # and equal pre- and post-smoothing keep B symmetric for CG
     seen = _count_levels(monkeypatch)
-    system = assemble(
-        build_uniform_triangular(128), WeakSpaceSignature(0, 0, 0), SchemeParameters(), _f, _g
-    )
-    B = assembly._preconditioner(system)
-    assert seen == [1]
-    r1, r2 = np.random.default_rng(4).standard_normal((2, system.b.size))
-    scale = math.sqrt((r1 @ B(r1)) * (r2 @ B(r2)))
-    assert abs(r2 @ B(r1) - r1 @ B(r2)) <= 1e-12 * scale
+    for mesh, element, rho in (
+        (build_uniform_triangular(128), (0, 0, 0), 1.0),
+        (build_uniform_rectangular(5), (2, 1, 3), 0.0),
+    ):
+        system = assemble(mesh, WeakSpaceSignature(*element), SchemeParameters(rho=rho), _f, _g)
+        B = assembly._preconditioner(system)
+        assert seen == [1]
+        seen.clear()
+        r1, r2 = np.random.default_rng(4).standard_normal((2, system.b.size))
+        scale = math.sqrt((r1 @ B(r1)) * (r2 @ B(r2)))
+        assert abs(r2 @ B(r1) - r1 @ B(r2)) <= 1e-12 * scale
 
 
 def test_general_mesh_takes_the_single_lu_path(monkeypatch):
@@ -688,6 +692,62 @@ def test_general_mesh_takes_the_single_lu_path(monkeypatch):
         solutions.append(x)
     assert seen == [1, 0]
     assert np.linalg.norm(solutions[1] - solutions[0]) <= 1e-9 * np.linalg.norm(solutions[0])
+
+
+def _block_jacobi(A, nb):
+    """Dense omega D^-1, D the nb x nb diagonal blocks of the dense matrix A."""
+    S = np.zeros_like(A)
+    for i in range(0, A.shape[0], nb):
+        S[i : i + nb, i : i + nb] = assembly._OMEGA * np.linalg.inv(A[i : i + nb, i : i + nb])
+    return S
+
+
+@pytest.mark.parametrize("element", [(0, 0, 0), (1, 2, 2)])
+def test_preconditioner_is_the_two_level_step_on_a_general_mesh(element):
+    # a general Mesh has no grid hierarchy, so the cycle is one smoothing
+    # sweep, an exact solve in P1 and a second sweep:
+    # B = 2 S - S A S + (I - S A) P A_c^-1 P^T (I - A S).  Column v of P is
+    # Qb of the hat function of interior vertex v, projected independently
+    built = build_uniform_triangular(8)
+    mesh = Mesh(built.vertices, built.elements)
+    sig = WeakSpaceSignature(*element)
+    system = assemble(mesh, sig, SchemeParameters(), _f, _g)
+    A = system.A.toarray()
+    S = _block_jacobi(A, sig.edge_dim)
+
+    def hat(v):
+        # P1 hat function of vertex v on the grid with spacing 1/8, cut by
+        # the lower-left to upper-right diagonals
+        def phi(p):
+            s, t = ((p - mesh.vertices[v]) * 8).T
+            return np.maximum(0.0, 1.0 - np.maximum(np.maximum(abs(s), abs(t)), abs(s - t)))
+
+        return phi
+
+    interior = np.flatnonzero(np.all((mesh.vertices > 0) & (mesh.vertices < 1), axis=1))
+    P = np.column_stack(
+        [project_Qh(hat(v), mesh, sig, cache=system.cache).coeffs[system.free] for v in interior]
+    )
+    I = np.eye(A.shape[0])
+    B = 2 * S - S @ A @ S + (I - S @ A) @ P @ np.linalg.solve(P.T @ A @ P, P.T @ (I - A @ S))
+    r = np.random.default_rng(5).standard_normal(A.shape[0])
+    z = assembly._preconditioner(system)(r)
+    assert np.linalg.norm(z - B @ r) <= 1e-12 * np.linalg.norm(B @ r)
+
+
+def test_preconditioner_without_interior_vertex_is_two_smoothing_sweeps():
+    # tri 1 has one interior edge and no interior vertex: the coarse space
+    # is empty and B = 2 S - S A S; with that edge's block the whole of A,
+    # S = omega A^-1 and B = (2 omega - omega^2) A^-1
+    system = assemble(
+        build_uniform_triangular(1), WeakSpaceSignature(1, 1, 1), SchemeParameters(), _f, _g
+    )
+    A = system.A.toarray()
+    omega = assembly._OMEGA
+    r = np.random.default_rng(6).standard_normal(A.shape[0])
+    z = assembly._preconditioner(system)(r)
+    expected = (2 * omega - omega**2) * np.linalg.solve(A, r)
+    assert np.linalg.norm(z - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def test_cg_cap_raises_not_converged(monkeypatch):
@@ -830,6 +890,62 @@ def test_singularity_decisions_are_affine_invariant(mesh, element, rho, fails_in
             except SingularSystem:
                 failed = "solve"
         assert failed == fails_in
+
+
+def _non_finite_near_origin(radius, value):
+    """A data function equal to 1, or to value within radius of the origin."""
+
+    def data(p):
+        return np.where(np.hypot(p[:, 0], p[:, 1]) < radius, value, 1.0)
+
+    return data
+
+
+# every plain-rule point on tri 4 lies within 2 of the origin; only a rule
+# graded toward the corner comes within 1e-3 of it
+_PLAIN_AND_GRADED = pytest.mark.parametrize(
+    "radius,singularity", [(2.0, None), (1e-3, (np.array([0.0, 0.0]), 0.5))], ids=["plain", "graded"]
+)
+
+
+@_PLAIN_AND_GRADED
+def test_nan_load_is_rejected(radius, singularity):
+    # a NaN load would assemble a NaN system, and solve would then blame the matrix
+    f = _non_finite_near_origin(radius, np.nan)
+    with pytest.raises(ValueError, match="function data returned nan"):
+        assemble(
+            build_uniform_triangular(4),
+            WeakSpaceSignature(1, 1, 1),
+            SchemeParameters(),
+            f,
+            _g,
+            singularity=singularity,
+        )
+
+
+@_PLAIN_AND_GRADED
+def test_infinite_boundary_data_is_rejected(radius, singularity):
+    g = _non_finite_near_origin(radius, np.inf)
+    with pytest.raises(ValueError, match="function data returned inf"):
+        assemble(
+            build_uniform_triangular(4),
+            WeakSpaceSignature(1, 1, 1),
+            SchemeParameters(),
+            _f,
+            g,
+            singularity=singularity,
+        )
+
+
+def test_scalar_load_is_rejected():
+    # a constant written as a scalar is not one value per point
+    def one(p):
+        return 1.0
+
+    with pytest.raises(ValueError, match="function one must return one value per point"):
+        assemble(
+            build_uniform_triangular(4), WeakSpaceSignature(1, 1, 1), SchemeParameters(), one, _g
+        )
 
 
 def test_cache_must_match_mesh_and_signature():

@@ -206,6 +206,16 @@ def test_project_qh_reproduces_low_degree():
         np.testing.assert_allclose(edge_values(mesh, wf, edge, t), p(pts), atol=1e-12)
 
 
+def test_project_qh_rejects_nan_values():
+    # without the check, the NaN reached the Cholesky solve of the mass
+    # matrices and scipy's message named no function
+    def holey(p):
+        return np.where(p[:, 0] > 0.5, np.nan, p[:, 1])
+
+    with pytest.raises(ValueError, match="function holey returned nan"):
+        project_Qh(holey, build_uniform_triangular(4), WeakSpaceSignature(1, 1, 1))
+
+
 def test_project_qh_interior_convergence_rate():
     u = lambda p: np.cos(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1])
     sig = WeakSpaceSignature(2, 0, 0)
