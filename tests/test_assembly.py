@@ -630,11 +630,11 @@ def _g(p):
     ids=["tri-3-4-4", "rect-2-1-3-rho0", "tri-0-0-0"],
 )
 def test_cg_iterations_do_not_grow_with_refinement(shape, element, rho, labels, bound):
-    # the two-level preconditioner makes the iteration count independent of
+    # the auxiliary-space V-cycle makes the iteration count independent of
     # h (19 on tri and 9-10 on rect when this was written); block Jacobi
     # alone would need about twice as many iterations per halving of h.
     # (0, 0, 0) at 1/h = 128 and 256 has more than _COARSEST_LU P1 unknowns,
-    # so its coarse step is a V-cycle, not an LU (19 at every 1/h)
+    # so its cycle has levels below P^T A P (19 at every 1/h)
     build = build_uniform_triangular if shape == "tri" else build_uniform_rectangular
     sig, params = WeakSpaceSignature(*element), SchemeParameters(rho=rho)
     counts = []
