@@ -420,6 +420,16 @@ def _ritz(alphas, betas):
     return ritz[0], ritz[-1]
 
 
+def _dot(u, v):
+    """The inner product u.v of two vectors, summed on the calling thread.
+
+    OpenBLAS's ddot, which u @ v and np.linalg.norm call, splits vectors of
+    more than 10 000 entries across its threads; that costs more than the
+    sum and makes its rounding depend on the thread count.
+    """
+    return float(np.einsum("i,i", u, v))
+
+
 def _pcg(A, b, precondition):
     """Preconditioned CG on the SPD system A x = b, from x = 0.
 
@@ -430,15 +440,16 @@ def _pcg(A, b, precondition):
     Raises SingularSystem when a curvature p.Ap or a preconditioned residual
     product r.z is not positive, or when lam_min is not above _PIVOT_RTOL *
     lam_max, and its subclass NotConverged when _CG_MAXITER iterations do
-    not converge.
+    not converge.  Every inner product and norm is summed on the calling
+    thread by _dot, so x does not depend on the BLAS thread count.
     """
     x = np.zeros_like(b)
     r = b.copy()
-    target = _CG_RTOL * np.linalg.norm(b)
+    target = _CG_RTOL * math.sqrt(_dot(b, b))
     if not target > 0:
         return x, 0, (math.nan, math.nan)
     z = precondition(r)
-    rz = r @ z
+    rz = _dot(r, z)
     p = z
     alphas, betas = [], []
     for iteration in range(1, _CG_MAXITER + 1):
@@ -448,7 +459,7 @@ def _pcg(A, b, precondition):
                 f"CG iteration {iteration}; the edge system is not positive definite"
             )
         q = A @ p
-        curvature = p @ q
+        curvature = _dot(p, q)
         if not curvature > 0:
             raise SingularSystem(
                 f"curvature p.Ap = {curvature:.3e} is not positive at CG iteration "
@@ -458,16 +469,16 @@ def _pcg(A, b, precondition):
         alphas.append(alpha)
         x += alpha * p
         r -= alpha * q
-        if np.linalg.norm(r) <= target:
+        if math.sqrt(_dot(r, r)) <= target:
             break
         z = precondition(r)
-        rz, rz_old = r @ z, rz
+        rz, rz_old = _dot(r, z), rz
         betas.append(rz / rz_old)
         p = z + betas[-1] * p
     else:
         lam_min, lam_max = _ritz(alphas, betas)
         raise NotConverged(
-            f"CG did not converge: ||r|| = {np.linalg.norm(r):.3e} is above "
+            f"CG did not converge: ||r|| = {math.sqrt(_dot(r, r)):.3e} is above "
             f"{_CG_RTOL:g} ||b|| after {iteration} iterations (extreme Ritz values of "
             f"the preconditioned operator {lam_min:.3e} and {lam_max:.3e})",
             iteration,
@@ -492,7 +503,9 @@ def solve(system: GlobalSystem) -> WeakFunction:
     coefficients are then recovered per shape class as u0 = y - C ub from
     the solved edge coefficients ub.  A zero load gives x = 0, but CG still
     runs once on a fixed-seed random right-hand side, its solution
-    discarded, so the checks below see the matrix.
+    discarded, so the checks below see the matrix.  The inner products of
+    CG and of the residual check are summed on the calling thread by _dot,
+    so the solution does not depend on the BLAS thread count.
 
     Raises SingularSystem when the system is singular or not positive
     definite: a per-edge diagonal block whose Cholesky pivot is not above
@@ -517,8 +530,9 @@ def solve(system: GlobalSystem) -> WeakFunction:
         _pcg(system.A, probe, precondition)
         x = np.zeros_like(system.b)
 
-    residual = np.linalg.norm(system.A @ x - system.b)
-    b_norm = np.linalg.norm(system.b)
+    residual_vector = system.A @ x - system.b
+    residual = math.sqrt(_dot(residual_vector, residual_vector))
+    b_norm = math.sqrt(_dot(system.b, system.b))
     if not residual <= _RESIDUAL_RTOL * b_norm:  # also rejects a NaN residual
         raise SingularSystem(
             f"solve failed its residual check: ||A x - b|| = {residual:.3e} "

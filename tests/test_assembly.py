@@ -12,6 +12,9 @@ disagreement.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -760,6 +763,41 @@ def test_cg_cap_raises_not_converged(monkeypatch):
     assert err.value.iterations == 2
     lam_min, lam_max = err.value.ritz
     assert np.isfinite([lam_min, lam_max]).all() and 0 < lam_min <= lam_max
+
+
+# solves (0,0,0) tri 64 (12 160 free unknowns) and (3,4,4) tri 32 (15 040):
+# OpenBLAS threads a dot product of more than 10 000 entries
+_SOLVE_HASHES = """
+import hashlib
+import numpy as np
+from gwgfem import SchemeParameters, WeakSpaceSignature, assemble, build_uniform_triangular, solve
+for element, n in (((0, 0, 0), 64), ((3, 4, 4), 32)):
+    system = assemble(
+        build_uniform_triangular(n), WeakSpaceSignature(*element), SchemeParameters(),
+        lambda p: np.sin(p[:, 0] + 2.0 * p[:, 1]), lambda p: p[:, 0] * p[:, 1],
+    )
+    print(hashlib.sha256(solve(system).coeffs.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core cannot run two BLAS threads")
+def test_solution_does_not_depend_on_blas_thread_count():
+    # the same systems solved in two processes, one with one BLAS thread and
+    # one with two, must agree bit for bit
+    hashes = []
+    for threads in ("1", "2"):
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        proc = subprocess.run(
+            [sys.executable, "-c", _SOLVE_HASHES],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, **dict.fromkeys(names, threads)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout.split())
+    assert len(hashes[0]) == 2
+    assert hashes[0] == hashes[1]
 
 
 def test_zero_data_gives_zero_solution():

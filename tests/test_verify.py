@@ -239,6 +239,25 @@ def test_affine_solution_error_is_machine_zero():
     del case_like
 
 
+def test_rates_survive_an_affine_map():
+    # a shear plus an anisotropic scaling maps the uniform grids to general
+    # meshes of sheared triangles; the (2,2,2) rates (2, 3, 3) of energy, l2
+    # and edge errors are properties of the reference element and must stay
+    shear_scale = np.array([[2.0, 1.0], [0.0, 0.5]])
+    shift = np.array([0.3, -0.2])
+    case = get_case("cospi_cospi")
+    sig, params = WeakSpaceSignature(2, 2, 2), SchemeParameters(rho=1.0)
+    errors = []
+    for n in (16, 32, 64):
+        built = build_uniform_triangular(n)
+        mesh = Mesh(built.vertices @ shear_scale.T + shift, built.elements)
+        cache = OperatorCache(mesh, sig)
+        e = error_function(case, solve(assemble(mesh, sig, params, case.f, case.g, cache=cache)), cache)
+        errors.append((energy_norm(e, params, cache), l2_norm_e0(e, cache), edge_norm_eb(e, cache)))
+    rates = np.log2(np.divide(errors[-2], errors[-1]))
+    assert np.abs(rates - (2.0, 3.0, 3.0)).max() <= 0.1, rates
+
+
 # ------------------------------------------------------------ rate report
 
 
