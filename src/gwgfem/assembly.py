@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -134,7 +135,11 @@ class GlobalSystem:
     A x = b, A of shape (n_free, n_free), is the SPD system left after
     eliminating, element by element, the interior and boundary edge
     coefficients; x holds the coefficients at the global indices free, the
-    interior edges' coefficients in ascending order.  Per shape class, in
+    interior edges' coefficients in ascending order.  A is a canonical CSR
+    matrix with int32 indices, converted once from the block pattern that
+    the mesh fixes: block row i, of edge_dim rows, is the i-th interior edge,
+    and its column blocks are that edge and the other sides of its two
+    elements.  Per shape class, in
     the order of cache.classes(), C[c] = K00^-1 K0b has shape
     (n0, n_loc - n0), or (n_class, n0, n_loc - n0) when the coefficient
     varies per element, and y[e] = K00^-1 F0 is element e's interior load,
@@ -240,7 +245,11 @@ def assemble(
     interior load F0, each element adds its Schur complement
     S = Kbb - K0b^T K00^-1 K0b, between free edge coefficients, to A, and
     -K0b^T K00^-1 F0 - S gb to b, gb its edge coefficients of Qb g (zero on
-    interior edges).  No matrix larger than A is formed.
+    interior edges).  No matrix larger than A is formed.  A's block
+    pattern, one edge_dim x edge_dim block row per interior edge, comes from
+    the mesh adjacency (_block_pattern); the blocks of each S are scattered
+    into it one side pair at a time, and the block matrix is sorted and
+    converted to CSR once.
 
     f and g must be vectorized ((n, 2) points -> (n,) finite values); any
     other shape, NaN or infinity raises ValueError naming the function.
@@ -269,7 +278,10 @@ def assemble(
     position = np.full(dm.total, -1)  # row of each free edge coefficient, -1 for the rest
     position[free] = np.arange(free.size)
     b = np.zeros(free.size)
-    rows_parts, cols_parts, vals_parts, C_parts = [], [], [], []
+    nb, n_sides = signature.edge_dim, mesh.element_edges.shape[1]
+    indptr, indices, own, other, slot = _block_pattern(mesh)
+    data = np.zeros((indices.size + 1, nb * nb))  # the last row takes the boundary pairs
+    C_parts = []
     y = np.empty_like(F0)
     for ops, elems in cache.classes():
         K = _class_matrices(ops, elems, params)
@@ -296,17 +308,65 @@ def assemble(
         touch = np.flatnonzero(~keep.all(axis=1))
         load[touch] += _mv(S if S.ndim == 2 else S[touch], known[edofs[touch]])
         b -= np.bincount(rows[keep], load[keep], minlength=free.size)
-        # (row, column) pairs of the element's sides with both ends free
-        nb_loc = rows.shape[1]
-        both = np.repeat(keep, nb_loc, axis=1).ravel() & np.tile(keep, (1, nb_loc)).ravel()
-        rows_parts.append(np.repeat(rows, nb_loc, axis=1).ravel()[both])
-        cols_parts.append(np.tile(rows, (1, nb_loc)).ravel()[both])
-        vals_parts.append(np.broadcast_to(S, (elems.size, nb_loc, nb_loc)).ravel()[both])
-    A = sp.coo_matrix(
-        (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
-        shape=(free.size, free.size),
-    ).tocsr()
-    return GlobalSystem(A, b, C_parts, y, free, known[dm.boundary_dofs], cache)
+        # block (p, q) of S goes to the slot of side q in the row of side p;
+        # no two elements of one class meet in a slot for one (p, q), so a
+        # plain += sums every contribution
+        own_c, other_c = own[elems], other[elems]
+        for p in range(n_sides):
+            for q in range(n_sides):
+                d = (q - p) % n_sides
+                target = slot[own_c[:, p] if d == 0 else other_c[:, p] + d - 1]
+                block = S[..., p * nb : (p + 1) * nb, q * nb : (q + 1) * nb]
+                data[target] += block.reshape(-1, nb * nb)
+    A = sp.bsr_matrix(
+        (data[:-1].reshape(-1, nb, nb), indices, indptr), shape=(free.size, free.size)
+    )
+    A.sort_indices()
+    return GlobalSystem(A.tocsr(), b, C_parts, y, free, known[dm.boundary_dofs], cache)
+
+
+def _block_pattern(mesh: Mesh):
+    """Block sparsity pattern of the condensed matrix, which the mesh alone fixes.
+
+    Interior edge E is block row (and column) i of A, i its rank among the
+    interior edges.  E couples only to the other sides of its two elements,
+    so its row has 2 n - 1 positions, n the number of sides: E itself, then
+    the sides p + 1, ..., p + n - 1 (mod n) of edge_elements[E, 0], whose
+    side p is E, then those of edge_elements[E, 1] likewise.  Boundary rows
+    and columns are dropped by one compaction.
+
+    Returns (indptr, indices, own, other, slot).  indptr and indices are the
+    compacted block pattern, unsorted within a row.  own and other are
+    shaped like mesh.element_edges: for side p of element t, own[t, p] is
+    the position of the diagonal block in that side's row, and
+    other[t, p] + d - 1 the position of side (p + d) mod n.  slot maps a
+    position to its block of the compacted pattern; positions of boundary
+    rows or columns map to indices.size, one past the last block.
+    """
+    n = mesh.element_edges.shape[1]
+    width = 2 * n - 1
+    interior = np.flatnonzero(~mesh.boundary_edge)
+    m = interior.size
+    # int32 throughout, as in A's CSR indices: it halves the memory traffic
+    block = np.full(mesh.n_edges, m, dtype=np.int32)  # boundary edges point at one spare row
+    block[interior] = np.arange(m, dtype=np.int32)
+    sides = block[mesh.element_edges]
+    descending = mesh.element_edge_signs < 0  # the side lies in column 1 of edge_elements
+    # owner[E, c]: the element side t * n + p that is E, t = edge_elements[E, c]
+    owner = np.empty(2 * mesh.n_edges, dtype=np.int64)
+    owner[2 * mesh.element_edges.ravel() + descending.ravel()] = np.arange(sides.size)
+    # later[t * n + p]: the blocks of sides p + 1, ..., p + n - 1 (mod n) of element t
+    later = sides[:, (np.arange(n)[:, None] + np.arange(1, n)) % n].reshape(-1, n - 1)
+    others = np.take(later, owner.reshape(-1, 2)[interior], axis=0).reshape(m, 2 * n - 2)
+    cols = np.hstack([block[interior, None], others]).ravel()
+    keep = np.flatnonzero(cols < m)
+    slot = np.full((m + 1) * width, keep.size, dtype=np.int32)
+    slot[keep] = np.arange(keep.size, dtype=np.int32)
+    own = sides * width
+    other = own + 1 + (n - 1) * descending.astype(np.int32)
+    # a row starts with its diagonal block, which is never dropped, so the
+    # row pointer is slot[::width]; its last entry is the spare row's
+    return slot[::width], cols[keep], own, other, slot
 
 
 def _preconditioner(system: GlobalSystem):
@@ -328,7 +388,9 @@ def _preconditioner(system: GlobalSystem):
     grid or a small one, and an empty matrix when there is no interior
     vertex.  Each level smooths on the way down and, with the same smoother
     and sweep count, on the way up, so the cycle is a symmetric operator
-    that needs no damping constant below level 0.
+    that needs no damping constant below level 0.  A smoother that is a
+    diagonal (every one below level 0, and level 0's when the edge blocks
+    are 1 x 1) is kept as a vector and applied as an elementwise product.
 
     Raises SingularSystem when a diagonal block has a Cholesky pivot not
     above _PIVOT_RTOL times its largest diagonal entry (.pivot names that
@@ -347,9 +409,12 @@ def _preconditioner(system: GlobalSystem):
         D, scale, system.free.reshape(n_blocks, nb), "the diagonal block of an interior edge"
     )
     blocks = _OMEGA * np.swapaxes(L_inv, -1, -2) @ L_inv  # omega D^-1, block by block
-    smoother = sp.bsr_matrix(
-        (blocks, np.arange(n_blocks), np.arange(n_blocks + 1)), shape=A.shape
-    ).tocsr()
+    if nb == 1:  # omega D^-1 is a diagonal
+        smooth = partial(np.multiply, blocks.ravel())
+    else:
+        smooth = sp.bsr_matrix(
+            (blocks, np.arange(n_blocks), np.arange(n_blocks + 1)), shape=A.shape
+        ).tocsr().dot
 
     interior = np.ones(mesh.n_vertices, dtype=bool)
     interior[mesh.edges[mesh.boundary_edge]] = False
@@ -368,12 +433,12 @@ def _preconditioner(system: GlobalSystem):
     while True:
         # R^T stored as CSR restricts faster than scipy's transpose view of R
         Rt, AR = R.T.tocsr(), A @ R
-        levels.append((A, smoother, sweeps, R, Rt, AR))
+        levels.append((A, smooth, sweeps, R, Rt, AR))
         A = Rt @ AR
         if A.shape[0] <= _COARSEST_LU or (step := _grid_prolongation(grid)) is None:
             break
         R, grid = step
-        smoother, sweeps = sp.diags(1.0 / (abs(A) @ np.ones(A.shape[0])), format="csr"), 2
+        smooth, sweeps = partial(np.multiply, 1.0 / (abs(A) @ np.ones(A.shape[0]))), 2
     try:
         # minimum-degree ordering of A^T + A and no row pivoting: a symmetric
         # permutation, so every pivot of the SPD coarse matrix stays positive
@@ -386,21 +451,27 @@ def _preconditioner(system: GlobalSystem):
     except RuntimeError as err:
         raise SingularSystem(f"coarse auxiliary-space matrix is singular: {err}") from err
 
+    def residual(A, r, x):
+        """r - A x, written over the product A x."""
+        Ax = A @ x
+        return np.subtract(r, Ax, out=Ax)
+
     def cycle(r):
         down = []  # (r, x, r - A x) after pre-smoothing, per level
-        for A, smoother, sweeps, _, Rt, _ in levels:
-            x = smoother @ r
+        for A, smooth, sweeps, _, Rt, _ in levels:
+            x = smooth(r)
             for _ in range(sweeps - 1):
-                x += smoother @ (r - A @ x)
-            res = r - A @ x
+                x += smooth(residual(A, r, x))
+            res = residual(A, r, x)
             down.append((r, x, res))
             r = Rt @ res
         e = lu.solve(r)
-        for (A, smoother, sweeps, R, _, AR), (r, x, res) in zip(reversed(levels), reversed(down)):
+        for (A, smooth, sweeps, R, _, AR), (r, x, res) in zip(reversed(levels), reversed(down)):
             x += R @ e
-            x += smoother @ (res - AR @ e)  # r - A (x + R e), with A R kept
+            res -= AR @ e  # r - A (x + R e), with A R kept
+            x += smooth(res)
             for _ in range(sweeps - 1):
-                x += smoother @ (r - A @ x)
+                x += smooth(residual(A, r, x))
             e = x
         return e
 

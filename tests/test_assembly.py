@@ -391,6 +391,112 @@ def test_per_element_coefficient_matches_constant():
     assert np.abs(constant.b - per_elem.b).max() <= 1e-13 * np.abs(constant.b).max()
 
 
+def _renumbered_tri8():
+    """tri 8 as a general Mesh with its vertices renumbered by a fixed permutation.
+
+    The renumbering mixes the edge signs: the uniform builder gives each
+    triangle one of two sign patterns, this mesh gives them all six.
+    """
+    built = build_uniform_triangular(8)
+    perm = np.random.default_rng(7).permutation(built.n_vertices)
+    new_index = np.argsort(perm)  # vertex v of the built mesh is vertex new_index[v]
+    return Mesh(built.vertices[perm], new_index[built.elements])
+
+
+def _coo_sum(system, params):
+    """A as a plain COO sum of every element's Schur complement between free edge coefficients.
+
+    S is computed as assemble computes it, so the sum must match A bit for
+    bit; only the scatter into the pattern is redone.
+    """
+    cache = system.cache
+    dm, n0 = cache.dofmap, cache.signature.interior_dim
+    position = np.full(dm.total, -1)
+    position[system.free] = np.arange(system.free.size)
+    rows, cols, vals = [], [], []
+    for ops, elems in cache.classes():
+        K = assembly._class_matrices(ops, elems, params)
+        scale = np.diagonal(K, axis1=-2, axis2=-1).max(axis=-1)
+        L_inv = assembly._inverse_cholesky(
+            K[..., :n0, :n0], scale, dm.element_dof_table[elems], "interior block"
+        )
+        W = L_inv @ K[..., :n0, n0:]
+        S = K[..., n0:, n0:] - np.swapaxes(W, -1, -2) @ W
+        dofs = position[dm.element_dof_table[elems, n0:]]
+        r, c = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+        both = (r >= 0) & (c >= 0)
+        rows.append(r[both])
+        cols.append(c[both])
+        vals.append(np.broadcast_to(S, r.shape)[both])
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=system.A.shape,
+    ).tocsr()
+
+
+def _per_element_tensors(n_elements):
+    t = np.linspace(0.0, 1.0, n_elements)
+    return np.stack([np.stack([1.0 + t, 0.5 * t], -1), np.stack([0.5 * t, 1.0 - 0.5 * t], -1)], -2)
+
+
+@pytest.mark.parametrize(
+    "mesh,element,params",
+    [
+        (build_uniform_triangular(8), (0, 0, 0), SchemeParameters()),
+        (build_uniform_triangular(8), (1, 0, 1), SchemeParameters()),
+        (build_uniform_triangular(8), (3, 4, 4), SchemeParameters()),
+        (build_uniform_rectangular(2), (2, 1, 3), SchemeParameters(rho=0.0)),
+        (build_uniform_triangular(4), (1, 2, 2), SchemeParameters(coefficient=_per_element_tensors(32))),
+        (_renumbered_tri8(), (1, 2, 2), SchemeParameters()),
+        (build_uniform_triangular(1), (1, 1, 1), SchemeParameters()),
+    ],
+    ids=["tri-0-0-0", "tri-1-0-1", "tri-3-4-4", "rect-2-1-3-rho0", "per-element", "renumbered", "tri1"],
+)
+def test_block_pattern_gives_the_coo_sum_bit_for_bit(mesh, element, params):
+    # the block pattern and its scatter must give exactly the matrix that
+    # summing every element's triplets gives: each diagonal entry takes two
+    # contributions and every other entry one, so no rounding can differ
+    system = assemble(mesh, WeakSpaceSignature(*element), params, _f, _g)
+    reference = _coo_sum(system, params)
+    A = system.A
+    assert isinstance(A, sp.csr_matrix) and A.has_canonical_format
+    for got, want in ((A.indptr, reference.indptr), (A.indices, reference.indices)):
+        assert got.dtype == want.dtype == np.int32
+        assert np.array_equal(got, want)
+    assert np.array_equal(A.data.view(np.int64), reference.data.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [build_uniform_triangular(4), build_uniform_rectangular(1), _renumbered_tri8()],
+    ids=["tri", "rect", "renumbered"],
+)
+def test_block_pattern_slots_are_distinct_within_a_class_and_side_pair(mesh):
+    # assemble scatters with a plain +=, which is right only when no two
+    # elements of one shape class reach the same block for one side pair
+    # (p, q); and each pair must reach the block of its own two edges
+    indptr, indices, own, other, slot = assembly._block_pattern(mesh)
+    m = indptr.size - 1
+    block = np.full(mesh.n_edges, -1)
+    block[~mesh.boundary_edge] = np.arange(m)
+    block_row = np.repeat(np.arange(m), np.diff(indptr))
+    n = mesh.element_edges.shape[1]
+    if mesh._grid is None:  # the renumbered mesh
+        assert len({tuple(s) for s in mesh.element_edge_signs}) == 6
+    for _, elems in OperatorCache(mesh, WeakSpaceSignature(0, 0, 0)).classes():
+        for p in range(n):
+            for q in range(n):
+                d = (q - p) % n
+                target = slot[own[elems, p] if d == 0 else other[elems, p] + d - 1]
+                row = block[mesh.element_edges[elems, p]]
+                col = block[mesh.element_edges[elems, q]]
+                live = (row >= 0) & (col >= 0)
+                assert np.all(target[~live] == indices.size)
+                assert np.unique(target[live]).size == np.count_nonzero(live)
+                assert np.array_equal(block_row[target[live]], row[live])
+                assert np.array_equal(indices[target[live]], col[live])
+
+
 @pytest.mark.parametrize("shape", ["tri", "rect"])
 @pytest.mark.parametrize("k,j,ell", [(0, 0, 0), (1, 1, 1), (2, 1, 3), (3, 4, 4)])
 def test_assembled_matrix_symmetric_and_positive_definite(shape, k, j, ell):
