@@ -55,8 +55,14 @@ _CG_RTOL = 1e-12
 _CG_MAXITER = 1000
 _OMEGA = 0.7  # block-Jacobi damping
 # largest matrix below level 0 that is factored; a larger one becomes a
-# V-cycle level when the builder's grid halves
-_COARSEST_LU = 4096
+# V-cycle level when the builder's grid halves.  At 4096 the 63^2 = 3969 P1
+# matrix of tri 64 and finer was factored (12-18 ms, L and U with 94 274
+# nonzeros each), and each of its ~20 solves per CG run cost more than an
+# l1-Jacobi level of that size; at 2048 the factored P1 matrix is 31^2 = 961.
+# 2048 still factors the 47 x 31 = 1457 Q1 matrix of rect levels 4 and 5:
+# coarsening that to 345 raised (2,1,3) rho = 0 rect 4 from 10 to 13 CG
+# iterations.
+_COARSEST_LU = 2048
 
 
 @dataclass(frozen=True)
@@ -380,10 +386,10 @@ def _preconditioner(system: GlobalSystem):
     values (a, b) at an edge's vertices edges[E, 0] and edges[E, 1] go to
     the Legendre coefficients ((a + b)/2, (b - a)/2, 0, ...) of the linear
     function between them.  While the Galerkin matrix R^T A R below a level
-    (R = P below level 0) has more than _COARSEST_LU unknowns and the mesh
-    builder's grid halves, it becomes the next level, smoothed by two sweeps
-    of l1 Jacobi (diagonal sum_j |a_ij|; Baker, Falgout, Kolev and Yang
-    2011) with R the nodal prolongation from the halved grid.  The last
+    (R = P below level 0) has more than _COARSEST_LU = 2048 unknowns and the
+    mesh builder's grid halves, it becomes the next level, smoothed by two
+    sweeps of l1 Jacobi (diagonal sum_j |a_ij|; Baker, Falgout, Kolev and
+    Yang 2011) with R the nodal prolongation from the halved grid.  The last
     matrix is factored (sparse LU): P^T A P itself on a general mesh, an odd
     grid or a small one, and an empty matrix when there is no interior
     vertex.  Each level smooths on the way down and, with the same smoother

@@ -212,13 +212,19 @@ def map_to_edge(rule: QuadratureRule, p0, p1):
     Returns (points (..., n, 2), weights (..., n) summing to each segment's
     length, t (n,)), t the reference coordinates (t = -1 at p0, t = +1 at p1).
     """
-    p0 = np.asarray(p0, dtype=float)[..., None, :]
-    p1 = np.asarray(p1, dtype=float)[..., None, :]
-    mid = (p0 + p1) / 2.0
-    half = (p1 - p0) / 2.0
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
     t = rule.points
-    pts = mid + t[:, None] * half
-    w = rule.weights * np.linalg.norm(half, axis=-1)
+    # one coordinate and one point at a time: a whole-array pass over a
+    # trailing axis of 2 runs numpy's inner loop on 2 entries per segment
+    mid = [(p0[..., c] + p1[..., c]) / 2.0 for c in range(2)]
+    half = [(p1[..., c] - p0[..., c]) / 2.0 for c in range(2)]
+    pts = np.empty(np.shape(mid[0]) + (t.size, 2))
+    for i, ti in enumerate(t):
+        for c in range(2):
+            np.add(mid[c], ti * half[c], out=pts[..., i, c])
+    length = np.sqrt(half[0] * half[0] + half[1] * half[1])  # |half|, as np.linalg.norm sums it
+    w = rule.weights * length[..., None]
     return pts, w, t
 
 

@@ -333,8 +333,11 @@ def _interior_moments(cache: OperatorCache, fn, singularity=None) -> np.ndarray:
     mesh = cache.mesh
     out = np.empty((mesh.n_elements, cache.signature.interior_dim))
     for ops, elems in cache.classes():
-        pts = cache.centroids[elems][:, None, :] + ops.offsets[None, :, :]
-        values = _values(fn, pts.reshape(-1, 2)).reshape(elems.size, -1)
+        # centroid plus offset, built flat: broadcasting into (n_el, n_q, 2)
+        # runs numpy's inner loop on 2 entries per point
+        pts = np.repeat(cache.centroids[elems], ops.offsets.shape[0], axis=0)
+        pts += np.tile(ops.offsets, (elems.size, 1))
+        values = _values(fn, pts).reshape(elems.size, -1)
         out[elems] = (values * ops.weights) @ ops.phi0
     for e, corner in zip(*_touching(mesh, mesh.elements, singularity)):
         ops = cache.shape_ops(e)

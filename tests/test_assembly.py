@@ -742,7 +742,7 @@ def test_cg_iterations_do_not_grow_with_refinement(shape, element, rho, labels, 
     # the auxiliary-space V-cycle makes the iteration count independent of
     # h (19 on tri and 9-10 on rect when this was written); block Jacobi
     # alone would need about twice as many iterations per halving of h.
-    # (0, 0, 0) at 1/h = 128 and 256 has more than _COARSEST_LU P1 unknowns,
+    # (0, 0, 0) at 1/h = 64 and finer has more than _COARSEST_LU P1 unknowns,
     # so its cycle has levels below P^T A P (19 at every 1/h)
     build = build_uniform_triangular if shape == "tri" else build_uniform_rectangular
     sig, params = WeakSpaceSignature(*element), SchemeParameters(rho=rho)
@@ -770,17 +770,18 @@ def _count_levels(monkeypatch):
 
 
 def test_multilevel_preconditioner_is_symmetric(monkeypatch):
-    # 127^2 P1 unknowns (tri 128) and 95 x 63 Q1 unknowns (rect level 5, no
-    # stabilizer) exceed _COARSEST_LU: each cycle has one level below P^T A P,
-    # and equal pre- and post-smoothing keep B symmetric for CG
+    # 127^2 and 63^2 P1 unknowns (tri 128) and 95 x 63 Q1 unknowns (rect
+    # level 5, no stabilizer) exceed _COARSEST_LU: the cycles have two levels
+    # and one level below P^T A P, and equal pre- and post-smoothing keep B
+    # symmetric for CG
     seen = _count_levels(monkeypatch)
-    for mesh, element, rho in (
-        (build_uniform_triangular(128), (0, 0, 0), 1.0),
-        (build_uniform_rectangular(5), (2, 1, 3), 0.0),
+    for mesh, element, rho, below in (
+        (build_uniform_triangular(128), (0, 0, 0), 1.0, [1, 1]),
+        (build_uniform_rectangular(5), (2, 1, 3), 0.0, [1]),
     ):
         system = assemble(mesh, WeakSpaceSignature(*element), SchemeParameters(rho=rho), _f, _g)
         B = assembly._preconditioner(system)
-        assert seen == [1]
+        assert seen == below
         seen.clear()
         r1, r2 = np.random.default_rng(4).standard_normal((2, system.b.size))
         scale = math.sqrt((r1 @ B(r1)) * (r2 @ B(r2)))
@@ -799,8 +800,38 @@ def test_general_mesh_takes_the_single_lu_path(monkeypatch):
         x, iterations, _ = assembly._pcg(system.A, system.b, assembly._preconditioner(system))
         assert iterations <= 20
         solutions.append(x)
-    assert seen == [1, 0]
+    assert seen == [1, 1, 0]
     assert np.linalg.norm(solutions[1] - solutions[0]) <= 1e-9 * np.linalg.norm(solutions[0])
+
+
+@pytest.mark.parametrize(
+    "shape,element,rho,label,size",
+    [
+        ("tri", (0, 0, 0), 1.0, 64, 31 * 31),
+        ("tri", (0, 0, 0), 1.0, 128, 31 * 31),
+        ("tri", (0, 0, 0), 1.0, 256, 31 * 31),
+        ("tri", (3, 4, 4), 1.0, 32, 31 * 31),
+        ("rect", (2, 1, 3), 0.0, 4, 47 * 31),
+        ("rect", (2, 1, 3), 0.0, 5, 47 * 31),
+    ],
+    ids=["tri-0-0-0-64", "tri-0-0-0-128", "tri-0-0-0-256", "tri-3-4-4-32", "rect-4", "rect-5"],
+)
+def test_coarsest_factored_matrix_size(monkeypatch, shape, element, rho, label, size):
+    # _COARSEST_LU = 2048: the grids halve until the P1 matrix is 31^2 = 961
+    # (3969 at 1/h = 64 becomes a cycle level), while the 47 x 31 = 1457 Q1
+    # matrix of rect levels 4 and 5 is still factored
+    factored = []
+    splu = spla.splu
+
+    def spy(A, *args, **kwargs):
+        factored.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    build = build_uniform_triangular if shape == "tri" else build_uniform_rectangular
+    system = assemble(build(label), WeakSpaceSignature(*element), SchemeParameters(rho=rho), _f, _g)
+    assembly._preconditioner(system)
+    assert factored == [(size, size)]
 
 
 def _block_jacobi(A, nb):

@@ -280,6 +280,27 @@ def test_interior_normals_opposite():
             np.testing.assert_allclose(ns[0], -ns[1], atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "mesh,shift",
+    [
+        (build_uniform_triangular(128), None),
+        (build_uniform_rectangular(4), None),
+        (build_uniform_triangular(64), [-2.5e3, 1e-3]),
+    ],
+    ids=["tri-128", "rect-4", "shifted-tri-64"],
+)
+def test_centroids_are_the_vertex_mean_bit_for_bit(mesh, shift):
+    # the centroids sum the w vertices in order and divide by w; they must
+    # equal vertices[elements].mean(axis=1) exactly, sign of zero included
+    if shift is not None:
+        # the same elements as a general mesh far from the origin
+        mesh = Mesh(mesh.vertices + shift, mesh.elements)
+    expected = mesh.vertices[mesh.elements].mean(axis=1)
+    centroids = mesh.element_centroids()
+    assert centroids.shape == expected.shape
+    assert np.array_equal(centroids.view(np.uint64), expected.view(np.uint64))
+
+
 def test_diameter_is_max_vertex_distance():
     mesh = build_uniform_rectangular(1)
     for t in range(mesh.n_elements):

@@ -167,6 +167,34 @@ def test_map_to_edge():
     np.testing.assert_allclose(pts[:, 1], 1.0 + t)
 
 
+@pytest.mark.parametrize("degree", [1, 4, 9])
+def test_map_to_edge_points_and_weights_are_the_broadcast_formulas_bit_for_bit(degree):
+    # the points are built one coordinate and one point at a time; they and
+    # the weights must equal mid + t[:, None] * half and weights * |half| bit
+    # for bit (so -0.0 and 0.0 differ), both for the batched call of the edge
+    # projection (non-contiguous end points of a mesh's edges) and for the
+    # single pairs of _ShapeOps and graded_rule
+    rule = edge_quadrature(degree)
+    mesh = build_uniform_triangular(16)
+    ends = mesh.vertices[mesh.edges] + np.array([-1e3, 7.0])
+    rng = np.random.default_rng(3)
+    scattered = rng.standard_normal((500, 2, 2)) * 10.0 ** rng.integers(-6, 6, (500, 2, 2))
+    for p0, p1 in [
+        (ends[:, 0], ends[:, 1]),
+        (scattered[:, 0], scattered[:, 1]),
+        (ends[5, 0], ends[5, 1]),
+    ]:
+        mid = (p0[..., None, :] + p1[..., None, :]) / 2.0
+        half = (p1[..., None, :] - p0[..., None, :]) / 2.0
+        pts, w, t = map_to_edge(rule, p0, p1)
+        assert pts.shape == p0.shape[:-1] + (rule.points.size, 2)
+        expected = mid + rule.points[:, None] * half
+        assert np.array_equal(pts.view(np.uint64), expected.view(np.uint64))
+        expected = rule.weights * np.linalg.norm(half, axis=-1)
+        assert np.array_equal(w.view(np.uint64), expected.view(np.uint64))
+        assert t is rule.points
+
+
 def test_edge_mass_diagonal():
     j = 6
     basis = EdgeBasis(j)

@@ -30,6 +30,7 @@ from gwgfem.polybasis import (
     graded_rule,
     map_to_element,
 )
+from gwgfem.weakspace import _interior_moments
 
 
 def edge_index(mesh, a, b):
@@ -232,6 +233,40 @@ def test_project_qh_interior_convergence_rate():
         errs.append(math.sqrt(total))
     rate = math.log2(errs[0] / errs[1])
     assert abs(rate - 3.0) < 0.3
+
+
+def _shifted(mesh, shift):
+    """The same elements as a general Mesh (no grid record), moved by shift."""
+    return Mesh(mesh.vertices + np.asarray(shift), mesh.elements)
+
+
+@pytest.mark.parametrize(
+    "mesh,signature",
+    [
+        (build_uniform_triangular(32), (0, 0, 0)),
+        (build_uniform_triangular(8), (3, 4, 4)),
+        (build_uniform_rectangular(3), (2, 1, 3)),
+        (_shifted(build_uniform_triangular(16), [1e4, -3.0]), (1, 2, 2)),
+    ],
+    ids=["tri-0-0-0", "tri-3-4-4", "rect-2-1-3", "shifted-1-2-2"],
+)
+def test_interior_moment_points_are_the_broadcast_formula_bit_for_bit(mesh, signature):
+    # the element quadrature points are built flat by repeat and tile; each
+    # class must pass fn exactly centroids[elems][:, None, :] + offsets
+    cache = OperatorCache(mesh, WeakSpaceSignature(*signature))
+    seen = []
+
+    def spy(p):
+        seen.append(p.copy())
+        return np.zeros(len(p))
+
+    _interior_moments(cache, spy)
+    classes = list(cache.classes())
+    assert len(seen) == len(classes)
+    for pts, (ops, elems) in zip(seen, classes):
+        expected = (cache.centroids[elems][:, None, :] + ops.offsets).reshape(-1, 2)
+        assert pts.shape == expected.shape
+        assert np.array_equal(pts.view(np.uint64), expected.view(np.uint64))
 
 
 # ------------------------------------------------------------ weak gradient
