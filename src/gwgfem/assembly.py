@@ -382,9 +382,10 @@ def _preconditioner(system: GlobalSystem):
     and Ye (2015).  Level 0 is the edge system A itself, smoothed by one
     sweep of damped block Jacobi, omega D^-1 with D the per-edge diagonal
     blocks.  Its transfer P maps the conforming P1 (triangles) or Q1
-    (parallelograms) space on the interior vertices to the edges: the nodal
-    values (a, b) at an edge's vertices edges[E, 0] and edges[E, 1] go to
-    the Legendre coefficients ((a + b)/2, (b - a)/2, 0, ...) of the linear
+    (parallelograms) space on the interior vertices (those that an element
+    uses and no boundary edge touches) to the edges: the nodal values
+    (a, b) at an edge's vertices edges[E, 0] and edges[E, 1] go to the
+    Legendre coefficients ((a + b)/2, (b - a)/2, 0, ...) of the linear
     function between them.  While the Galerkin matrix R^T A R below a level
     (R = P below level 0) has more than _COARSEST_LU = 2048 unknowns and the
     mesh builder's grid halves, it becomes the next level, smoothed by two
@@ -422,7 +423,10 @@ def _preconditioner(system: GlobalSystem):
             (blocks, np.arange(n_blocks), np.arange(n_blocks + 1)), shape=A.shape
         ).tocsr().dot
 
-    interior = np.ones(mesh.n_vertices, dtype=bool)
+    # a vertex that no element uses is not an unknown: its column of P
+    # would be zero and make the coarsest matrix singular
+    interior = np.zeros(mesh.n_vertices, dtype=bool)
+    interior[mesh.edges] = True
     interior[mesh.edges[mesh.boundary_edge]] = False
     n_coarse = int(np.count_nonzero(interior))
     vertex = np.full(mesh.n_vertices, -1)

@@ -65,16 +65,21 @@ class Mesh:
             )
         self.elements = raw.astype(np.int64, copy=False)
 
-        areas = _signed_areas(self.vertices, self.elements)
+        # one (ne, w) array per coordinate: every geometric quantity below
+        # reduces over the w vertices, never over a trailing axis of 2
+        x = self.vertices[:, 0][self.elements]
+        y = self.vertices[:, 1][self.elements]
+        areas = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
         if np.any(areas <= 0.0):
             bad = int(np.argmax(areas <= 0.0))
             raise ValueError(f"element {bad} is not counterclockwise")
-        verts = self.vertices[self.elements]
-        self._diameters = _diameters(verts)
+        self._diameters = _diameters(x, y)
         if self.elements.shape[1] == 4:
             # quadrature and shape classes map the reference square affinely,
             # which is exact only for parallelograms: v0 + v2 = v1 + v3
-            skew = np.linalg.norm(verts[:, 0] + verts[:, 2] - verts[:, 1] - verts[:, 3], axis=1)
+            sx = x[:, 0] + x[:, 2] - x[:, 1] - x[:, 3]
+            sy = y[:, 0] + y[:, 2] - y[:, 1] - y[:, 3]
+            skew = np.sqrt(sx * sx + sy * sy)
             bad = np.flatnonzero(skew > _PARALLELOGRAM_RTOL * self._diameters)
             if bad.size:
                 raise ValueError(
@@ -91,9 +96,12 @@ class Mesh:
         b = np.roll(self.elements, -1, axis=1).ravel()
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         _, first, inverse = np.unique(lo * nv + hi, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        edge_ids = np.argsort(order)[inverse]
-        self.edges = np.column_stack([lo, hi])[first[order]]
+        # an edge's number is the count of first appearances before its own
+        is_first = np.zeros(a.size, dtype=bool)
+        is_first[first] = True
+        edge_ids = (np.cumsum(is_first) - 1)[first][inverse]
+        at = np.flatnonzero(is_first)
+        self.edges = np.column_stack([lo[at], hi[at]])
         self.element_edges = edge_ids.reshape(ne, w)
         self.element_edge_signs = np.where(a < b, 1, -1).reshape(ne, w)
         # column 0 of edge_elements takes the element traversing the edge in
@@ -108,9 +116,9 @@ class Mesh:
         self.edge_elements = owners.reshape(-1, 2)
         self.boundary_edge = (self.edge_elements == -1).any(axis=1)
 
-        # the w vertices summed in order: verts.mean(axis=1) bit for bit, at
-        # a quarter of its cost
-        self._centroids = reduce(np.add, verts.transpose(1, 0, 2)) / w
+        # the w vertices summed in order: vertices[elements].mean(axis=1) bit
+        # for bit, at a fraction of its cost
+        self._centroids = np.column_stack([reduce(np.add, x.T) / w, reduce(np.add, y.T) / w])
         self._areas = areas
         self._grid = None
 
@@ -140,18 +148,11 @@ class Mesh:
         return self._diameters
 
 
-def _signed_areas(vertices, elements):
-    v = vertices[elements]
-    x, y = v[..., 0], v[..., 1]
-    xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-    return 0.5 * np.sum(x * yn - xn * y, axis=1)
-
-
-def _diameters(verts):
-    """Largest vertex distance of each polygon in verts, shape (n, w, 2)."""
-    i, j = np.triu_indices(verts.shape[1], 1)
-    diff = verts[:, i] - verts[:, j]
-    return np.sqrt((diff**2).sum(axis=-1).max(axis=1))
+def _diameters(x, y):
+    """Largest vertex distance of each polygon with vertex coordinates x, y, each (n, w)."""
+    i, j = np.triu_indices(x.shape[1], 1)
+    dx, dy = x[:, i] - x[:, j], y[:, i] - y[:, j]
+    return np.sqrt((dx**2 + dy**2).max(axis=1))
 
 
 def build_uniform_triangular(n: int) -> Mesh:
@@ -159,6 +160,8 @@ def build_uniform_triangular(n: int) -> Mesh:
 
     Produces 2*n**2 congruent right triangles; convergence studies label it 1/h = n.
     """
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"subdivision count n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("subdivision count n must be at least 1")
     t = np.linspace(0.0, 1.0, n + 1)
@@ -180,6 +183,8 @@ def build_uniform_rectangular(level: int) -> Mesh:
     Each level quarters every rectangle, so level L has 6*4**L cells of
     size (1/3)/2**L by (1/2)/2**L.  Convergence studies label it 1/h = 4*2**L.
     """
+    if not isinstance(level, (int, np.integer)):
+        raise ValueError(f"refinement level must be an integer, got {level!r}")
     if level < 0:
         raise ValueError("refinement level must be non-negative")
     nx, ny = 3 * 2**level, 2 * 2**level

@@ -164,7 +164,7 @@ class _ShapeOps:
         d = np.roll(rel_verts, -1, axis=0) - rel_verts
         self.edge_lengths = np.linalg.norm(d, axis=1)
         self.normals = np.column_stack([d[:, 1], -d[:, 0]]) / self.edge_lengths[:, None]
-        self.h_T = float(_diameters(rel_verts[None])[0])
+        self.h_T = float(_diameters(rel_verts[None, :, 0], rel_verts[None, :, 1])[0])
 
         self.basis = ElementBasis(max(k, m), (0.0, 0.0), self.h_T)
         rule = element_quadrature(shape, _element_rule_degree(signature))
@@ -243,23 +243,36 @@ class OperatorCache:
         width = mesh.elements.shape[1]
         self.shape = "triangle" if width == 3 else "rectangle"
 
-        rel = mesh.vertices[mesh.elements] - self.centroids[:, None, :]
+        rx = mesh.vertices[:, 0][mesh.elements] - self.centroids[:, 0, None]
+        ry = mesh.vertices[:, 1][mesh.elements] - self.centroids[:, 1, None]
         signs = mesh.element_edge_signs
-        keys = (rel / mesh.h_max).reshape(mesh.n_elements, -1)
+        kx, ky = rx / mesh.h_max, ry / mesh.h_max
         tol = 1e-10 + 64 * np.finfo(float).eps * np.abs(mesh.vertices).max() / mesh.h_max
         # partition refinement: start from the exact edge-sign pattern, then
-        # sort each key column within the current groups and split wherever
-        # neighbours differ by more than tol
-        group = (signs > 0) @ (1 << np.arange(width))
-        for column in keys.T:
+        # sort each key column x0, y0, x1, y1, ... within the current groups
+        # and split wherever neighbours differ by more than tol.  A column
+        # whose spread within every group is at most tol has no such
+        # neighbours, so it is not sorted.  order lists the elements group
+        # by group, and starts holds where each group begins in it.
+        group = np.unique((signs > 0) @ (1 << np.arange(width)), return_inverse=True)[1]
+        order = np.argsort(group)
+        starts = np.flatnonzero(np.diff(group[order], prepend=-1))
+        for column in (k[:, i] for i in range(width) for k in (kx, ky)):
+            sorted_column = column[order]
+            spread = np.maximum.reduceat(sorted_column, starts)
+            spread -= np.minimum.reduceat(sorted_column, starts)
+            if (spread <= tol).all():
+                continue
             order = np.lexsort((column, group))
             split = (np.diff(column[order]) > tol) | (np.diff(group[order]) != 0)
             group[order] = np.concatenate([[0], np.cumsum(split)])
-        first = np.unique(group, return_index=True)[1]  # first element of each group
+            starts = np.concatenate([[0], np.flatnonzero(split) + 1])
+        first = np.minimum.reduceat(order, starts)  # first element of each group
         order = np.argsort(first)  # classes in order of first appearance
         self.class_ids = np.argsort(order)[group]
         self.class_ops: list[_ShapeOps] = [
-            _ShapeOps(self.shape, rel[e], signs[e], signature) for e in first[order]
+            _ShapeOps(self.shape, np.column_stack([rx[e], ry[e]]), signs[e], signature)
+            for e in first[order]
         ]
         self.class_elements = [
             np.nonzero(self.class_ids == cid)[0] for cid in range(len(self.class_ops))

@@ -805,6 +805,20 @@ def test_general_mesh_takes_the_single_lu_path(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "built", [build_uniform_triangular(8), build_uniform_rectangular(2)], ids=["tri-8", "rect-2"]
+)
+def test_vertex_that_no_element_uses_carries_no_unknown(built):
+    # counted as an interior P1 vertex, it gave P a zero column and the
+    # coarsest matrix an exact singularity; the system itself is SPD
+    sig = WeakSpaceSignature(1, 1, 1)
+    plain = Mesh(built.vertices, built.elements)
+    padded = Mesh(np.vstack([[0.3, 0.7], built.vertices]), built.elements + 1)
+    expected = solve(assemble(plain, sig, SchemeParameters(), _f, _g)).coeffs
+    coeffs = solve(assemble(padded, sig, SchemeParameters(), _f, _g)).coeffs
+    np.testing.assert_array_equal(coeffs, expected)
+
+
+@pytest.mark.parametrize(
     "shape,element,rho,label,size",
     [
         ("tri", (0, 0, 0), 1.0, 64, 31 * 31),

@@ -40,6 +40,24 @@ def test_triangular_rejects_zero():
         build_uniform_triangular(0)
 
 
+@pytest.mark.parametrize(
+    "build,size,name",
+    [
+        (build_uniform_triangular, 2.5, "subdivision count n"),
+        (build_uniform_rectangular, 1.5, "refinement level"),
+    ],
+    ids=["tri", "rect"],
+)
+def test_builders_reject_a_size_that_is_not_an_integer(build, size, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {size}"):
+        build(size)
+
+
+def test_builders_accept_numpy_integers():
+    assert build_uniform_triangular(np.int64(2)).n_elements == 8
+    assert build_uniform_rectangular(np.int32(1)).n_elements == 24
+
+
 def test_rectangular_level0():
     mesh = build_uniform_rectangular(0)
     assert mesh.n_elements == 6
@@ -299,6 +317,40 @@ def test_centroids_are_the_vertex_mean_bit_for_bit(mesh, shift):
     centroids = mesh.element_centroids()
     assert centroids.shape == expected.shape
     assert np.array_equal(centroids.view(np.uint64), expected.view(np.uint64))
+
+
+def shifted_general_tri_64():
+    base = build_uniform_triangular(64)
+    return Mesh(base.vertices + [-2.5e3, 1e-3], base.elements)
+
+
+def sheared_parallelograms():
+    base = build_uniform_rectangular(2)
+    vertices = base.vertices.copy()
+    vertices[:, 0] += 0.37 * vertices[:, 1]
+    return Mesh(vertices, base.elements)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        build_uniform_triangular(128),
+        build_uniform_rectangular(4),
+        shifted_general_tri_64(),
+        sheared_parallelograms(),
+    ],
+    ids=["tri-128", "rect-4", "shifted-tri-64", "sheared"],
+)
+def test_areas_and_diameters_are_the_gathered_formulas_bit_for_bit(mesh):
+    # the mesh computes them from one (ne, w) array per coordinate; they must
+    # equal the formulas on the (ne, w, 2) array vertices[elements] exactly
+    v = mesh.vertices[mesh.elements]
+    x, y = v[..., 0], v[..., 1]
+    areas = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
+    i, j = np.triu_indices(v.shape[1], 1)
+    diameters = np.sqrt(((v[:, i] - v[:, j]) ** 2).sum(-1).max(1))
+    assert np.array_equal(mesh.element_areas().view(np.uint64), areas.view(np.uint64))
+    assert np.array_equal(mesh.element_diameters().view(np.uint64), diameters.view(np.uint64))
 
 
 def test_diameter_is_max_vertex_distance():

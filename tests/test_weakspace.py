@@ -321,6 +321,75 @@ def test_moved_vertex_splits_the_elements_around_it():
     assert len(cache.class_ops) == 8
 
 
+def key_tol(mesh):
+    return 1e-10 + 64 * np.finfo(float).eps * np.abs(mesh.vertices).max() / mesh.h_max
+
+
+def reference_class_ids(mesh):
+    """Shape classes by sorting every key column within the current groups.
+
+    The partition refinement as a plain loop that skips no column: start
+    from the edge-sign pattern, lexsort each centroid-relative coordinate
+    x0, y0, x1, y1, ... over h_max within the groups, split where
+    neighbours differ by more than the tolerance, and number the classes by
+    first appearance.
+    """
+    rel = mesh.vertices[mesh.elements] - mesh.element_centroids()[:, None, :]
+    keys = (rel / mesh.h_max).reshape(mesh.n_elements, -1)
+    tol = key_tol(mesh)
+    group = (mesh.element_edge_signs > 0) @ (1 << np.arange(mesh.elements.shape[1]))
+    for column in keys.T:
+        order = np.lexsort((column, group))
+        split = (np.diff(column[order]) > tol) | (np.diff(group[order]) != 0)
+        group[order] = np.concatenate([[0], np.cumsum(split)])
+    first = np.unique(group, return_index=True)[1]
+    return np.argsort(np.argsort(first))[group]
+
+
+def moved_vertex(mesh, displacement):
+    """mesh as a general mesh, its first interior vertex moved by displacement."""
+    vertices = mesh.vertices.copy()
+    vertex = np.flatnonzero(np.all((vertices > 0) & (vertices < 1), axis=1))[0]
+    vertices[vertex] += displacement
+    return Mesh(vertices, mesh.elements)
+
+
+def jittered_interior(mesh, seed):
+    """mesh as a general mesh, every interior vertex moved by up to h_max / 10."""
+    vertices = mesh.vertices.copy()
+    interior = np.all((vertices > 0) & (vertices < 1), axis=1)
+    rng = np.random.default_rng(seed)
+    vertices[interior] += rng.uniform(-0.1, 0.1, (interior.sum(), 2)) * mesh.h_max
+    return Mesh(vertices, mesh.elements)
+
+
+tri_8 = build_uniform_triangular(8)
+tri_16 = build_uniform_triangular(16)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        tri_16,
+        build_uniform_rectangular(2),
+        Mesh(tri_16.vertices + [1e4, -3], tri_16.elements),
+        moved_vertex(build_uniform_triangular(4), 3e-7),
+        jittered_interior(tri_8, 5),
+        # 3 tol in x: in the elements around the vertex its own key moves
+        # by 2 tol and the other vertices' keys by tol, the skip bound
+        moved_vertex(tri_8, [3 * key_tol(tri_8) * tri_8.h_max, 0.0]),
+    ],
+    ids=["tri-16", "rect-2", "far-tri-16", "moved-vertex", "jittered-tri-8", "moved-3-tol"],
+)
+def test_skipped_key_columns_give_the_full_refinement_classes(mesh):
+    # a key column whose spread within every group is at most tol is not
+    # sorted; the classes must be those of sorting every column
+    cache = OperatorCache(mesh, WeakSpaceSignature(0, 0, 0))
+    expected = reference_class_ids(mesh)
+    assert cache.class_ids.dtype == expected.dtype
+    np.testing.assert_array_equal(cache.class_ids, expected)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(1, 6),
