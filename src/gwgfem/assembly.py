@@ -53,7 +53,7 @@ _PIVOT_RTOL = 1e-12
 _RESIDUAL_RTOL = 1e-8
 _CG_RTOL = 1e-12
 _CG_MAXITER = 1000
-_OMEGA = 0.7  # block-Jacobi damping
+_OMEGA = 0.7  # block-Jacobi damping; 2 omega scales the l1-Jacobi sweeps
 # largest matrix below level 0 that is factored; a larger one becomes a
 # V-cycle level when the builder's grid halves.  At 4096 the 63^2 = 3969 P1
 # matrix of tri 64 and finer was factored (12-18 ms, L and U with 94 274
@@ -207,7 +207,13 @@ def _inverse_cholesky(K, scale, index, block: str):
     L = np.zeros_like(K)
     L_inv = np.zeros_like(K)
     for col in range(n):
-        pivot = K[..., col, col] - np.sum(L[..., col, :col] ** 2, axis=-1)
+        # column col of L and row col of L^-1 from the columns and rows before
+        # them; at column 0 the products are empty, but numpy would loop over the stack
+        pivot, below, row = K[..., col, col], K[..., col + 1 :, col], np.eye(n)[col]
+        if col:
+            pivot = pivot - np.sum(L[..., col, :col] ** 2, axis=-1)
+            below = below - _mv(L[..., col + 1 :, :col], L[..., col, :col])
+            row = row - (L[..., col, None, :col] @ L_inv[..., :col, :])[..., 0, :]
         bad = np.flatnonzero(~(pivot > tol))  # also catches NaN
         if bad.size:
             i, unknown = bad[0], int(index[bad[0], col])
@@ -220,11 +226,8 @@ def _inverse_cholesky(K, scale, index, block: str):
             )
         L[..., col, col] = np.sqrt(pivot)
         d = L[..., col, col, None]
-        below = K[..., col + 1 :, col] - _mv(L[..., col + 1 :, :col], L[..., col, :col])
         L[..., col + 1 :, col] = below / d
-        # row col of L^-1 by forward substitution, from the finished row col of L
-        done = (L[..., col, None, :col] @ L_inv[..., :col, :])[..., 0, :]
-        L_inv[..., col, :] = (np.eye(n)[col] - done) / d
+        L_inv[..., col, :] = row / d
     return L_inv
 
 
@@ -388,16 +391,19 @@ def _preconditioner(system: GlobalSystem):
     Legendre coefficients ((a + b)/2, (b - a)/2, 0, ...) of the linear
     function between them.  While the Galerkin matrix R^T A R below a level
     (R = P below level 0) has more than _COARSEST_LU = 2048 unknowns and the
-    mesh builder's grid halves, it becomes the next level, smoothed by two
-    sweeps of l1 Jacobi (diagonal sum_j |a_ij|; Baker, Falgout, Kolev and
-    Yang 2011) with R the nodal prolongation from the halved grid.  The last
-    matrix is factored (sparse LU): P^T A P itself on a general mesh, an odd
-    grid or a small one, and an empty matrix when there is no interior
-    vertex.  Each level smooths on the way down and, with the same smoother
-    and sweep count, on the way up, so the cycle is a symmetric operator
-    that needs no damping constant below level 0.  A smoother that is a
-    diagonal (every one below level 0, and level 0's when the edge blocks
-    are 1 x 1) is kept as a vector and applied as an elementwise product.
+    mesh builder's grid halves, it becomes the next level, smoothed by one
+    sweep of over-relaxed l1 Jacobi, 2 omega / sum_j |a_ij| (Baker, Falgout,
+    Kolev and Yang 2011), with R the nodal prolongation from the halved
+    grid: diag(sum_j |a_ij|) - A is positive semidefinite, so 2 omega < 2
+    keeps the sweep an A-norm contraction, and on a zero-sum row with no
+    positive off-diagonal entry it is omega / a_ii.  The last matrix is
+    factored (sparse LU): P^T A P itself on a general mesh, an odd grid or a
+    small one, and an empty matrix when there is no interior vertex.  Each
+    level smooths once on the way down and once, with the same smoother, on
+    the way up, so the cycle is symmetric and positive definite.  A smoother
+    that is a diagonal (every one below level 0, and level 0's when the edge
+    blocks are 1 x 1) is kept as a vector and applied as an elementwise
+    product.
 
     Raises SingularSystem when a diagonal block has a Cholesky pivot not
     above _PIVOT_RTOL times its largest diagonal entry (.pivot names that
@@ -439,16 +445,16 @@ def _preconditioner(system: GlobalSystem):
     keep = cols >= 0
     R = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(A.shape[0], n_coarse))
 
-    levels, sweeps, grid = [], 1, mesh._grid
+    levels, grid = [], mesh._grid
     while True:
         # R^T stored as CSR restricts faster than scipy's transpose view of R
         Rt, AR = R.T.tocsr(), A @ R
-        levels.append((A, smooth, sweeps, R, Rt, AR))
+        levels.append((A, smooth, R, Rt, AR))
         A = Rt @ AR
         if A.shape[0] <= _COARSEST_LU or (step := _grid_prolongation(grid)) is None:
             break
         R, grid = step
-        smooth, sweeps = partial(np.multiply, 1.0 / (abs(A) @ np.ones(A.shape[0]))), 2
+        smooth = partial(np.multiply, 2 * _OMEGA / (abs(A) @ np.ones(A.shape[0])))
     try:
         # minimum-degree ordering of A^T + A and no row pivoting: a symmetric
         # permutation, so every pivot of the SPD coarse matrix stays positive
@@ -461,27 +467,19 @@ def _preconditioner(system: GlobalSystem):
     except RuntimeError as err:
         raise SingularSystem(f"coarse auxiliary-space matrix is singular: {err}") from err
 
-    def residual(A, r, x):
-        """r - A x, written over the product A x."""
-        Ax = A @ x
-        return np.subtract(r, Ax, out=Ax)
-
     def cycle(r):
-        down = []  # (r, x, r - A x) after pre-smoothing, per level
-        for A, smooth, sweeps, _, Rt, _ in levels:
+        down = []  # (x, r - A x) after pre-smoothing, per level
+        for A, smooth, _, Rt, _ in levels:
             x = smooth(r)
-            for _ in range(sweeps - 1):
-                x += smooth(residual(A, r, x))
-            res = residual(A, r, x)
-            down.append((r, x, res))
+            res = A @ x
+            np.subtract(r, res, out=res)
+            down.append((x, res))
             r = Rt @ res
         e = lu.solve(r)
-        for (A, smooth, sweeps, R, _, AR), (r, x, res) in zip(reversed(levels), reversed(down)):
+        for (_, smooth, R, _, AR), (x, res) in zip(reversed(levels), reversed(down)):
             x += R @ e
             res -= AR @ e  # r - A (x + R e), with A R kept
             x += smooth(res)
-            for _ in range(sweeps - 1):
-                x += smooth(residual(A, r, x))
             e = x
         return e
 

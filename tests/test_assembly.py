@@ -391,6 +391,22 @@ def test_per_element_coefficient_matches_constant():
     assert np.abs(constant.b - per_elem.b).max() <= 1e-13 * np.abs(constant.b).max()
 
 
+def test_inverse_cholesky_of_one_by_one_blocks_is_the_reciprocal_root():
+    d = np.random.default_rng(8).uniform(0.1, 10.0, 1000)
+    L_inv = assembly._inverse_cholesky(d[:, None, None], d, np.zeros((d.size, 1), int), "block")
+    np.testing.assert_array_equal(L_inv[:, 0, 0], 1.0 / np.sqrt(d))
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_inverse_cholesky_matches_the_inverse_of_the_cholesky_factor(n):
+    B = np.random.default_rng(n).standard_normal((200, n, n))
+    K = B @ np.swapaxes(B, -1, -2) + n * np.eye(n)
+    scale = np.diagonal(K, axis1=-2, axis2=-1).max(axis=-1)
+    L_inv = assembly._inverse_cholesky(K, scale, np.zeros((200, n), int), "block")
+    expected = np.linalg.inv(np.linalg.cholesky(K))
+    assert np.abs(L_inv - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
 def _renumbered_tri8():
     """tri 8 as a general Mesh with its vertices renumbered by a fixed permutation.
 
@@ -769,6 +785,19 @@ def _count_levels(monkeypatch):
     return seen
 
 
+def _record_factored(monkeypatch):
+    """Record every matrix that spla.splu factors."""
+    factored = []
+    splu = spla.splu
+
+    def spy(A, *args, **kwargs):
+        factored.append(A)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return factored
+
+
 def test_multilevel_preconditioner_is_symmetric(monkeypatch):
     # 127^2 and 63^2 P1 unknowns (tri 128) and 95 x 63 Q1 unknowns (rect
     # level 5, no stabilizer) exceed _COARSEST_LU: the cycles have two levels
@@ -786,6 +815,46 @@ def test_multilevel_preconditioner_is_symmetric(monkeypatch):
         r1, r2 = np.random.default_rng(4).standard_normal((2, system.b.size))
         scale = math.sqrt((r1 @ B(r1)) * (r2 @ B(r2)))
         assert abs(r2 @ B(r1) - r1 @ B(r2)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "build,label,element,rho,below,bound",
+    [
+        (build_uniform_rectangular, 4, (2, 1, 3), 0.0, [], 10),
+        (build_uniform_rectangular, 5, (2, 1, 3), 0.0, [1], 15),
+        (build_uniform_rectangular, 5, (2, 2, 2), 1.0, [1], 19),
+        (build_uniform_triangular, 128, (1, 2, 2), 1.0, [1, 1], 17),
+    ],
+    ids=["rect-4-2-1-3-rho0", "rect-5-2-1-3-rho0", "rect-5-2-2-2", "tri-128-1-2-2"],
+)
+def test_cg_iterations_on_the_multilevel_paths(
+    monkeypatch, build, label, element, rho, below, bound
+):
+    # the Q1 levels below P^T A P (rect 5) and the P1 levels under 3 x 3
+    # edge blocks (k = 1), which test_cg_iterations_do_not_grow_with_refinement
+    # never reaches; each bound is the count when this was written
+    seen = _count_levels(monkeypatch)
+    system = assemble(build(label), WeakSpaceSignature(*element), SchemeParameters(rho=rho), _f, _g)
+    _, iterations, _ = assembly._pcg(system.A, system.b, assembly._preconditioner(system))
+    assert seen == below
+    assert iterations <= bound
+
+
+def test_anisotropic_coefficient_converges_on_the_multilevel_path(monkeypatch):
+    # a = Q diag(100, 1) Q^T, Q the rotation by 30 degrees, gives the
+    # Galerkin matrices below level 0 positive off-diagonal entries, so
+    # sum_j |a_ij| exceeds 2 a_ii there and l1 Jacobi damps more than omega
+    # (87 iterations when this was written)
+    seen, factored = _count_levels(monkeypatch), _record_factored(monkeypatch)
+    c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+    Q = np.array([[c, -s], [s, c]])
+    params = SchemeParameters(coefficient=Q @ np.diag([100.0, 1.0]) @ Q.T)
+    system = assemble(build_uniform_triangular(64), WeakSpaceSignature(0, 0, 0), params, _f, _g)
+    _, iterations, _ = assembly._pcg(system.A, system.b, assembly._preconditioner(system))
+    assert seen == [1]
+    coarsest = factored[0]
+    assert (coarsest - sp.diags(coarsest.diagonal())).max() > 0
+    assert iterations <= 100
 
 
 def test_general_mesh_takes_the_single_lu_path(monkeypatch):
@@ -834,18 +903,11 @@ def test_coarsest_factored_matrix_size(monkeypatch, shape, element, rho, label, 
     # _COARSEST_LU = 2048: the grids halve until the P1 matrix is 31^2 = 961
     # (3969 at 1/h = 64 becomes a cycle level), while the 47 x 31 = 1457 Q1
     # matrix of rect levels 4 and 5 is still factored
-    factored = []
-    splu = spla.splu
-
-    def spy(A, *args, **kwargs):
-        factored.append(A.shape)
-        return splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", spy)
+    factored = _record_factored(monkeypatch)
     build = build_uniform_triangular if shape == "tri" else build_uniform_rectangular
     system = assemble(build(label), WeakSpaceSignature(*element), SchemeParameters(rho=rho), _f, _g)
     assembly._preconditioner(system)
-    assert factored == [(size, size)]
+    assert [A.shape for A in factored] == [(size, size)]
 
 
 def _block_jacobi(A, nb):
@@ -856,37 +918,98 @@ def _block_jacobi(A, nb):
     return S
 
 
+def _auxiliary_transfer(system, nx, ny, diagonal):
+    """Dense P: column v is Qb of the hat function of interior vertex v, on the free edges.
+
+    The mesh has the vertices of an nx x ny grid on the unit square, cut by
+    the lower-left to upper-right diagonals when diagonal is set; the hat
+    is the P1 (diagonal) or Q1 nodal function, projected independently.
+    """
+    mesh, sig = system.cache.mesh, system.cache.signature
+
+    def hat(v):
+        def phi(p):
+            s, t = ((p - mesh.vertices[v]) * [nx, ny]).T
+            if diagonal:
+                return np.maximum(0.0, 1.0 - np.maximum(np.maximum(abs(s), abs(t)), abs(s - t)))
+            return np.maximum(0.0, 1.0 - abs(s)) * np.maximum(0.0, 1.0 - abs(t))
+
+        return phi
+
+    interior = np.flatnonzero(np.all((mesh.vertices > 0) & (mesh.vertices < 1), axis=1))
+    return np.column_stack(
+        [project_Qh(hat(v), mesh, sig, cache=system.cache).coeffs[system.free] for v in interior]
+    )
+
+
 @pytest.mark.parametrize("element", [(0, 0, 0), (1, 2, 2)])
 def test_preconditioner_is_the_two_level_step_on_a_general_mesh(element):
     # a general Mesh has no grid hierarchy, so the cycle is one smoothing
     # sweep, an exact solve in P1 and a second sweep:
-    # B = 2 S - S A S + (I - S A) P A_c^-1 P^T (I - A S).  Column v of P is
-    # Qb of the hat function of interior vertex v, projected independently
+    # B = 2 S - S A S + (I - S A) P A_c^-1 P^T (I - A S)
     built = build_uniform_triangular(8)
     mesh = Mesh(built.vertices, built.elements)
     sig = WeakSpaceSignature(*element)
     system = assemble(mesh, sig, SchemeParameters(), _f, _g)
     A = system.A.toarray()
     S = _block_jacobi(A, sig.edge_dim)
-
-    def hat(v):
-        # P1 hat function of vertex v on the grid with spacing 1/8, cut by
-        # the lower-left to upper-right diagonals
-        def phi(p):
-            s, t = ((p - mesh.vertices[v]) * 8).T
-            return np.maximum(0.0, 1.0 - np.maximum(np.maximum(abs(s), abs(t)), abs(s - t)))
-
-        return phi
-
-    interior = np.flatnonzero(np.all((mesh.vertices > 0) & (mesh.vertices < 1), axis=1))
-    P = np.column_stack(
-        [project_Qh(hat(v), mesh, sig, cache=system.cache).coeffs[system.free] for v in interior]
-    )
+    P = _auxiliary_transfer(system, 8, 8, True)
     I = np.eye(A.shape[0])
     B = 2 * S - S @ A @ S + (I - S @ A) @ P @ np.linalg.solve(P.T @ A @ P, P.T @ (I - A @ S))
     r = np.random.default_rng(5).standard_normal(A.shape[0])
     z = assembly._preconditioner(system)(r)
     assert np.linalg.norm(z - B @ r) <= 1e-12 * np.linalg.norm(B @ r)
+
+
+def _dense_v_cycle(matrices, smoothers, transfers, r):
+    """Dense recursive V(1,1) cycle applied to r.
+
+    Level l is smoothed by smoothers[l] before and after the correction from
+    level l + 1 through transfers[l]; the last matrix is solved exactly.
+    """
+    if not transfers:
+        return np.linalg.solve(matrices[0], r)
+    A, S, R = matrices[0], smoothers[0], transfers[0]
+    x = S @ r
+    x += R @ _dense_v_cycle(matrices[1:], smoothers[1:], transfers[1:], R.T @ (r - A @ x))
+    return x + S @ (r - A @ x)
+
+
+@pytest.mark.parametrize(
+    "build,label,element,rho,sizes",
+    [
+        (build_uniform_triangular, 16, (0, 0, 0), 1.0, [225, 49, 9]),
+        (build_uniform_triangular, 16, (1, 2, 2), 1.0, [225, 49, 9]),
+        (build_uniform_rectangular, 3, (2, 1, 3), 0.0, [345, 77, 15]),
+    ],
+    ids=["tri-16-0-0-0", "tri-16-1-2-2", "rect-3-2-1-3-rho0"],
+)
+def test_multilevel_preconditioner_is_the_dense_v_cycle(
+    monkeypatch, build, label, element, rho, sizes
+):
+    # with _COARSEST_LU = 30 the builder's grid halves twice below P^T A P
+    # and the last P1/Q1 matrix is factored.  Level 0 is smoothed by
+    # omega D^-1 and every level below it by one sweep of 2 omega / sum_j |a_ij|
+    monkeypatch.setattr(assembly, "_COARSEST_LU", 30)
+    mesh = build(label)
+    sig = WeakSpaceSignature(*element)
+    system = assemble(mesh, sig, SchemeParameters(rho=rho), _f, _g)
+    A = system.A.toarray()
+    matrices, smoothers = [A], [_block_jacobi(A, sig.edge_dim)]
+    transfers, grid = [_auxiliary_transfer(system, *mesh._grid)], mesh._grid
+    while True:
+        A = transfers[-1].T @ A @ transfers[-1]
+        matrices.append(A)
+        if A.shape[0] <= 30:
+            break
+        smoothers.append(np.diag(2 * assembly._OMEGA / np.abs(A).sum(axis=1)))
+        R, grid = assembly._grid_prolongation(grid)
+        transfers.append(R.toarray())
+    assert [M.shape[0] for M in matrices[1:]] == sizes
+    r = np.random.default_rng(9).standard_normal(system.b.size)
+    expected = _dense_v_cycle(matrices, smoothers, transfers, r)
+    z = assembly._preconditioner(system)(r)
+    assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_preconditioner_without_interior_vertex_is_two_smoothing_sweeps():
