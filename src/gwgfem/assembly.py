@@ -30,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .mesh import Mesh, _grid_prolongation
+from .mesh import Mesh
 from .weakspace import (
     OperatorCache,
     WeakFunction,
@@ -55,7 +55,7 @@ _CG_RTOL = 1e-12
 _CG_MAXITER = 1000
 _OMEGA = 0.7  # block-Jacobi damping; 2 omega scales the l1-Jacobi sweeps
 # largest matrix below level 0 that is factored; a larger one becomes a
-# V-cycle level when the builder's grid halves.  At 4096 the 63^2 = 3969 P1
+# V-cycle level over a coarser vertex set.  At 4096 the 63^2 = 3969 P1
 # matrix of tri 64 and finer was factored (12-18 ms, L and U with 94 274
 # nonzeros each), and each of its ~20 solves per CG run cost more than an
 # l1-Jacobi level of that size; at 2048 the factored P1 matrix is 31^2 = 961.
@@ -390,17 +390,17 @@ def _preconditioner(system: GlobalSystem):
     (a, b) at an edge's vertices edges[E, 0] and edges[E, 1] go to the
     Legendre coefficients ((a + b)/2, (b - a)/2, 0, ...) of the linear
     function between them.  While the Galerkin matrix R^T A R below a level
-    (R = P below level 0) has more than _COARSEST_LU = 2048 unknowns and the
-    mesh builder's grid halves, it becomes the next level, smoothed by one
-    sweep of over-relaxed l1 Jacobi, 2 omega / sum_j |a_ij| (Baker, Falgout,
-    Kolev and Yang 2011), with R the nodal prolongation from the halved
-    grid: diag(sum_j |a_ij|) - A is positive semidefinite, so 2 omega < 2
-    keeps the sweep an A-norm contraction, and on a zero-sum row with no
-    positive off-diagonal entry it is omega / a_ii.  The last matrix is
-    factored (sparse LU): P^T A P itself on a general mesh, an odd grid or a
-    small one, and an empty matrix when there is no interior vertex.  Each
-    level smooths once on the way down and once, with the same smoother, on
-    the way up, so the cycle is symmetric and positive definite.  A smoother
+    (R = P below level 0) has more than _COARSEST_LU = 2048 unknowns and
+    _coarsen on the mesh's vertex graph drops some of them, it becomes the
+    next level, smoothed by one sweep of over-relaxed l1 Jacobi,
+    2 omega / sum_j |a_ij| (Baker, Falgout, Kolev and Yang 2011), with R
+    from _coarsen: diag(sum_j |a_ij|) - A is positive semidefinite, so
+    2 omega < 2 keeps the sweep an A-norm contraction, and on a zero-sum
+    row with no positive off-diagonal entry it is omega / a_ii.  The last
+    matrix is factored (sparse LU); it is empty when there is no interior
+    vertex.  Each level smooths once on the way down and once, with the
+    same smoother, on the way up, so the cycle is symmetric and positive
+    definite.  A smoother
     that is a diagonal (every one below level 0, and level 0's when the edge
     blocks are 1 x 1) is kept as a vector and applied as an elementwise
     product.
@@ -445,15 +445,26 @@ def _preconditioner(system: GlobalSystem):
     keep = cols >= 0
     R = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(A.shape[0], n_coarse))
 
-    levels, grid = [], mesh._grid
+    levels, graph = [], None
     while True:
         # R^T stored as CSR restricts faster than scipy's transpose view of R
         Rt, AR = R.T.tocsr(), A @ R
         levels.append((A, smooth, R, Rt, AR))
         A = Rt @ AR
-        if A.shape[0] <= _COARSEST_LU or (step := _grid_prolongation(grid)) is None:
+        if A.shape[0] <= _COARSEST_LU:
             break
-        R, grid = step
+        if graph is None:
+            # vertices that share an element, each with itself: the pattern
+            # of E^T E, E the element-vertex incidence
+            ne, w = mesh.elements.shape
+            E = sp.csr_matrix(
+                (np.ones(ne * w), mesh.elements.ravel(), np.arange(0, ne * w + 1, w)),
+                shape=(ne, mesh.n_vertices),
+            )
+            graph = E.T.tocsr() @ E
+        R, graph, interior = _coarsen(graph, interior)
+        if R.shape[1] == R.shape[0]:  # no unknown dropped: each piece is down to one vertex
+            break
         smooth = partial(np.multiply, 2 * _OMEGA / (abs(A) @ np.ones(A.shape[0])))
     try:
         # minimum-degree ordering of A^T + A and no row pivoting: a symmetric
@@ -484,6 +495,40 @@ def _preconditioner(system: GlobalSystem):
         return e
 
     return cycle
+
+
+def _coarsen(graph, interior):
+    """The transfer to the next V-cycle level below P^T A P, from a vertex graph alone.
+
+    graph links each vertex to itself and to its neighbours (an empty row
+    for a vertex that no element uses); interior masks the vertices that
+    carry an unknown.  The coarse vertices are the first maximal independent
+    set in index order, the C/F split of classical AMG (Ruge and Stueben
+    1987), and every vertex takes the mean of its coarse neighbours, the
+    boundary ones held at zero.  On the builders' grids, numbered row by
+    row, that is the grid of half the size and its nodal P1 or Q1
+    interpolation.  Returns R (interior vertices x interior coarse
+    vertices) in canonical CSR, so each Galerkin product sums in a fixed
+    order; the coarse graph, the pattern of S^T S for S the coarse-neighbour
+    pattern; and the coarse vertices' interior mask.
+    """
+    indptr, indices = memoryview(graph.indptr), memoryview(graph.indices)
+    marked = bytearray(graph.shape[0])  # the later neighbours of kept vertices
+    v = marked.find(0)
+    while v >= 0:
+        for u in indices[indptr[v] : indptr[v + 1]]:
+            if u > v:
+                marked[u] = 1
+        v = marked.find(0, v + 1)
+    coarse = np.flatnonzero(np.frombuffer(marked, dtype=np.uint8) == 0)
+    S = graph[:, coarse]
+    counts = np.diff(S.indptr)  # zero on the empty row of an unused vertex
+    S.data = np.repeat(1.0 / np.maximum(counts, 1), counts)
+    coarse_interior = interior[coarse]
+    R = S[interior][:, coarse_interior]
+    R.sort_indices()
+    S.data = np.ones(S.nnz)
+    return R, S.T.tocsr() @ S, coarse_interior
 
 
 def _ritz(alphas, betas):

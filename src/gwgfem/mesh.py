@@ -1,9 +1,12 @@
-"""Uniform triangular and rectangular partitions of the unit square.
+"""Conforming triangle and parallelogram meshes, and uniform partitions of the unit square.
 
-A mesh stores vertices, counterclockwise element cycles, and an edge table
-derived from the cycles.  Every edge keeps its vertex pair in ascending
-index order; this fixed orientation is what makes edge-based degrees of
-freedom single valued across the two elements sharing an interior edge.
+Mesh takes any conforming partition into counterclockwise triangles or
+parallelograms; the two builders make the uniform ones of the unit square,
+numbering their vertices row by row.  A mesh stores vertices,
+counterclockwise element cycles, and an edge table derived from the cycles.
+Every edge keeps its vertex pair in ascending index order; this fixed
+orientation is what makes edge-based degrees of freedom single valued
+across the two elements sharing an interior edge.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from functools import reduce
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
@@ -37,9 +39,6 @@ class Mesh:
         element_edge_signs: (ne, nsides) int array, +1 where the element
             traverses the side in ascending vertex order, -1 otherwise.
         boundary_edge: (nE,) bool mask.
-
-    The uniform builders also record their vertex grid as a private
-    _grid = (nx, ny, diagonal); a general mesh records None.
     """
 
     def __init__(self, vertices, elements):
@@ -120,7 +119,6 @@ class Mesh:
         # for bit, at a fraction of its cost
         self._centroids = np.column_stack([reduce(np.add, x.T) / w, reduce(np.add, y.T) / w])
         self._areas = areas
-        self._grid = None
 
     @property
     def n_vertices(self) -> int:
@@ -172,9 +170,7 @@ def build_uniform_triangular(n: int) -> Mesh:
     ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
     lr, ul, ur = ll + 1, ll + n + 1, ll + n + 2
     elems = np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
-    mesh = Mesh(vertices, elems)
-    mesh._grid = (n, n, True)
-    return mesh
+    return Mesh(vertices, elems)
 
 
 def build_uniform_rectangular(level: int) -> Mesh:
@@ -195,48 +191,4 @@ def build_uniform_rectangular(level: int) -> Mesh:
 
     ll = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
     elems = np.column_stack([ll, ll + 1, ll + nx + 2, ll + nx + 1])
-    mesh = Mesh(vertices, elems)
-    mesh._grid = (nx, ny, False)
-    return mesh
-
-
-def _grid_prolongation(grid):
-    """Nodal prolongation onto the interior vertices of a builder's grid from half its size.
-
-    grid is a builder's (nx, ny, diagonal): an nx x ny grid of cells, cut by
-    their lower-left to upper-right diagonal when diagonal is set.  Returns
-    (R, coarse), where coarse = (nx/2, ny/2, diagonal) and the sparse R,
-    of shape (fine interior vertices, coarse interior vertices) with both
-    numbered row-major as the builders number vertices, evaluates the
-    continuous piecewise linear (diagonal) or bilinear function of the
-    coarse grid that vanishes on the boundary at the fine interior
-    vertices.  Refining the coarse grid gives the fine one exactly, so R is
-    the natural injection of the coarse P1/Q1 space.  Returns None when a
-    side is odd or below 4, or when grid is None (a general mesh).
-    """
-    if grid is None:
-        return None
-    nx, ny, diagonal = grid
-    if nx % 2 or ny % 2 or min(nx, ny) < 4:
-        return None
-    cx, cy = nx // 2, ny // 2
-    # fine vertex (2I + a, 2J + b) around coarse vertex (I, J): bilinear
-    # weights, except that a triangle's fine vertex at a coarse cell centre
-    # lies on the diagonal and takes half of each of its two ends
-    a, b = np.meshgrid([-1, 0, 1], [-1, 0, 1], indexing="xy")
-    a, b = a.ravel(), b.ravel()
-    weights = (1.0 - 0.5 * np.abs(a)) * (1.0 - 0.5 * np.abs(b))
-    if diagonal:
-        weights = np.where(a * b == 0, weights, 0.5 * (a == b))
-    I, J = np.meshgrid(np.arange(1, cx), np.arange(1, cy), indexing="xy")
-    coarse_id = ((J - 1) * (cx - 1) + (I - 1)).ravel()[:, None]
-    fine_id = (2 * J.ravel()[:, None] + b - 1) * (nx - 1) + (2 * I.ravel()[:, None] + a - 1)
-    keep = np.broadcast_to(weights > 0, fine_id.shape)
-    R = sp.csr_matrix(
-        (
-            np.broadcast_to(weights, fine_id.shape)[keep],
-            (fine_id[keep], np.broadcast_to(coarse_id, fine_id.shape)[keep]),
-        ),
-        shape=((nx - 1) * (ny - 1), (cx - 1) * (cy - 1)),
-    )
-    return R, (cx, cy, diagonal)
+    return Mesh(vertices, elems)

@@ -407,13 +407,13 @@ def test_inverse_cholesky_matches_the_inverse_of_the_cholesky_factor(n):
     assert np.abs(L_inv - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
-def _renumbered_tri8():
-    """tri 8 as a general Mesh with its vertices renumbered by a fixed permutation.
+def _renumbered_tri(n):
+    """tri n as a general Mesh with its vertices renumbered by a fixed permutation.
 
     The renumbering mixes the edge signs: the uniform builder gives each
     triangle one of two sign patterns, this mesh gives them all six.
     """
-    built = build_uniform_triangular(8)
+    built = build_uniform_triangular(n)
     perm = np.random.default_rng(7).permutation(built.n_vertices)
     new_index = np.argsort(perm)  # vertex v of the built mesh is vertex new_index[v]
     return Mesh(built.vertices[perm], new_index[built.elements])
@@ -463,7 +463,7 @@ def _per_element_tensors(n_elements):
         (build_uniform_triangular(8), (3, 4, 4), SchemeParameters()),
         (build_uniform_rectangular(2), (2, 1, 3), SchemeParameters(rho=0.0)),
         (build_uniform_triangular(4), (1, 2, 2), SchemeParameters(coefficient=_per_element_tensors(32))),
-        (_renumbered_tri8(), (1, 2, 2), SchemeParameters()),
+        (_renumbered_tri(8), (1, 2, 2), SchemeParameters()),
         (build_uniform_triangular(1), (1, 1, 1), SchemeParameters()),
     ],
     ids=["tri-0-0-0", "tri-1-0-1", "tri-3-4-4", "rect-2-1-3-rho0", "per-element", "renumbered", "tri1"],
@@ -484,10 +484,10 @@ def test_block_pattern_gives_the_coo_sum_bit_for_bit(mesh, element, params):
 
 @pytest.mark.parametrize(
     "mesh",
-    [build_uniform_triangular(4), build_uniform_rectangular(1), _renumbered_tri8()],
+    [build_uniform_triangular(4), build_uniform_rectangular(1), _renumbered_tri(8)],
     ids=["tri", "rect", "renumbered"],
 )
-def test_block_pattern_slots_are_distinct_within_a_class_and_side_pair(mesh):
+def test_block_pattern_slots_are_distinct_within_a_class_and_side_pair(request, mesh):
     # assemble scatters with a plain +=, which is right only when no two
     # elements of one shape class reach the same block for one side pair
     # (p, q); and each pair must reach the block of its own two edges
@@ -497,7 +497,7 @@ def test_block_pattern_slots_are_distinct_within_a_class_and_side_pair(mesh):
     block[~mesh.boundary_edge] = np.arange(m)
     block_row = np.repeat(np.arange(m), np.diff(indptr))
     n = mesh.element_edges.shape[1]
-    if mesh._grid is None:  # the renumbered mesh
+    if request.node.callspec.id == "renumbered":
         assert len({tuple(s) for s in mesh.element_edge_signs}) == 6
     for _, elems in OperatorCache(mesh, WeakSpaceSignature(0, 0, 0)).classes():
         for p in range(n):
@@ -772,16 +772,15 @@ def test_cg_iterations_do_not_grow_with_refinement(shape, element, rho, labels, 
 
 
 def _count_levels(monkeypatch):
-    """Record, per _grid_prolongation call, whether it gave a V-cycle level (1) or not (0)."""
+    """Record a 1 for each V-cycle level that _coarsen builds below P^T A P."""
     seen = []
-    prolong = assembly._grid_prolongation
+    coarsen = assembly._coarsen
 
-    def spy(grid):
-        step = prolong(grid)
-        seen.append(int(step is not None))
-        return step
+    def spy(graph, interior):
+        seen.append(1)
+        return coarsen(graph, interior)
 
-    monkeypatch.setattr(assembly, "_grid_prolongation", spy)
+    monkeypatch.setattr(assembly, "_coarsen", spy)
     return seen
 
 
@@ -857,29 +856,76 @@ def test_anisotropic_coefficient_converges_on_the_multilevel_path(monkeypatch):
     assert iterations <= 100
 
 
-def test_general_mesh_takes_the_single_lu_path(monkeypatch):
-    # the same grid as a plain Mesh records no hierarchy: its P1 matrix is
-    # factored whole, and both paths solve to the same answer
-    seen = _count_levels(monkeypatch)
-    built = build_uniform_triangular(128)
-    sig = WeakSpaceSignature(0, 0, 0)
-    solutions = []
+@pytest.mark.parametrize(
+    "built,element,rho",
+    [
+        (build_uniform_triangular(128), (0, 0, 0), 1.0),
+        (build_uniform_rectangular(5), (2, 1, 3), 0.0),
+    ],
+    ids=["tri-128-0-0-0", "rect-5-2-1-3-rho0"],
+)
+def test_general_mesh_copy_solves_like_the_built_mesh(monkeypatch, built, element, rho):
+    # the levels below P^T A P come from the vertex graph alone, so the same
+    # arrays as a plain Mesh build the built mesh's levels and solution
+    seen, factored = _count_levels(monkeypatch), _record_factored(monkeypatch)
+    sig, params = WeakSpaceSignature(*element), SchemeParameters(rho=rho)
+    runs = []
     for mesh in (built, Mesh(built.vertices, built.elements)):
-        system = assemble(mesh, sig, SchemeParameters(), _f, _g)
-        x, iterations, _ = assembly._pcg(system.A, system.b, assembly._preconditioner(system))
-        assert iterations <= 20
-        solutions.append(x)
-    assert seen == [1, 1, 0]
-    assert np.linalg.norm(solutions[1] - solutions[0]) <= 1e-9 * np.linalg.norm(solutions[0])
+        seen.clear()
+        factored.clear()
+        coeffs = solve(assemble(mesh, sig, params, _f, _g)).coeffs
+        runs.append((len(seen), [A.shape for A in factored], coeffs))
+    assert runs[0][0] >= 1
+    assert runs[1][:2] == runs[0][:2]
+    np.testing.assert_array_equal(runs[1][2], runs[0][2])
+
+
+def test_renumbered_mesh_builds_levels_below_p1(monkeypatch):
+    # a random vertex numbering still coarsens, though its first independent
+    # set is no halved grid: CG takes 25 iterations when this was written,
+    # against 19 on the built mesh, and only a matrix of at most
+    # _COARSEST_LU unknowns is factored
+    seen, factored = _count_levels(monkeypatch), _record_factored(monkeypatch)
+    system = assemble(_renumbered_tri(128), WeakSpaceSignature(0, 0, 0), SchemeParameters(), _f, _g)
+    _, iterations, _ = assembly._pcg(system.A, system.b, assembly._preconditioner(system))
+    assert len(seen) >= 1
+    assert len(factored) == 1 and factored[0].shape[0] <= 2048
+    assert iterations <= 25
+
+
+def test_coarsening_stops_when_every_vertex_is_kept(monkeypatch):
+    # three separate squares, each cut into four triangles around a centre
+    # numbered first: the centres are the whole coarse set and each is the
+    # one interior vertex of its piece, so coarsening drops no unknown; with
+    # _COARSEST_LU = 2 the level loop must stop there and factor P^T A P
+    verts, elems = [], []
+    for k in range(3):
+        verts += [[2 * k + 0.5, 0.5], [2 * k, 0], [2 * k + 1, 0], [2 * k + 1, 1], [2 * k, 1]]
+        elems += [[5 * k, 5 * k + 1 + i, 5 * k + 1 + (i + 1) % 4] for i in range(4)]
+    mesh = Mesh(np.array(verts, dtype=float), elems)
+    system = assemble(mesh, WeakSpaceSignature(0, 0, 0), SchemeParameters(), _f, _g)
+    expected = solve(system).coeffs
+    monkeypatch.setattr(assembly, "_COARSEST_LU", 2)
+    seen, factored = _count_levels(monkeypatch), _record_factored(monkeypatch)
+    np.testing.assert_array_equal(solve(system).coeffs, expected)
+    assert seen == [1]
+    assert [A.shape for A in factored] == [(3, 3)]
 
 
 @pytest.mark.parametrize(
-    "built", [build_uniform_triangular(8), build_uniform_rectangular(2)], ids=["tri-8", "rect-2"]
+    "built,element",
+    [
+        (build_uniform_triangular(8), (1, 1, 1)),
+        (build_uniform_rectangular(2), (1, 1, 1)),
+        (build_uniform_triangular(64), (0, 0, 0)),
+    ],
+    ids=["tri-8", "rect-2", "tri-64-0-0-0"],
 )
-def test_vertex_that_no_element_uses_carries_no_unknown(built):
+def test_vertex_that_no_element_uses_carries_no_unknown(built, element):
     # counted as an interior P1 vertex, it gave P a zero column and the
-    # coarsest matrix an exact singularity; the system itself is SPD
-    sig = WeakSpaceSignature(1, 1, 1)
+    # coarsest matrix an exact singularity; the system itself is SPD.  On
+    # tri 64 it is also an empty row of the vertex graph below P^T A P
+    sig = WeakSpaceSignature(*element)
     plain = Mesh(built.vertices, built.elements)
     padded = Mesh(np.vstack([[0.3, 0.7], built.vertices]), built.elements + 1)
     expected = solve(assemble(plain, sig, SchemeParameters(), _f, _g)).coeffs
@@ -893,16 +939,26 @@ def test_vertex_that_no_element_uses_carries_no_unknown(built):
         ("tri", (0, 0, 0), 1.0, 64, 31 * 31),
         ("tri", (0, 0, 0), 1.0, 128, 31 * 31),
         ("tri", (0, 0, 0), 1.0, 256, 31 * 31),
+        ("tri", (0, 0, 0), 1.0, 130, 32 * 32),
         ("tri", (3, 4, 4), 1.0, 32, 31 * 31),
         ("rect", (2, 1, 3), 0.0, 4, 47 * 31),
         ("rect", (2, 1, 3), 0.0, 5, 47 * 31),
     ],
-    ids=["tri-0-0-0-64", "tri-0-0-0-128", "tri-0-0-0-256", "tri-3-4-4-32", "rect-4", "rect-5"],
+    ids=[
+        "tri-0-0-0-64",
+        "tri-0-0-0-128",
+        "tri-0-0-0-256",
+        "tri-0-0-0-130",
+        "tri-3-4-4-32",
+        "rect-4",
+        "rect-5",
+    ],
 )
 def test_coarsest_factored_matrix_size(monkeypatch, shape, element, rho, label, size):
     # _COARSEST_LU = 2048: the grids halve until the P1 matrix is 31^2 = 961
     # (3969 at 1/h = 64 becomes a cycle level), while the 47 x 31 = 1457 Q1
-    # matrix of rect levels 4 and 5 is still factored
+    # matrix of rect levels 4 and 5 is still factored.  1/h = 130 halves to
+    # the odd 65, whose first independent set keeps 32^2 interior vertices
     factored = _record_factored(monkeypatch)
     build = build_uniform_triangular if shape == "tri" else build_uniform_rectangular
     system = assemble(build(label), WeakSpaceSignature(*element), SchemeParameters(rho=rho), _f, _g)
@@ -926,26 +982,50 @@ def _auxiliary_transfer(system, nx, ny, diagonal):
     is the P1 (diagonal) or Q1 nodal function, projected independently.
     """
     mesh, sig = system.cache.mesh, system.cache.signature
-
-    def hat(v):
-        def phi(p):
-            s, t = ((p - mesh.vertices[v]) * [nx, ny]).T
-            if diagonal:
-                return np.maximum(0.0, 1.0 - np.maximum(np.maximum(abs(s), abs(t)), abs(s - t)))
-            return np.maximum(0.0, 1.0 - abs(s)) * np.maximum(0.0, 1.0 - abs(t))
-
-        return phi
-
     interior = np.flatnonzero(np.all((mesh.vertices > 0) & (mesh.vertices < 1), axis=1))
     return np.column_stack(
-        [project_Qh(hat(v), mesh, sig, cache=system.cache).coeffs[system.free] for v in interior]
+        [
+            project_Qh(_hat(mesh.vertices[v], nx, ny, diagonal), mesh, sig, cache=system.cache)
+            .coeffs[system.free]
+            for v in interior
+        ]
+    )
+
+
+def _hat(center, nx, ny, diagonal):
+    """The P1 (diagonal) or Q1 nodal function at center of an nx x ny grid on the unit square."""
+
+    def phi(p):
+        s, t = ((p - center) * [nx, ny]).T
+        if diagonal:
+            return np.maximum(0.0, 1.0 - np.maximum(np.maximum(abs(s), abs(t)), abs(s - t)))
+        return np.maximum(0.0, 1.0 - abs(s)) * np.maximum(0.0, 1.0 - abs(t))
+
+    return phi
+
+
+def _interior_points(nx, ny):
+    """The interior vertices of an nx x ny grid on the unit square, row by row."""
+    x, y = np.meshgrid(np.arange(1, nx) / nx, np.arange(1, ny) / ny, indexing="xy")
+    return np.column_stack([x.ravel(), y.ravel()])
+
+
+def _nodal_transfer(nx, ny, diagonal):
+    """Dense R from the nx/2 x ny/2 grid to the nx x ny grid, both on their interior vertices.
+
+    Column V is the hat function of coarse interior vertex V evaluated at
+    the fine interior vertices: the nodal P1 or Q1 interpolation.
+    """
+    fine = _interior_points(nx, ny)
+    return np.column_stack(
+        [_hat(c, nx // 2, ny // 2, diagonal)(fine) for c in _interior_points(nx // 2, ny // 2)]
     )
 
 
 @pytest.mark.parametrize("element", [(0, 0, 0), (1, 2, 2)])
 def test_preconditioner_is_the_two_level_step_on_a_general_mesh(element):
-    # a general Mesh has no grid hierarchy, so the cycle is one smoothing
-    # sweep, an exact solve in P1 and a second sweep:
+    # tri 8 has 49 P1 unknowns, too few for a level below P^T A P, so the
+    # cycle is one smoothing sweep, an exact solve in P1 and a second sweep:
     # B = 2 S - S A S + (I - S A) P A_c^-1 P^T (I - A S)
     built = build_uniform_triangular(8)
     mesh = Mesh(built.vertices, built.elements)
@@ -987,24 +1067,27 @@ def _dense_v_cycle(matrices, smoothers, transfers, r):
 def test_multilevel_preconditioner_is_the_dense_v_cycle(
     monkeypatch, build, label, element, rho, sizes
 ):
-    # with _COARSEST_LU = 30 the builder's grid halves twice below P^T A P
-    # and the last P1/Q1 matrix is factored.  Level 0 is smoothed by
-    # omega D^-1 and every level below it by one sweep of 2 omega / sum_j |a_ij|
+    # with _COARSEST_LU = 30 the grid halves twice below P^T A P and the last
+    # P1/Q1 matrix is factored.  Level 0 is smoothed by omega D^-1 and every
+    # level below it by one sweep of 2 omega / sum_j |a_ij|; each transfer
+    # below P is the nodal interpolation from the grid of half the size
     monkeypatch.setattr(assembly, "_COARSEST_LU", 30)
     mesh = build(label)
+    nx, ny = (np.unique(mesh.vertices[:, i]).size - 1 for i in (0, 1))
+    diagonal = mesh.elements.shape[1] == 3
     sig = WeakSpaceSignature(*element)
     system = assemble(mesh, sig, SchemeParameters(rho=rho), _f, _g)
     A = system.A.toarray()
     matrices, smoothers = [A], [_block_jacobi(A, sig.edge_dim)]
-    transfers, grid = [_auxiliary_transfer(system, *mesh._grid)], mesh._grid
+    transfers = [_auxiliary_transfer(system, nx, ny, diagonal)]
     while True:
         A = transfers[-1].T @ A @ transfers[-1]
         matrices.append(A)
         if A.shape[0] <= 30:
             break
         smoothers.append(np.diag(2 * assembly._OMEGA / np.abs(A).sum(axis=1)))
-        R, grid = assembly._grid_prolongation(grid)
-        transfers.append(R.toarray())
+        transfers.append(_nodal_transfer(nx, ny, diagonal))
+        nx, ny = nx // 2, ny // 2
     assert [M.shape[0] for M in matrices[1:]] == sizes
     r = np.random.default_rng(9).standard_normal(system.b.size)
     expected = _dense_v_cycle(matrices, smoothers, transfers, r)

@@ -1,14 +1,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gwgfem import OperatorCache, WeakSpaceSignature
-from gwgfem.mesh import (
-    Mesh,
-    _grid_prolongation,
-    build_uniform_rectangular,
-    build_uniform_triangular,
-)
+from gwgfem.assembly import _coarsen
+from gwgfem.mesh import Mesh, build_uniform_rectangular, build_uniform_triangular
 
 # Hand-enumerated entity counts for the smallest triangular meshes
 # (vertices, elements, edges, interior edges).
@@ -407,21 +404,27 @@ def _evaluate_coarse_function(coarse, values, points):
     ids=["tri-8", "tri-16", "rect-1", "rect-2"],
 )
 def test_grid_prolongation_interpolates_the_coarse_function(fine, coarse):
-    R, grid = _grid_prolongation(fine._grid)
-    assert grid == coarse._grid
+    # _coarsen sees only the vertex graph, built here from the elements: on
+    # a builder's row-by-row numbering its coarse vertices are those of the
+    # grid of half the size, and its transfer is that grid's P1/Q1 function
+    graph = np.zeros((fine.n_vertices, fine.n_vertices))
+    for cycle in fine.elements:
+        graph[np.ix_(cycle, cycle)] = 1.0
     fine_interior, coarse_interior = _interior_vertices(fine), _interior_vertices(coarse)
+    interior = np.zeros(fine.n_vertices, dtype=bool)
+    interior[fine_interior] = True
+    R, coarse_graph, inner = _coarsen(sp.csr_matrix(graph), interior)
+    assert coarse_graph.shape == (coarse.n_vertices, coarse.n_vertices)
+    assert np.array_equal(np.flatnonzero(inner), coarse_interior)
     assert R.shape == (fine_interior.size, coarse_interior.size)
+    assert R.has_canonical_format
+    # a coarse vertex takes itself: column V holds a 1 at the fine vertex V is
+    at = np.asarray(R.argmax(axis=0)).ravel()
+    assert np.all(R.toarray()[at, np.arange(R.shape[1])] == 1.0)
+    np.testing.assert_array_equal(
+        fine.vertices[fine_interior[at]], coarse.vertices[coarse_interior]
+    )
     values = np.zeros(coarse.n_vertices)  # zero on the boundary
     values[coarse_interior] = np.random.default_rng(3).standard_normal(coarse_interior.size)
     expected = _evaluate_coarse_function(coarse, values, fine.vertices[fine_interior])
     assert np.abs(R @ values[coarse_interior] - expected).max() <= 1e-14
-
-
-def test_grid_prolongation_stops_at_odd_or_small_sides():
-    built = build_uniform_triangular(8)
-    assert Mesh(built.vertices, built.elements)._grid is None
-    assert _grid_prolongation(None) is None
-    assert _grid_prolongation(build_uniform_triangular(6)._grid) is not None
-    assert _grid_prolongation(build_uniform_triangular(7)._grid) is None
-    assert _grid_prolongation(build_uniform_triangular(2)._grid) is None
-    assert _grid_prolongation(build_uniform_rectangular(0)._grid) is None  # 3 x 2 cells

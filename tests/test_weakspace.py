@@ -236,7 +236,7 @@ def test_project_qh_interior_convergence_rate():
 
 
 def _shifted(mesh, shift):
-    """The same elements as a general Mesh (no grid record), moved by shift."""
+    """The same elements as a general Mesh, moved by shift."""
     return Mesh(mesh.vertices + np.asarray(shift), mesh.elements)
 
 
