@@ -60,9 +60,18 @@ _OMEGA = 0.7  # block-Jacobi damping; 2 omega scales the l1-Jacobi sweeps
 # nonzeros each), and each of its ~20 solves per CG run cost more than an
 # l1-Jacobi level of that size; at 2048 the factored P1 matrix is 31^2 = 961.
 # 2048 still factors the 47 x 31 = 1457 Q1 matrix of rect levels 4 and 5:
-# coarsening that to 345 raised (2,1,3) rho = 0 rect 4 from 10 to 13 CG
-# iterations.
+# coarsening that to 345 raises (2,1,3) rho = 0 rect 4 from 10 to 14 CG
+# iterations (case cospi_cospi; 10 to 15 with load sin(x + 2y), data xy).
 _COARSEST_LU = 2048
+# compare-exchange networks that sort the 5 (triangles) or 7 (parallelograms)
+# positions of a block row; each sorts all 2^5 or 2^7 inputs of zeros and ones
+_SORTING_NETWORKS = {
+    5: ((0, 3), (1, 4), (0, 2), (1, 3), (0, 1), (2, 4), (1, 2), (3, 4), (2, 3)),
+    7: (
+        (0, 6), (2, 3), (4, 5), (0, 2), (1, 4), (3, 6), (0, 1), (2, 5),
+        (3, 4), (1, 2), (4, 6), (2, 3), (4, 5), (1, 2), (3, 4), (5, 6),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -256,9 +265,10 @@ def assemble(
     -K0b^T K00^-1 F0 - S gb to b, gb its edge coefficients of Qb g (zero on
     interior edges).  No matrix larger than A is formed.  A's block
     pattern, one edge_dim x edge_dim block row per interior edge, comes from
-    the mesh adjacency (_block_pattern); the blocks of each S are scattered
-    into it one side pair at a time, and the block matrix is sorted and
-    converted to CSR once.
+    the mesh adjacency (_block_pattern), sorted within its rows; the
+    off-diagonal blocks of each S are written into it at once, its diagonal
+    blocks added one side at a time, and the block matrix, canonical as
+    built, is converted to CSR once.
 
     f and g must be vectorized ((n, 2) points -> (n,) finite values); any
     other shape, NaN or infinity raises ValueError naming the function.
@@ -289,6 +299,10 @@ def assemble(
     b = np.zeros(free.size)
     nb, n_sides = signature.edge_dim, mesh.element_edges.shape[1]
     indptr, indices, own, other, slot = _block_pattern(mesh)
+    # the side pairs (p, (p + d) mod n), d = 1, ..., n - 1, in the order of the
+    # positions other[t, p] + d - 1
+    p_side = np.arange(n_sides)[:, None]
+    q_side = (p_side + np.arange(1, n_sides)) % n_sides
     data = np.zeros((indices.size + 1, nb * nb))  # the last row takes the boundary pairs
     C_parts = []
     y = np.empty_like(F0)
@@ -317,20 +331,21 @@ def assemble(
         touch = np.flatnonzero(~keep.all(axis=1))
         load[touch] += _mv(S if S.ndim == 2 else S[touch], known[edofs[touch]])
         b -= np.bincount(rows[keep], load[keep], minlength=free.size)
-        # block (p, q) of S goes to the slot of side q in the row of side p;
-        # no two elements of one class meet in a slot for one (p, q), so a
-        # plain += sums every contribution
+        # S as (n, n) blocks of nb * nb: block (p, q) goes to the slot of side
+        # q in the row of side p.  An off-diagonal block of A belongs to one
+        # element, since two elements sharing two edges would traverse one of
+        # them twice in the same direction, which Mesh rejects; so it is
+        # assigned.  A diagonal block sums the two elements of its edge, and
+        # two elements of one class hold a shared edge as different sides
+        blocks = S.reshape(*S.shape[:-2], n_sides, nb, n_sides, nb).swapaxes(-3, -2)
+        blocks = blocks.reshape(*S.shape[:-2], n_sides, n_sides, nb * nb)
         own_c, other_c = own[elems], other[elems]
+        data[slot[other_c[:, :, None] + np.arange(n_sides - 1)]] = blocks[..., p_side, q_side, :]
         for p in range(n_sides):
-            for q in range(n_sides):
-                d = (q - p) % n_sides
-                target = slot[own_c[:, p] if d == 0 else other_c[:, p] + d - 1]
-                block = S[..., p * nb : (p + 1) * nb, q * nb : (q + 1) * nb]
-                data[target] += block.reshape(-1, nb * nb)
+            data[slot[own_c[:, p]]] += blocks[..., p, p, :]
     A = sp.bsr_matrix(
         (data[:-1].reshape(-1, nb, nb), indices, indptr), shape=(free.size, free.size)
     )
-    A.sort_indices()
     return GlobalSystem(A.tocsr(), b, C_parts, y, free, known[dm.boundary_dofs], cache)
 
 
@@ -341,11 +356,13 @@ def _block_pattern(mesh: Mesh):
     interior edges.  E couples only to the other sides of its two elements,
     so its row has 2 n - 1 positions, n the number of sides: E itself, then
     the sides p + 1, ..., p + n - 1 (mod n) of edge_elements[E, 0], whose
-    side p is E, then those of edge_elements[E, 1] likewise.  Boundary rows
-    and columns are dropped by one compaction.
+    side p is E, then those of edge_elements[E, 1] likewise.  Each row's
+    positions are sorted by column once, and boundary rows and columns are
+    dropped by one compaction.
 
     Returns (indptr, indices, own, other, slot).  indptr and indices are the
-    compacted block pattern, unsorted within a row.  own and other are
+    compacted block pattern, sorted within each row, so a block matrix with
+    its blocks in pattern order is canonical as built.  own and other are
     shaped like mesh.element_edges: for side p of element t, own[t, p] is
     the position of the diagonal block in that side's row, and
     other[t, p] + d - 1 the position of side (p + d) mod n.  slot maps a
@@ -366,16 +383,33 @@ def _block_pattern(mesh: Mesh):
     owner[2 * mesh.element_edges.ravel() + descending.ravel()] = np.arange(sides.size)
     # later[t * n + p]: the blocks of sides p + 1, ..., p + n - 1 (mod n) of element t
     later = sides[:, (np.arange(n)[:, None] + np.arange(1, n)) % n].reshape(-1, n - 1)
-    others = np.take(later, owner.reshape(-1, 2)[interior], axis=0).reshape(m, 2 * n - 2)
-    cols = np.hstack([block[interior, None], others]).ravel()
-    keep = np.flatnonzero(cols < m)
-    slot = np.full((m + 1) * width, keep.size, dtype=np.int32)
-    slot[keep] = np.arange(keep.size, dtype=np.int32)
+    others = np.take(later, owner.reshape(-1, 2)[interior], axis=0)
+    # key[j, i] = (column << shift) | j for position j of row i: unique within
+    # a row and keeping j; the dropped column m gives the keys from dropped
+    # on, which sort last
+    shift = width.bit_length()
+    dropped = m << shift
+    key = np.empty((width, m), dtype=np.int32)
+    key[0] = np.arange(m, dtype=np.int32)
+    key[1:] = others.reshape(m, width - 1).T
+    key <<= shift
+    key |= np.arange(width, dtype=np.int32)[:, None]
+    ranked = list(key)  # ranked[r][i] becomes the r-th smallest key of row i
+    for a, b in _SORTING_NETWORKS[width]:
+        ranked[a], ranked[b] = np.minimum(ranked[a], ranked[b]), np.maximum(ranked[a], ranked[b])
+    # the kept positions of a sorted row come first: row i's blocks are the
+    # first indptr[i + 1] - indptr[i], numbered on from indptr[i]
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(sum(k < dropped for k in ranked), out=indptr[1:])
+    key = np.stack(ranked, axis=1)
+    kept = key < dropped
+    # position[i, r]: the position i * width + j whose key is key[i, r]
+    position = np.arange(0, m * width, width)[:, None] + (key & (1 << shift) - 1)
+    slot = np.full((m + 1) * width, indptr[-1], dtype=np.int32)
+    slot[position[kept]] = np.arange(indptr[-1], dtype=np.int32)
     own = sides * width
     other = own + 1 + (n - 1) * descending.astype(np.int32)
-    # a row starts with its diagonal block, which is never dropped, so the
-    # row pointer is slot[::width]; its last entry is the spare row's
-    return slot[::width], cols[keep], own, other, slot
+    return indptr, key[kept] >> shift, own, other, slot
 
 
 def _preconditioner(system: GlobalSystem):

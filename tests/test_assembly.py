@@ -482,23 +482,37 @@ def test_block_pattern_gives_the_coo_sum_bit_for_bit(mesh, element, params):
     assert np.array_equal(A.data.view(np.int64), reference.data.view(np.int64))
 
 
+@pytest.mark.parametrize("width", [5, 7])
+def test_sorting_network_sorts_every_input_of_zeros_and_ones(width):
+    # a compare-exchange network that sorts every 0/1 input sorts every input
+    x = list((np.arange(2**width) >> np.arange(width)[:, None]) & 1)
+    for a, b in assembly._SORTING_NETWORKS[width]:
+        x[a], x[b] = np.minimum(x[a], x[b]), np.maximum(x[a], x[b])
+    assert np.all(np.diff(np.stack(x), axis=0) >= 0)
+
+
 @pytest.mark.parametrize(
     "mesh",
     [build_uniform_triangular(4), build_uniform_rectangular(1), _renumbered_tri(8)],
     ids=["tri", "rect", "renumbered"],
 )
-def test_block_pattern_slots_are_distinct_within_a_class_and_side_pair(request, mesh):
-    # assemble scatters with a plain +=, which is right only when no two
-    # elements of one shape class reach the same block for one side pair
-    # (p, q); and each pair must reach the block of its own two edges
+def test_block_pattern_is_sorted_and_each_off_diagonal_block_has_one_element(request, mesh):
+    # assemble assigns the off-diagonal blocks, right only when each is reached
+    # by exactly one (element, p, q != p) over the whole mesh; it adds the
+    # diagonal blocks with one += per class and side p, right only when no two
+    # elements of a class reach the same block for one p; and it builds the
+    # CSR matrix with no sort, right only when each row's columns increase
     indptr, indices, own, other, slot = assembly._block_pattern(mesh)
     m = indptr.size - 1
+    for i in range(m):
+        assert np.all(np.diff(indices[indptr[i] : indptr[i + 1]]) > 0)
     block = np.full(mesh.n_edges, -1)
     block[~mesh.boundary_edge] = np.arange(m)
     block_row = np.repeat(np.arange(m), np.diff(indptr))
     n = mesh.element_edges.shape[1]
     if request.node.callspec.id == "renumbered":
         assert len({tuple(s) for s in mesh.element_edge_signs}) == 6
+    reached = np.zeros(indices.size, dtype=int)
     for _, elems in OperatorCache(mesh, WeakSpaceSignature(0, 0, 0)).classes():
         for p in range(n):
             for q in range(n):
@@ -508,9 +522,15 @@ def test_block_pattern_slots_are_distinct_within_a_class_and_side_pair(request, 
                 col = block[mesh.element_edges[elems, q]]
                 live = (row >= 0) & (col >= 0)
                 assert np.all(target[~live] == indices.size)
-                assert np.unique(target[live]).size == np.count_nonzero(live)
                 assert np.array_equal(block_row[target[live]], row[live])
                 assert np.array_equal(indices[target[live]], col[live])
+                if d == 0:
+                    assert np.unique(target[live]).size == np.count_nonzero(live)
+                else:
+                    reached += np.bincount(target[live], minlength=indices.size)
+    off_diagonal = indices != block_row
+    assert np.all(reached[off_diagonal] == 1)
+    assert np.all(reached[~off_diagonal] == 0)
 
 
 @pytest.mark.parametrize("shape", ["tri", "rect"])
