@@ -407,6 +407,44 @@ def test_inverse_cholesky_matches_the_inverse_of_the_cholesky_factor(n):
     assert np.abs(L_inv - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
+def _spd_stack_with_a_failing_column(block, col, nan):
+    """Ten SPD 5 x 5 matrices; matrix block has no positive pivot at column col.
+
+    Row col of its factor B, K = B B^T, is a combination of the rows before
+    it, so the Cholesky pivot there is rounding noise.  With nan set, the
+    entries (col, 1) and (1, col) are NaN instead: the diagonal and so the
+    block's scale stay finite, and the first pivot that reads NaN is col's.
+    """
+    B = np.random.default_rng(4).standard_normal((10, 5, 5))
+    K = B @ np.swapaxes(B, -1, -2) + np.eye(5)
+    if nan:
+        K[block, col, 1] = K[block, 1, col] = np.nan
+    else:
+        B[block, col] = B[block, 0] - 2.0 * B[block, col - 1]
+        K[block] = B[block] @ B[block].T
+    return K
+
+
+@pytest.mark.parametrize(
+    "block,col,nan,stack",
+    [(6, 3, False, True), (2, 3, True, True), (0, 4, False, False)],
+    ids=["singular-block-6", "nan-in-block-2", "one-matrix"],
+)
+def test_inverse_cholesky_names_the_failing_block_and_column(block, col, nan, stack):
+    # the pivot test, its message and .pivot, for a stack and for the one
+    # matrix that assemble factors when the coefficient is constant
+    K = _spd_stack_with_a_failing_column(block, col, nan)
+    index = 100 + np.arange(50).reshape(10, 5)
+    scale = np.diagonal(K, axis1=-2, axis2=-1).max(axis=-1)
+    if not stack:
+        K, scale = K[block], scale[block]
+    with pytest.raises(SingularSystem, match="not positive definite") as err:
+        assembly._inverse_cholesky(K, scale, index, "the test block")
+    assert err.value.pivot == index[block, col]
+    assert str(err.value).startswith("the test block is singular")
+    assert f"coefficient {col} (global index {index[block, col]})" in str(err.value)
+
+
 def _renumbered_tri(n):
     """tri n as a general Mesh with its vertices renumbered by a fixed permutation.
 
@@ -947,7 +985,7 @@ def test_vertex_that_no_element_uses_carries_no_unknown(built, element):
     # tri 64 it is also an empty row of the vertex graph below P^T A P
     sig = WeakSpaceSignature(*element)
     plain = Mesh(built.vertices, built.elements)
-    padded = Mesh(np.vstack([[0.3, 0.7], built.vertices]), built.elements + 1)
+    padded = _padded(built)
     expected = solve(assemble(plain, sig, SchemeParameters(), _f, _g)).coeffs
     coeffs = solve(assemble(padded, sig, SchemeParameters(), _f, _g)).coeffs
     np.testing.assert_array_equal(coeffs, expected)
@@ -984,6 +1022,54 @@ def test_coarsest_factored_matrix_size(monkeypatch, shape, element, rho, label, 
     system = assemble(build(label), WeakSpaceSignature(*element), SchemeParameters(rho=rho), _f, _g)
     assembly._preconditioner(system)
     assert [A.shape for A in factored] == [(size, size)]
+
+
+def _coo_transfer(mesh, nb):
+    """P built from COO triplets and converted by scipy: the reference for _edge_transfer."""
+    interior = np.zeros(mesh.n_vertices, dtype=bool)
+    interior[mesh.edges] = True
+    interior[mesh.edges[mesh.boundary_edge]] = False
+    n_coarse = int(np.count_nonzero(interior))
+    vertex = np.full(mesh.n_vertices, -1)
+    vertex[interior] = np.arange(n_coarse)
+    ends = vertex[mesh.edges[~mesh.boundary_edge]]
+    index = np.arange(ends.shape[0] * nb).reshape(-1, nb)
+    weights = np.array([[0.5, 0.5], [-0.5, 0.5]])[: min(nb, 2)]
+    rows, cols, vals = np.broadcast_arrays(index[:, : len(weights), None], ends[:, None, :], weights)
+    keep = cols >= 0
+    P = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(index.size, n_coarse))
+    return P, interior
+
+
+def _padded(built):
+    """built with one extra vertex, numbered first, that no element uses."""
+    return Mesh(np.vstack([[0.3, 0.7], built.vertices]), built.elements + 1)
+
+
+@pytest.mark.parametrize(
+    "mesh,element",
+    [
+        (build_uniform_triangular(8), (0, 0, 0)),
+        (build_uniform_triangular(8), (3, 4, 4)),
+        (build_uniform_rectangular(2), (2, 1, 3)),
+        (_renumbered_tri(8), (1, 2, 2)),
+        (_padded(build_uniform_triangular(8)), (1, 1, 1)),
+    ],
+    ids=["tri-0-0-0", "tri-3-4-4", "rect-2-1-3", "renumbered", "unused-vertex"],
+)
+def test_edge_transfer_is_the_coo_build_bit_for_bit(mesh, element):
+    # written straight into CSR, P must be the matrix that scipy makes from
+    # the triplets, in canonical form: each row's live ends already ascend
+    nb = WeakSpaceSignature(*element).edge_dim
+    P, interior = assembly._edge_transfer(mesh, nb)
+    reference, expected_interior = _coo_transfer(mesh, nb)
+    np.testing.assert_array_equal(interior, expected_interior)
+    assert isinstance(P, sp.csr_matrix) and P.has_canonical_format
+    assert P.shape == reference.shape
+    for got, want in ((P.indptr, reference.indptr), (P.indices, reference.indices)):
+        assert got.dtype == want.dtype == np.int32
+        assert np.array_equal(got, want)
+    assert np.array_equal(P.data.view(np.int64), reference.data.view(np.int64))
 
 
 def _block_jacobi(A, nb):
@@ -1042,7 +1128,7 @@ def _nodal_transfer(nx, ny, diagonal):
     )
 
 
-@pytest.mark.parametrize("element", [(0, 0, 0), (1, 2, 2)])
+@pytest.mark.parametrize("element", [(0, 0, 0), (1, 2, 2), (3, 4, 4)])
 def test_preconditioner_is_the_two_level_step_on_a_general_mesh(element):
     # tri 8 has 49 P1 unknowns, too few for a level below P^T A P, so the
     # cycle is one smoothing sweep, an exact solve in P1 and a second sweep:
