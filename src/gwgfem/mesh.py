@@ -12,6 +12,7 @@ across the two elements sharing an interior edge.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -148,7 +149,7 @@ class Mesh:
 
 def _diameters(x, y):
     """Largest vertex distance of each polygon with vertex coordinates x, y, each (n, w)."""
-    i, j = np.triu_indices(x.shape[1], 1)
+    i, j = np.array(list(combinations(range(x.shape[1]), 2))).T  # np.triu_indices' pairs, faster
     dx, dy = x[:, i] - x[:, j], y[:, i] - y[:, j]
     return np.sqrt((dx**2 + dy**2).max(axis=1))
 

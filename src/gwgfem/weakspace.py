@@ -20,6 +20,7 @@ them exactly translation invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -34,7 +35,6 @@ from .polybasis import (
     _grading_depth,
     graded_rule,
     map_to_edge,
-    map_to_element,
     monomial_exponents,
 )
 
@@ -152,77 +152,181 @@ class _ShapeOps:
     edge polynomials always expressed in the canonical (ascending vertex
     index) orientation of each edge.  One element rule (offsets, weights;
     phi0 is the P_k basis at its points) gives M0, M_m and data moments.
+
+    A read-only view of class c of the stacks that _shape_stacks builds for
+    all classes at once: each attribute it names is entry c of that stack,
+    taken on first use, so trace_ops[side] is one side's trace projection.
+    basis is the scaled monomial basis about the centroid, for rules that
+    the stacks do not hold, such as the graded ones.
     """
 
-    def __init__(self, shape, rel_verts, canon_flags, signature):
-        k, j, ell, m = signature.k, signature.j, signature.ell, signature.m
-        n0, nb = signature.interior_dim, signature.edge_dim
-        dim_l, dim_m = dim_pk(ell), dim_pk(m)
-        self.n_sides = n_sides = rel_verts.shape[0]
-        self.n_loc = n0 + n_sides * nb
+    def __init__(self, stacks: dict, c: int, degree: int):
+        self._stacks, self._c, self._degree = stacks, c, degree
+        self.n_sides = stacks["normals"].shape[1]
+        self.n_loc = stacks["G"].shape[-1]
 
-        d = np.roll(rel_verts, -1, axis=0) - rel_verts
-        self.edge_lengths = np.linalg.norm(d, axis=1)
-        self.normals = np.column_stack([d[:, 1], -d[:, 0]]) / self.edge_lengths[:, None]
-        self.h_T = float(_diameters(rel_verts[None, :, 0], rel_verts[None, :, 1])[0])
+    def __getattr__(self, name):
+        stacks = self.__dict__.get("_stacks", {})  # empty while pickle or copy rebuilds a view
+        if name not in stacks:
+            raise AttributeError(f"shape-class operators have no attribute {name!r}")
+        value = stacks[name][self._c]
+        setattr(self, name, value)  # later reads find it without this call
+        return value
 
-        self.basis = ElementBasis(max(k, m), (0.0, 0.0), self.h_T)
-        rule = element_quadrature(shape, _element_rule_degree(signature))
-        self.offsets, self.weights = map_to_element(rule, rel_verts)
-        V = self.basis.eval(self.offsets)
-        M_full = V.T @ (self.weights[:, None] * V)
-        self.M0 = M_full[:n0, :n0]
-        self.M_m = M_full[:dim_m, :dim_m]
-        self.phi0 = V[:, :n0]
+    @property
+    def basis(self) -> ElementBasis:
+        return ElementBasis(self._degree, (0.0, 0.0), self.h_T)
 
-        edge_basis = EdgeBasis(j)
-        edge_rule = edge_quadrature(2 * max(k, j, ell))
-        E = edge_basis.eval(edge_rule.points)
-        self.edge_mass = edge_basis.mass_diagonal(self.edge_lengths[:, None])  # (n_sides, nb)
-        B = np.zeros((2, dim_l, self.n_loc))  # x and y moments of the correction
-        self.stab_unit = np.zeros((self.n_loc, self.n_loc))
-        self.trace_ops = []
-        for side in range(n_sides):
-            p, q = rel_verts[side], rel_verts[(side + 1) % n_sides]
-            if canon_flags[side] < 0:
-                p, q = q, p
-            pts, ew, _ = map_to_edge(edge_rule, p, q)
-            V_side = self.basis.eval(pts)
-            D = self.edge_mass[side]
-            # L2 trace projection onto the edge space: coefficients of Qb v0
-            T_e = (E.T @ (ew[:, None] * V_side[:, :n0])) / D[:, None]
-            # N_e v = Legendre coefficients of Qb v0 - vb on this side
-            N_e = np.zeros((nb, self.n_loc))
-            N_e[:, :n0] = T_e
-            N_e[:, n0 + side * nb : n0 + (side + 1) * nb] = -np.eye(nb)
-            moments = -V_side[:, :dim_l].T @ (ew[:, None] * (E @ N_e))
-            B += self.normals[side][:, None, None] * moments
-            self.stab_unit += N_e.T @ (D[:, None] * N_e)
-            self.trace_ops.append(T_e)
 
-        cho_l = cho_factor(M_full[:dim_l, :dim_l])
-        delta_x, delta_y = cho_solve(cho_l, B[0]), cho_solve(cho_l, B[1])
-        self.delta = np.vstack([delta_x, delta_y])
+def _shape_stacks(shape: str, X, Y, signs, signature: WeakSpaceSignature) -> dict:
+    """Local operators of C element shapes at once, each a read-only stack over the shapes.
 
-        # grad v0 embedded into [P_m]^2 (coefficients of the scaled basis)
-        Gx = np.zeros((dim_m, self.n_loc))
-        Gy = np.zeros((dim_m, self.n_loc))
-        index_m = {tuple(e): i for i, e in enumerate(monomial_exponents(m))}
-        for i, (a, b) in enumerate(monomial_exponents(k)):
-            if a > 0:
-                Gx[index_m[(a - 1, b)], i] += a / self.h_T
-            if b > 0:
-                Gy[index_m[(a, b - 1)], i] += b / self.h_T
-        Gx[:dim_l, :] += delta_x
-        Gy[:dim_l, :] += delta_y
-        self.Gx, self.Gy = Gx, Gy
-        self.G = np.vstack([Gx, Gy])
+    X and Y, each (C, w), hold the vertex coordinates of every shape
+    relative to its centroid, and signs, (C, w), its edge orientation
+    pattern.  Every stack has the shapes on its first axis: h_T (C,),
+    edge_lengths (C, w), normals (C, w, 2), the element rule's offsets
+    (C, n_q, 2) and weights (C, n_q), phi0 (C, n_q, n0), M0, M_m,
+    edge_mass (C, w, nb), trace_ops (C, w, nb, n0), delta, Gx, Gy, G,
+    Sxx, Syy, Sxy and stab_unit.  Sxx, Syy and stab_unit are exactly
+    symmetric.  The number of numpy calls grows with neither C nor w, and
+    every product is an einsum or a stacked `@` of matrices too small for
+    BLAS threads.
+    """
+    n0, dim_l, dim_m = signature.interior_dim, dim_pk(signature.ell), dim_pk(signature.m)
+    C, w = X.shape
+    n_loc = n0 + w * signature.edge_dim
+    degree = max(signature.k, signature.m)
+    rule, edge_rule, E, exps, after, (rows, cols, factors) = _reference_data(shape, signature)
 
-        MGx = self.M_m @ Gx
-        MGy = self.M_m @ Gy
-        self.Sxx = Gx.T @ MGx
-        self.Syy = Gy.T @ MGy
-        self.Sxy = Gx.T @ MGy
+    # x and y on a leading axis of 2; side s runs from vertex s to s + 1
+    Z = np.stack([X, Y])
+    Z1 = Z[..., after]
+    d = Z1 - Z
+    lengths = np.sqrt((d * d).sum(axis=0))
+    h = _diameters(X, Y)
+    normal = d[::-1] / lengths  # unit outer normals (dy, -dx) / length
+    np.negative(normal[1], out=normal[1])
+
+    # the element rule, mapped affinely from vertex 0 along the vectors to
+    # vertex 1 and to the last vertex (2 of a triangle, 3 of a parallelogram)
+    e1, e2 = d[..., :1], Z[..., -1:] - Z[..., :1]
+    offsets = Z[..., :1] + rule.points[:, 0] * e1 + rule.points[:, 1] * e2
+    weights = rule.weights * np.abs(e1[0] * e2[1] - e1[1] * e2[0])
+    # each side's edge rule in the canonical direction: the half side
+    # vector, flipped where the element runs against the edge
+    half = signs * d / 2.0
+    edge_pts = ((Z + Z1) / 2.0)[..., None] + edge_rule.points * half[..., None]
+    edge_w = edge_rule.weights * np.sqrt((half * half).sum(axis=0))[..., None]
+
+    # the scaled basis of degree max(k, m) at the element and then the edge
+    # points, from the powers of x / h_T and y / h_T (on a leading axis)
+    pts = np.concatenate([offsets, edge_pts.reshape(2, C, -1)], axis=2) / h[:, None]
+    powers = np.ones((degree + 1,) + pts.shape)
+    for p in range(1, degree + 1):
+        np.multiply(powers[p - 1], pts, out=powers[p])
+    V = np.empty((len(exps),) + pts.shape[1:])
+    for i, (a, b) in enumerate(exps):  # basis function i is X^a Y^b
+        np.multiply(powers[a, 0], powers[b, 1], out=V[i])
+    V = V.transpose(1, 2, 0)  # (C, points, basis)
+    n_q = weights.shape[1]
+    wV_edge = edge_w[..., None] * V[:, n_q:].reshape(C, w, edge_w.shape[-1], -1)
+    V = V[:, :n_q]
+    M = V.swapaxes(1, 2) @ (weights[..., None] * V)
+
+    D = EdgeBasis(signature.j).mass_diagonal(lengths[..., None])
+    # T[s] v0: the coefficients of the L2 trace projection Qb v0 on side s
+    T = (E.T @ wV_edge[..., :n0]) / D[..., None]
+    # moments (delta_g v, psi)_T = <Qb v0 - vb, psi . n>_boundary against
+    # the P_ell basis psi, x and y on axis 1: the interior block sums
+    # -n_s P_s T_s over the sides s, side s's block is n_s P_s, with
+    # P_s = <psi, L_a>_s
+    P = wV_edge[..., :dim_l].swapaxes(-1, -2) @ E
+    n_cds = normal.transpose(1, 0, 2)  # component d of side s's normal, (C, 2, w)
+    B = np.empty((C, 2, dim_l, n_loc))
+    np.einsum("cds,csij->cdij", -n_cds, P @ T, out=B[..., :n0])
+    B[..., n0:] = (n_cds[:, :, None, :, None] * P.swapaxes(1, 2)[:, None]).reshape(C, 2, dim_l, -1)
+    # delta = M_l^-1 B, with M_l^-1 = L^-T L^-1 from the Cholesky factor L of M_l
+    L_inv = np.linalg.inv(np.linalg.cholesky(M[:, :dim_l, :dim_l]))
+    delta = (L_inv.swapaxes(1, 2) @ L_inv)[:, None] @ B
+
+    # grad v0 embedded into [P_m]^2, x rows then y rows, corrected by delta
+    G = np.zeros((C, 2, dim_m, n_loc))
+    G.reshape(C, -1, n_loc)[:, rows, cols] = factors / h[:, None]
+    G[:, :, :dim_l] += delta
+    Gx, Gy = G[:, 0], G[:, 1]
+    MG = M[:, None, :dim_m, :dim_m] @ G
+    # Sxx = Gx^T M_m Gx, Syy and Sxy likewise, written in place; Sxx and Syy
+    # as 0.5 (S + S^T), exactly symmetric
+    Sxx, Syy, Sxy = np.empty((3, C, n_loc, n_loc))
+    np.matmul(Gx.swapaxes(1, 2), MG[:, 1], out=Sxy)
+    GMG = np.empty_like(Sxx)
+    for out, Gd, MGd in ((Sxx, Gx, MG[:, 0]), (Syy, Gy, MG[:, 1])):
+        np.matmul(Gd.swapaxes(1, 2), MGd, out=GMG)
+        np.add(GMG, GMG.swapaxes(1, 2), out=out)
+        out *= 0.5
+
+    # stabilizer sum_s N_s^T diag(D_s) N_s, where N_s v = T_s v0 - vb_s
+    T_flat = T.reshape(C, -1, n0)
+    TD = T_flat * D.reshape(C, -1, 1)
+    TDT = T_flat.swapaxes(1, 2) @ TD
+    stab = np.zeros((C, n_loc, n_loc))
+    stab[:, :n0, :n0] = 0.5 * (TDT + TDT.swapaxes(1, 2))  # exactly symmetric
+    stab[:, n0:, :n0] = -TD
+    stab[:, :n0, n0:] = stab[:, n0:, :n0].swapaxes(1, 2)
+    edge = np.arange(n0, n_loc)
+    stab[:, edge, edge] = D.reshape(C, -1)
+
+    # offsets and phi0 are copied contiguous: the per-class loops of
+    # _interior_moments tile and multiply them, one class at a time
+    stacks = {
+        "h_T": h,
+        "edge_lengths": lengths,
+        "normals": normal.transpose(1, 2, 0),
+        "offsets": np.ascontiguousarray(offsets.transpose(1, 2, 0)),
+        "weights": weights,
+        "phi0": np.ascontiguousarray(V[..., :n0]),
+        "M0": M[:, :n0, :n0],
+        "M_m": M[:, :dim_m, :dim_m],
+        "edge_mass": D,
+        "trace_ops": T,
+        "delta": delta.reshape(C, 2 * dim_l, n_loc),
+        "Gx": Gx,
+        "Gy": Gy,
+        "G": G.reshape(C, 2 * dim_m, n_loc),
+        "Sxx": Sxx,
+        "Syy": Syy,
+        "Sxy": Sxy,
+        "stab_unit": stab,
+    }
+    for stack in stacks.values():
+        stack.setflags(write=False)
+    return stacks
+
+
+@lru_cache(maxsize=None)
+def _reference_data(shape: str, signature: WeakSpaceSignature):
+    """What the local operators need of the family alone, not of the element.
+
+    The element rule, the edge rule, the Legendre values E at its points,
+    the exponents (a, b) of the basis of degree max(k, m), the vertex after
+    each vertex, and where grad of the P_k basis sits in G: rows, columns
+    and factors, times 1/h_T.  d/dx X^p Y^q = p X^(p-1) Y^q and
+    d/dy X^p Y^q = q X^p Y^(q-1); the monomial of degree r at position q
+    within its degree is basis function r (r + 1) / 2 + q, and the d/dy
+    rows follow the dim_m d/dx rows.
+    """
+    k, j, m = signature.k, signature.j, signature.m
+    edge_rule = edge_quadrature(2 * max(k, j, signature.ell))
+    p, q = monomial_exponents(k).T
+    row = (p + q - 1) * (p + q) // 2 + q
+    x, y = np.flatnonzero(p > 0), np.flatnonzero(q > 0)
+    gradient = np.r_[row[x], dim_pk(m) + row[y] - 1], np.r_[x, y], np.r_[p[x], q[y]]
+    E = EdgeBasis(j).eval(edge_rule.points)
+    after = np.roll(np.arange(3 if shape == "triangle" else 4), -1)
+    for array in (E, after, *gradient):
+        array.setflags(write=False)
+    rule = element_quadrature(shape, _element_rule_degree(signature))
+    return rule, edge_rule, E, monomial_exponents(max(k, m)).tolist(), after, gradient
 
 
 class OperatorCache:
@@ -232,7 +336,10 @@ class OperatorCache:
     relative to the mesh size h_max, and their edge orientation pattern; each
     group gets a single _ShapeOps bundle, numbered in order of first
     appearance.  On the uniform meshes used here this yields two groups
-    (triangles) or one (rectangles).
+    (triangles) or one (rectangles); on a general mesh nearly every element
+    is its own group.  The operators of all groups are built in one batched
+    pass (_shape_stacks) from each group's first element, and class_ops[c]
+    views group c of those stacks.
     """
 
     def __init__(self, mesh: Mesh, signature: WeakSpaceSignature):
@@ -254,9 +361,11 @@ class OperatorCache:
         # whose spread within every group is at most tol has no such
         # neighbours, so it is not sorted.  order lists the elements group
         # by group, and starts holds where each group begins in it.
-        group = np.unique((signs > 0) @ (1 << np.arange(width)), return_inverse=True)[1]
+        pattern = (signs > 0) @ (1 << np.arange(width))
+        group = (np.cumsum(np.bincount(pattern) > 0) - 1)[pattern]  # patterns in ascending order
         order = np.argsort(group)
-        starts = np.flatnonzero(np.diff(group[order], prepend=-1))
+        sizes = np.bincount(group)
+        starts = np.cumsum(sizes) - sizes
         for column in (k[:, i] for i in range(width) for k in (kx, ky)):
             sorted_column = column[order]
             spread = np.maximum.reduceat(sorted_column, starts)
@@ -270,13 +379,14 @@ class OperatorCache:
         first = np.minimum.reduceat(order, starts)  # first element of each group
         order = np.argsort(first)  # classes in order of first appearance
         self.class_ids = np.argsort(order)[group]
-        self.class_ops: list[_ShapeOps] = [
-            _ShapeOps(self.shape, np.column_stack([rx[e], ry[e]]), signs[e], signature)
-            for e in first[order]
-        ]
-        self.class_elements = [
-            np.nonzero(self.class_ids == cid)[0] for cid in range(len(self.class_ops))
-        ]
+        reps = first[order]
+        stacks = _shape_stacks(self.shape, rx[reps], ry[reps], signs[reps], signature)
+        degree = max(signature.k, signature.m)
+        self.class_ops: list[_ShapeOps] = [_ShapeOps(stacks, c, degree) for c in range(reps.size)]
+        # the elements of each class, ascending: one stable sort split at the class starts
+        by_class = np.argsort(self.class_ids, kind="stable")
+        ends = np.cumsum(np.bincount(self.class_ids)).tolist()
+        self.class_elements = [by_class[a:b] for a, b in zip([0, *ends], ends)]
 
     def shape_ops(self, element: int) -> _ShapeOps:
         return self.class_ops[self.class_ids[element]]

@@ -520,6 +520,30 @@ def test_block_pattern_gives_the_coo_sum_bit_for_bit(mesh, element, params):
     assert np.array_equal(A.data.view(np.int64), reference.data.view(np.int64))
 
 
+@pytest.mark.parametrize(
+    "mesh,element,params",
+    [
+        (build_uniform_triangular(32), (3, 4, 4), SchemeParameters()),
+        (build_uniform_rectangular(4), (2, 1, 3), SchemeParameters(rho=0.0)),
+        (build_uniform_triangular(16), (1, 2, 2), SchemeParameters()),
+        (build_uniform_triangular(64), (0, 0, 0), SchemeParameters()),
+        (build_uniform_triangular(16), (1, 1, 1), SchemeParameters()),
+        (
+            build_uniform_triangular(16),
+            (3, 4, 4),
+            SchemeParameters(coefficient=_per_element_tensors(512)),
+        ),
+    ],
+    ids=["tri-3-4-4", "rect-2-1-3-rho0", "tri-1-2-2", "tri-0-0-0", "tri-1-1-1", "per-element"],
+)
+def test_condensed_matrix_is_exactly_symmetric(mesh, element, params):
+    # the shape-class operators Sxx, Syy and stab_unit are symmetric bit for
+    # bit, and so is every step from them to A: each local matrix, its
+    # Schur complement and the sum of two elements on a diagonal block
+    A = assemble(mesh, WeakSpaceSignature(*element), params, _f, _g).A
+    assert (A != A.T).nnz == 0
+
+
 @pytest.mark.parametrize("width", [5, 7])
 def test_sorting_network_sorts_every_input_of_zeros_and_ones(width):
     # a compare-exchange network that sorts every 0/1 input sorts every input

@@ -1,12 +1,15 @@
 """Tests for degree-of-freedom layout, projections, and weak gradients."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import cho_factor, cho_solve
 
 from gwgfem import (
     Mesh,
@@ -27,8 +30,11 @@ from gwgfem.polybasis import (
     dim_pk,
     _grading_depth,
     element_quadrature,
+    edge_quadrature,
     graded_rule,
+    map_to_edge,
     map_to_element,
+    monomial_exponents,
 )
 from gwgfem.weakspace import _interior_moments
 
@@ -346,6 +352,100 @@ def reference_class_ids(mesh):
     return np.argsort(np.argsort(first))[group]
 
 
+class ReferenceShapeOps:
+    """The local operators of one shape class, built class by class.
+
+    The per-class construction in plain loops over the sides and the
+    monomials, with scipy's Cholesky solve: the reference for the batched
+    build of OperatorCache.  rel_verts holds the vertices relative to the
+    centroid, canon_flags the edge orientation pattern.
+    """
+
+    def __init__(self, shape, rel_verts, canon_flags, signature):
+        k, j, ell, m = signature.k, signature.j, signature.ell, signature.m
+        n0, nb = signature.interior_dim, signature.edge_dim
+        dim_l, dim_m = dim_pk(ell), dim_pk(m)
+        self.n_sides = n_sides = rel_verts.shape[0]
+        self.n_loc = n0 + n_sides * nb
+
+        d = np.roll(rel_verts, -1, axis=0) - rel_verts
+        self.edge_lengths = np.linalg.norm(d, axis=1)
+        self.normals = np.column_stack([d[:, 1], -d[:, 0]]) / self.edge_lengths[:, None]
+        self.h_T = float(max(np.linalg.norm(p - q) for p in rel_verts for q in rel_verts))
+
+        self.basis = ElementBasis(max(k, m), (0.0, 0.0), self.h_T)
+        rule = element_quadrature(shape, max(2 * max(k, m), k + 4))
+        self.offsets, self.weights = map_to_element(rule, rel_verts)
+        V = self.basis.eval(self.offsets)
+        M_full = V.T @ (self.weights[:, None] * V)
+        self.M0 = M_full[:n0, :n0]
+        self.M_m = M_full[:dim_m, :dim_m]
+        self.phi0 = V[:, :n0]
+
+        edge_basis = EdgeBasis(j)
+        edge_rule = edge_quadrature(2 * max(k, j, ell))
+        E = edge_basis.eval(edge_rule.points)
+        self.edge_mass = edge_basis.mass_diagonal(self.edge_lengths[:, None])
+        B = np.zeros((2, dim_l, self.n_loc))
+        self.stab_unit = np.zeros((self.n_loc, self.n_loc))
+        self.trace_ops = []
+        for side in range(n_sides):
+            p, q = rel_verts[side], rel_verts[(side + 1) % n_sides]
+            if canon_flags[side] < 0:
+                p, q = q, p
+            pts, ew, _ = map_to_edge(edge_rule, p, q)
+            V_side = self.basis.eval(pts)
+            D = self.edge_mass[side]
+            T_e = (E.T @ (ew[:, None] * V_side[:, :n0])) / D[:, None]
+            N_e = np.zeros((nb, self.n_loc))
+            N_e[:, :n0] = T_e
+            N_e[:, n0 + side * nb : n0 + (side + 1) * nb] = -np.eye(nb)
+            moments = -V_side[:, :dim_l].T @ (ew[:, None] * (E @ N_e))
+            B += self.normals[side][:, None, None] * moments
+            self.stab_unit += N_e.T @ (D[:, None] * N_e)
+            self.trace_ops.append(T_e)
+
+        self.M_l, self.B = M_full[:dim_l, :dim_l], B  # delta's system M_l delta = B
+        cho_l = cho_factor(self.M_l)
+        delta_x, delta_y = cho_solve(cho_l, B[0]), cho_solve(cho_l, B[1])
+        self.delta = np.vstack([delta_x, delta_y])
+
+        Gx = np.zeros((dim_m, self.n_loc))
+        Gy = np.zeros((dim_m, self.n_loc))
+        index_m = {tuple(e): i for i, e in enumerate(monomial_exponents(m))}
+        for i, (a, b) in enumerate(monomial_exponents(k)):
+            if a > 0:
+                Gx[index_m[(a - 1, b)], i] += a / self.h_T
+            if b > 0:
+                Gy[index_m[(a, b - 1)], i] += b / self.h_T
+        Gx[:dim_l, :] += delta_x
+        Gy[:dim_l, :] += delta_y
+        self.Gx, self.Gy = Gx, Gy
+        self.G = np.vstack([Gx, Gy])
+        self.Sxx = Gx.T @ (self.M_m @ Gx)
+        self.Syy = Gy.T @ (self.M_m @ Gy)
+        self.Sxy = Gx.T @ (self.M_m @ Gy)
+
+
+def reference_class_ops(cache):
+    """ReferenceShapeOps of every class of cache, built from its first element."""
+    mesh = cache.mesh
+    out = []
+    for elems in cache.class_elements:
+        e = elems[0]
+        rel = mesh.vertices[mesh.elements[e]] - cache.centroids[e]
+        out.append(ReferenceShapeOps(cache.shape, rel, mesh.element_edge_signs[e], cache.signature))
+    return out
+
+
+def parallelogram_mesh():
+    """rect 2 sheared into parallelograms by x += y / 2: every side slanted or flat."""
+    mesh = build_uniform_rectangular(2)
+    vertices = mesh.vertices.copy()
+    vertices[:, 0] += 0.5 * vertices[:, 1]
+    return Mesh(vertices, mesh.elements)
+
+
 def moved_vertex(mesh, displacement):
     """mesh as a general mesh, its first interior vertex moved by displacement."""
     vertices = mesh.vertices.copy()
@@ -388,6 +488,82 @@ def test_skipped_key_columns_give_the_full_refinement_classes(mesh):
     expected = reference_class_ids(mesh)
     assert cache.class_ids.dtype == expected.dtype
     np.testing.assert_array_equal(cache.class_ids, expected)
+
+
+SHAPE_OPS_ATTRIBUTES = (
+    "h_T", "edge_lengths", "normals", "offsets", "weights", "phi0", "M0", "M_m", "edge_mass",
+    "trace_ops", "delta", "Gx", "Gy", "G", "Sxx", "Syy", "Sxy", "stab_unit",
+)
+FROM_DELTA = {"delta", "Gx", "Gy", "G", "Sxx", "Syy", "Sxy"}
+
+
+@pytest.mark.parametrize("family", [(0, 0, 0), (1, 1, 1), (1, 2, 2), (2, 1, 3), (3, 4, 4)])
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        tri_16,
+        build_uniform_rectangular(2),
+        Mesh(tri_16.vertices + [1e4, -3], tri_16.elements),
+        parallelogram_mesh(),
+        jittered_interior(tri_8, 5),
+    ],
+    ids=["tri-16", "rect-2", "far-tri-16", "parallelogram", "jittered-tri-8"],
+)
+def test_batched_shape_operators_are_the_per_class_build(mesh, family):
+    # every class view of the one batched build against the class-by-class
+    # construction, attribute by attribute, to rounding.  delta solves
+    # M_l delta = B, and cond(M_l) reaches 1.9e10 on the jittered mesh at
+    # ell = 4, where two backward-stable solves agree only to about
+    # eps cond(M_l) (the reference's own error is 2e-11 there).  So delta
+    # and what is built from it are compared to that bound, and delta must
+    # solve the reference's system to rounding
+    cache = OperatorCache(mesh, WeakSpaceSignature(*family))
+    reference = reference_class_ops(cache)
+    assert len(cache.class_ops) == len(reference) > 0
+    for ops, ref in zip(cache.class_ops, reference):
+        assert (ops.n_sides, ops.n_loc) == (ref.n_sides, ref.n_loc)
+        from_delta = max(1e-13, np.finfo(float).eps * np.linalg.cond(ref.M_l))
+        for name in SHAPE_OPS_ATTRIBUTES:
+            got, want = getattr(ops, name), np.asarray(getattr(ref, name))
+            assert got.shape == want.shape, name
+            assert not got.flags.writeable, name
+            rtol = from_delta if name in FROM_DELTA else 1e-13
+            np.testing.assert_allclose(
+                got, want, rtol=0, atol=rtol * np.abs(want).max(), err_msg=name
+            )
+        delta = ops.delta.reshape(ref.B.shape)
+        residual = np.abs(ref.M_l @ delta - ref.B).max()
+        assert residual <= 1e-13 * np.abs(ref.M_l).sum(axis=1).max() * np.abs(delta).max()
+        for name in ("Sxx", "Syy", "stab_unit"):
+            assert np.array_equal(getattr(ops, name), getattr(ops, name).T), name
+        assert ops.basis.degree == ref.basis.degree
+        assert ops.basis.scale == pytest.approx(ref.basis.scale, rel=1e-15)
+        np.testing.assert_array_equal(ops.basis.center, ref.basis.center)
+
+
+def test_operator_cache_survives_pickle_and_copy():
+    # a class view reads its stacks on demand; a copy or an unpickled cache
+    # must still give the same operators, and an unknown name must raise
+    cache = OperatorCache(build_uniform_triangular(2), WeakSpaceSignature(1, 1, 1))
+    ops = cache.shape_ops(0)
+    restored = pickle.loads(pickle.dumps(cache))
+    for other in (restored.shape_ops(0), copy.copy(ops), copy.deepcopy(ops)):
+        for name in SHAPE_OPS_ATTRIBUTES:
+            np.testing.assert_array_equal(getattr(other, name), getattr(ops, name))
+    with pytest.raises(AttributeError, match="no attribute 'Szz'"):
+        ops.Szz
+
+
+@pytest.mark.parametrize("mesh", [jittered_interior(tri_8, 5), tri_16], ids=["jittered-tri-8", "tri-16"])
+def test_class_elements_are_the_scan_of_each_class(mesh):
+    # the elements of each class, from one sort of class_ids, must be what
+    # scanning class_ids for that class gives: the same indices, ascending
+    cache = OperatorCache(mesh, WeakSpaceSignature(0, 0, 0))
+    expected = [np.nonzero(cache.class_ids == c)[0] for c in range(len(cache.class_ops))]
+    assert len(cache.class_elements) == len(expected)
+    for got, want in zip(cache.class_elements, expected):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=25, deadline=None)
