@@ -38,6 +38,7 @@ from .weakspace import (
     _cache_for,
     _edge_projection,
     _interior_moments,
+    _mv,
 )
 
 __all__ = [
@@ -154,11 +155,9 @@ class GlobalSystem:
     matrix with int32 indices, converted once from the block pattern that
     the mesh fixes: block row i, of edge_dim rows, is the i-th interior edge,
     and its column blocks are that edge and the other sides of its two
-    elements.  Per shape class, in
-    the order of cache.classes(), C[c] = K00^-1 K0b has shape
-    (n0, n_loc - n0), or (n_class, n0, n_loc - n0) when the coefficient
-    varies per element, and y[e] = K00^-1 F0 is element e's interior load,
-    so u0 = y - C ub recovers the interior coefficients,
+    elements.  C[e] = K00^-1 K0b, of shape (n_elements, n0, n_loc - n0),
+    and y[e] = K00^-1 F0, of shape (n_elements, n0), are element e's, so
+    u0 = y - C ub recovers the interior coefficients,
     cache.dofmap.interiors, from the edge coefficients ub.  The boundary
     edge coefficients cache.dofmap.boundary_dofs take dirichlet_values; the
     mesh, signature and dof map are those of cache.
@@ -166,40 +165,42 @@ class GlobalSystem:
 
     A: sp.csr_matrix
     b: np.ndarray
-    C: list
+    C: np.ndarray
     y: np.ndarray
     free: np.ndarray
     dirichlet_values: np.ndarray
     cache: OperatorCache
 
 
-def _check_coefficient(params: SchemeParameters, mesh: Mesh) -> None:
-    """Reject a per-element coefficient that does not hold one tensor per element."""
-    a = params.coefficient
-    if a is not None and a.ndim == 3 and a.shape[0] != mesh.n_elements:
-        raise ValueError(
-            f"per-element coefficient holds {a.shape[0]} tensors, "
-            f"but the mesh has {mesh.n_elements} elements"
-        )
+def _local_matrices(cache: OperatorCache, params: SchemeParameters):
+    """Local stiffness plus stabilizer of every element, as a stack of matrices.
 
-
-def _class_matrices(ops, elems, params: SchemeParameters) -> np.ndarray:
-    """Local stiffness plus stabilizer of one shape class.
-
-    One (n_loc, n_loc) matrix when the coefficient is constant, or one per
-    element of the index array elems, shape (elems.size, n_loc, n_loc), when
-    it varies per element.
+    Returns (K, rows, first): element e's matrix is K[rows[e]], and first[i]
+    is the first element with matrix K[i].  One tensor, or none, gives one
+    matrix per shape class (rows is cache.class_ids), one tensor per element
+    one per element.  Raises ValueError when a per-element coefficient does
+    not hold one tensor per element.
     """
-    local = params.rho * ops.h_T**params.gamma * ops.stab_unit
+    stacks, n = cache.stacks, cache.mesh.n_elements
     a = np.eye(2) if params.coefficient is None else params.coefficient
-    if a.ndim == 3:
-        a = a[elems]
-    return (
-        a[..., 0, 0, None, None] * ops.Sxx
-        + a[..., 0, 1, None, None] * (ops.Sxy + ops.Sxy.T)
-        + a[..., 1, 1, None, None] * ops.Syy
-        + local
-    )
+    if a.shape[:-2] not in ((), (n,)):
+        raise ValueError(
+            f"per-element coefficient holds {len(a)} tensors, but the mesh has {n} elements"
+        )
+    a = a.reshape(-1, 2, 2, 1, 1)
+    if len(a) > 1:  # owner: the shape class of each matrix
+        rows, first, owner = np.arange(n), np.arange(n), cache.class_ids
+    else:
+        rows, first, owner = cache.class_ids, cache.class_first, slice(None)
+    # a_00 Sxx + a_01 (Sxy + Sxy^T) + a_11 Syy + rho h_T^gamma stab_unit, in order
+    K = a[:, 0, 0] * stacks["Sxx"][owner]
+    Sxy = stacks["Sxy"][owner]
+    term = np.add(Sxy, Sxy.swapaxes(1, 2))
+    K += np.multiply(a[:, 0, 1], term, out=term)
+    K += np.multiply(a[:, 1, 1], stacks["Syy"][owner], out=term)
+    local = (params.rho * stacks["h_T"][owner] ** params.gamma)[:, None, None]
+    K += np.multiply(local, stacks["stab_unit"][owner], out=term)
+    return K, rows, first
 
 
 def _inverse_cholesky(K, scale, index, block: str):
@@ -256,11 +257,6 @@ def _inverse_cholesky(K, scale, index, block: str):
     return out
 
 
-def _mv(M, v):
-    """Matrix-vector products over stacks: M (..., p, q), v (..., q) -> (..., p)."""
-    return (M @ v[..., None])[..., 0]
-
-
 def assemble(
     mesh: Mesh,
     signature: WeakSpaceSignature,
@@ -279,12 +275,10 @@ def assemble(
     interior load F0, each element adds its Schur complement
     S = Kbb - K0b^T K00^-1 K0b, between free edge coefficients, to A, and
     -K0b^T K00^-1 F0 - S gb to b, gb its edge coefficients of Qb g (zero on
-    interior edges).  No matrix larger than A is formed.  A's block
-    pattern, one edge_dim x edge_dim block row per interior edge, comes from
-    the mesh adjacency (_block_pattern), sorted within its rows; the
-    off-diagonal blocks of each S are written into it at once, its diagonal
-    blocks added one side at a time, and the block matrix, canonical as
-    built, is converted to CSR once.
+    interior edges).  S and K00^-1 are computed once per matrix of
+    _local_matrices, one per shape class unless the coefficient varies per
+    element, and gathered per element.  No matrix larger than A is formed:
+    _condensed_matrix writes every S into A's block pattern.
 
     f and g must be vectorized ((n, 2) points -> (n,) finite values); any
     other shape, NaN or infinity raises ValueError naming the function.
@@ -301,8 +295,8 @@ def assemble(
     another mesh or signature, or when a per-element coefficient does not
     hold one tensor per element of mesh.
     """
-    _check_coefficient(params, mesh)
     cache = _cache_for(mesh, signature, cache)
+    K, rows, first = _local_matrices(cache, params)
     dm = cache.dofmap
     n0 = signature.interior_dim
     F0 = _interior_moments(cache, f, singularity)
@@ -312,57 +306,60 @@ def assemble(
     known[dm.boundary_dofs] = _edge_projection(cache, g, bedges, singularity).ravel()
     position = np.full(dm.total, -1)  # row of each free edge coefficient, -1 for the rest
     position[free] = np.arange(free.size)
+    # pivots are measured against the whole local matrix: a K00 that is
+    # rounding noise throughout would pass a test against its own diagonal
+    scale = np.diagonal(K, axis1=1, axis2=2).max(axis=1)
+    L_inv = _inverse_cholesky(
+        K[:, :n0, :n0], scale, dm.element_dof_table[first], "the interior block of an element"
+    )
+    W = L_inv @ K[:, :n0, n0:]
+    S = K[:, n0:, n0:] - W.swapaxes(1, 2) @ W
+    A = _condensed_matrix(mesh, S, rows)
+    L_inv_t = L_inv.swapaxes(1, 2)
+    C = np.take(L_inv_t @ W, rows, axis=0)  # K00^-1 K0b
+    y = _mv(L_inv_t @ L_inv, rows, F0)  # K00^-1 F0
+
+    edofs = dm.element_dof_table[:, n0:]
+    at = position[edofs]
+    keep = at >= 0
+    load = np.einsum("eji,ej->ei", C, F0)
+    # known is zero off the boundary: only elements with a boundary side move S gb
+    touch = np.flatnonzero(~keep.all(axis=1))
+    load[touch] += _mv(S, rows[touch], known[edofs[touch]])
     b = np.zeros(free.size)
-    nb, n_sides = signature.edge_dim, mesh.element_edges.shape[1]
+    b -= np.bincount(at[keep], load[keep], minlength=free.size)
+    return GlobalSystem(A, b, C, y, free, known[dm.boundary_dofs], cache)
+
+
+def _condensed_matrix(mesh: Mesh, S, rows) -> sp.csr_matrix:
+    """A, the sum of every element's Schur complement S[rows[e]] on _block_pattern(mesh).
+
+    S (R, n nb, n nb), n sides of nb edge coefficients, is taken as (n, n)
+    blocks of nb * nb: block (p, q) goes to the slot of side q in the row of
+    side p.  An off-diagonal block of A belongs to one element, since two
+    elements sharing two edges would traverse one of them twice in the same
+    direction, which Mesh rejects; so it is assigned.  A diagonal block sums
+    the two elements of its edge, which hold it with opposite signs: one +=
+    per sign has distinct targets.  The block matrix is canonical as built.
+    """
+    n_sides = mesh.element_edges.shape[1]
+    nb = S.shape[-1] // n_sides
     indptr, indices, own, other, slot = _block_pattern(mesh)
+    blocks = S.reshape(-1, n_sides, nb, n_sides, nb).swapaxes(2, 3)
+    blocks = blocks.reshape(-1, n_sides, n_sides, nb * nb)
     # the side pairs (p, (p + d) mod n), d = 1, ..., n - 1, in the order of the
     # positions other[t, p] + d - 1
     p_side = np.arange(n_sides)[:, None]
     q_side = (p_side + np.arange(1, n_sides)) % n_sides
     data = np.zeros((indices.size + 1, nb * nb))  # the last row takes the boundary pairs
-    C_parts = []
-    y = np.empty_like(F0)
-    for ops, elems in cache.classes():
-        K = _class_matrices(ops, elems, params)
-        K0b, Kbb = K[..., :n0, n0:], K[..., n0:, n0:]
-        # pivots are measured against the whole local matrix: a K00 that is
-        # rounding noise throughout would pass a test against its own diagonal
-        scale = np.diagonal(K, axis1=-2, axis2=-1).max(axis=-1)
-        L_inv = _inverse_cholesky(
-            K[..., :n0, :n0], scale, dm.element_dof_table[elems], "the interior block of an element"
-        )
-        L_inv_t = np.swapaxes(L_inv, -1, -2)
-        W = L_inv @ K0b
-        Wt = np.swapaxes(W, -1, -2)
-        z = _mv(L_inv, F0[elems])
-        C_parts.append(L_inv_t @ W)
-        y[elems] = _mv(L_inv_t, z)
-
-        S = Kbb - Wt @ W
-        edofs = dm.element_dof_table[elems, n0:]
-        rows = position[edofs]
-        keep = rows >= 0
-        load = _mv(Wt, z)
-        # known is zero off the boundary: only elements with a boundary side move S gb
-        touch = np.flatnonzero(~keep.all(axis=1))
-        load[touch] += _mv(S if S.ndim == 2 else S[touch], known[edofs[touch]])
-        b -= np.bincount(rows[keep], load[keep], minlength=free.size)
-        # S as (n, n) blocks of nb * nb: block (p, q) goes to the slot of side
-        # q in the row of side p.  An off-diagonal block of A belongs to one
-        # element, since two elements sharing two edges would traverse one of
-        # them twice in the same direction, which Mesh rejects; so it is
-        # assigned.  A diagonal block sums the two elements of its edge, and
-        # two elements of one class hold a shared edge as different sides
-        blocks = S.reshape(*S.shape[:-2], n_sides, nb, n_sides, nb).swapaxes(-3, -2)
-        blocks = blocks.reshape(*S.shape[:-2], n_sides, n_sides, nb * nb)
-        own_c, other_c = own[elems], other[elems]
-        data[slot[other_c[:, :, None] + np.arange(n_sides - 1)]] = blocks[..., p_side, q_side, :]
-        for p in range(n_sides):
-            data[slot[own_c[:, p]]] += blocks[..., p, p, :]
-    A = sp.bsr_matrix(
-        (data[:-1].reshape(-1, nb, nb), indices, indptr), shape=(free.size, free.size)
-    )
-    return GlobalSystem(A.tocsr(), b, C_parts, y, free, known[dm.boundary_dofs], cache)
+    after = np.arange(n_sides - 1, dtype=other.dtype)
+    data[slot[other[:, :, None] + after]] = np.take(blocks[:, p_side, q_side], rows, axis=0)
+    diagonal = np.take(blocks[:, p_side[:, 0], p_side[:, 0]], rows, axis=0).reshape(-1, nb * nb)
+    signs = mesh.element_edge_signs.ravel()
+    for sides in (np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)):
+        data[slot[own.ravel()[sides]]] += diagonal[sides]
+    m = (indptr.size - 1) * nb
+    return sp.bsr_matrix((data[:-1].reshape(-1, nb, nb), indices, indptr), shape=(m, m)).tocsr()
 
 
 def _block_pattern(mesh: Mesh):
@@ -696,8 +693,8 @@ def solve(system: GlobalSystem) -> WeakFunction:
     The edge system is solved by conjugate gradients preconditioned with one
     symmetric auxiliary-space V-cycle (_preconditioner), which factors only
     its coarsest matrix.  CG stops at ||r|| <= 1e-12 ||b||.  The interior
-    coefficients are then recovered per shape class as u0 = y - C ub from
-    the solved edge coefficients ub.  A zero load gives x = 0, but CG still
+    coefficients are then recovered element by element as u0 = y - C ub
+    from the solved edge coefficients ub.  A zero load gives x = 0, but CG still
     runs once on a fixed-seed random right-hand side, its solution
     discarded, so the checks below see the matrix.  The inner products of
     CG and of the residual check are summed on the calling thread by _dot,
@@ -740,7 +737,6 @@ def solve(system: GlobalSystem) -> WeakFunction:
     coeffs = np.empty(dm.total)
     coeffs[system.free] = x
     coeffs[dm.boundary_dofs] = system.dirichlet_values
-    u0 = dm.interiors(coeffs)  # a view: writes fill coeffs
-    for (_, elems), C in zip(system.cache.classes(), system.C):
-        u0[elems] = system.y[elems] - _mv(C, coeffs[dm.element_dof_table[elems, n0:]])
+    ub = coeffs[dm.element_dof_table[:, n0:]]
+    dm.interiors(coeffs)[:] = system.y - np.einsum("eij,ej->ei", system.C, ub)
     return WeakFunction(dm, coeffs)

@@ -17,16 +17,9 @@ from numbers import Real
 
 import numpy as np
 
-from .assembly import (
-    SchemeParameters,
-    SingularSystem,
-    _check_coefficient,
-    _class_matrices,
-    assemble,
-    solve,
-)
+from .assembly import SchemeParameters, SingularSystem, _local_matrices, assemble, solve
 from .mesh import build_uniform_rectangular, build_uniform_triangular
-from .weakspace import OperatorCache, WeakFunction, WeakSpaceSignature, _cache_for, project_Qh
+from .weakspace import OperatorCache, WeakFunction, WeakSpaceSignature, _cache_for, _mv, project_Qh
 
 __all__ = [
     "ManufacturedCase",
@@ -159,46 +152,35 @@ def error_function(case: ManufacturedCase, u_h: WeakFunction, cache: OperatorCac
     return qhu - u_h
 
 
-def _norm(wf: WeakFunction, cache: OperatorCache, local) -> float:
-    """(sum_T v_T^T Q_T v_T)^(1/2) over the local coefficient vectors v_T of wf.
-
-    local(ops, elems) gives (block, Q): block, a slice of the local
-    coefficients, is the part v_T of them that Q_T reads, and Q_T is a
-    diagonal (one vector), one matrix, or one matrix per element.  Raises
-    ValueError unless wf lives on cache's space.
-    """
+def _local(wf: WeakFunction, cache: OperatorCache, block: slice) -> np.ndarray:
+    """Every element's coefficients of wf in block; ValueError unless wf lives on cache's space."""
     _cache_for(wf.dofmap.mesh, wf.dofmap.signature, cache)
-    table = cache.dofmap.element_dof_table
-    total = 0.0
-    for ops, elems in cache.classes():
-        block, Q = local(ops, elems)
-        v = wf.coeffs[table[elems, block]]
-        if Q.ndim == 1:
-            Qv = v * Q
-        elif Q.ndim == 2:
-            Qv = v @ Q
-        else:
-            Qv = (v[:, None, :] @ Q)[:, 0]
-        total += float(np.sum(Qv * v))
-    return math.sqrt(max(total, 0.0))
+    return wf.coeffs[cache.dofmap.element_dof_table[:, block]]
+
+
+def _norm(v: np.ndarray, Qv: np.ndarray) -> float:
+    """(sum_T v_T . Q_T v_T)^(1/2) from every element's local vector v_T and Q_T v_T."""
+    return math.sqrt(max(float(np.sum(Qv * v)), 0.0))
 
 
 def energy_norm(wf: WeakFunction, params: SchemeParameters, cache: OperatorCache) -> float:
     """Scheme energy: (sum_T (a grad_g v, grad_g v)_T + s(v, v))^(1/2)."""
-    _check_coefficient(params, cache.mesh)
-    return _norm(wf, cache, lambda ops, elems: (slice(None), _class_matrices(ops, elems, params)))
+    K, rows, _ = _local_matrices(cache, params)
+    v = _local(wf, cache, slice(None))
+    return _norm(v, _mv(K, rows, v))
 
 
 def l2_norm_e0(wf: WeakFunction, cache: OperatorCache) -> float:
     """L2 norm of the interior component over the domain."""
-    n0 = cache.signature.interior_dim
-    return _norm(wf, cache, lambda ops, _: (slice(None, n0), ops.M0))
+    v = _local(wf, cache, slice(None, cache.signature.interior_dim))
+    return _norm(v, _mv(cache.stacks["M0"], cache.class_ids, v))
 
 
 def edge_norm_eb(wf: WeakFunction, cache: OperatorCache) -> float:
     """(sum_T h_T ||v_b||^2 over the element boundary)^(1/2)."""
-    n0 = cache.signature.interior_dim
-    return _norm(wf, cache, lambda ops, _: (slice(n0, None), ops.h_T * ops.edge_mass.ravel()))
+    v = _local(wf, cache, slice(cache.signature.interior_dim, None))
+    h, mass = cache.stacks["h_T"], cache.stacks["edge_mass"]
+    return _norm(v, np.take(h[:, None] * mass.reshape(h.size, -1), cache.class_ids, axis=0) * v)
 
 
 # ------------------------------------------------------------- studies

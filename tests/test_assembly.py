@@ -47,6 +47,7 @@ from gwgfem.polybasis import (
     map_to_element,
 )
 from gwgfem.weakspace import _interior_moments
+from test_weakspace import jittered_interior
 
 
 # ------------------------------------------------------- brute-force oracle
@@ -259,9 +260,9 @@ def test_default_parameters():
 
 def local_forms(cache, e, params):
     """(stiffness, stabilizer) of element e, split out of its batched local matrix."""
-    ops = cache.shape_ops(e)
-    stiff = assembly._class_matrices(ops, e, dataclasses.replace(params, rho=0.0))
-    return stiff, assembly._class_matrices(ops, e, params) - stiff
+    stiff, rows, _ = assembly._local_matrices(cache, dataclasses.replace(params, rho=0.0))
+    K, _, _ = assembly._local_matrices(cache, params)
+    return stiff[rows[e]], K[rows[e]] - stiff[rows[e]]
 
 
 def test_local_stabilizer_zero_when_rho_zero():
@@ -341,11 +342,23 @@ def test_local_stiffness_anisotropic_matches_brute_force():
         ("tri", 1, 0, 1, -1.0, False),
         ("rect", 2, 1, 2, 1.0, False),
         ("rect", 1, 1, 1, -1.0, True),
+        ("jittered", 1, 2, 2, -1.0, True),
     ],
-    ids=["tri-0-0-0-0.0", "tri-1-0-1--1.0", "rect-2-1-2-1.0", "rect-1-1-1--1.0-per_element"],
+    ids=[
+        "tri-0-0-0-0.0",
+        "tri-1-0-1--1.0",
+        "rect-2-1-2-1.0",
+        "rect-1-1-1--1.0-per_element",
+        "jittered-1-2-2--1.0-per_element",
+    ],
 )
 def test_global_system_matches_brute_force(shape, k, j, ell, gamma, per_element):
-    mesh = build_uniform_triangular(1) if shape == "tri" else build_uniform_rectangular(0)
+    # the jittered tri 3 has 18 shape classes, one per element
+    mesh = {
+        "tri": lambda: build_uniform_triangular(1),
+        "rect": lambda: build_uniform_rectangular(0),
+        "jittered": lambda: jittered_interior(build_uniform_triangular(3), 5),
+    }[shape]()
     sig = WeakSpaceSignature(k, j, ell)
     coefficient = None
     if per_element:
@@ -467,25 +480,17 @@ def _coo_sum(system, params):
     dm, n0 = cache.dofmap, cache.signature.interior_dim
     position = np.full(dm.total, -1)
     position[system.free] = np.arange(system.free.size)
-    rows, cols, vals = [], [], []
-    for ops, elems in cache.classes():
-        K = assembly._class_matrices(ops, elems, params)
-        scale = np.diagonal(K, axis1=-2, axis2=-1).max(axis=-1)
-        L_inv = assembly._inverse_cholesky(
-            K[..., :n0, :n0], scale, dm.element_dof_table[elems], "interior block"
-        )
-        W = L_inv @ K[..., :n0, n0:]
-        S = K[..., n0:, n0:] - np.swapaxes(W, -1, -2) @ W
-        dofs = position[dm.element_dof_table[elems, n0:]]
-        r, c = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
-        both = (r >= 0) & (c >= 0)
-        rows.append(r[both])
-        cols.append(c[both])
-        vals.append(np.broadcast_to(S, r.shape)[both])
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=system.A.shape,
-    ).tocsr()
+    K, rows, first = assembly._local_matrices(cache, params)
+    scale = np.diagonal(K, axis1=-2, axis2=-1).max(axis=-1)
+    L_inv = assembly._inverse_cholesky(
+        K[:, :n0, :n0], scale, dm.element_dof_table[first], "interior block"
+    )
+    W = L_inv @ K[:, :n0, n0:]
+    S = (K[:, n0:, n0:] - np.swapaxes(W, -1, -2) @ W)[rows]
+    dofs = position[dm.element_dof_table[:, n0:]]
+    r, c = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+    both = (r >= 0) & (c >= 0)
+    return sp.coo_matrix((S[both], (r[both], c[both])), shape=system.A.shape).tocsr()
 
 
 def _per_element_tensors(n_elements):
@@ -503,8 +508,24 @@ def _per_element_tensors(n_elements):
         (build_uniform_triangular(4), (1, 2, 2), SchemeParameters(coefficient=_per_element_tensors(32))),
         (_renumbered_tri(8), (1, 2, 2), SchemeParameters()),
         (build_uniform_triangular(1), (1, 1, 1), SchemeParameters()),
+        (jittered_interior(build_uniform_triangular(8), 5), (3, 4, 4), SchemeParameters()),
+        (
+            jittered_interior(build_uniform_triangular(4), 5),
+            (1, 2, 2),
+            SchemeParameters(coefficient=_per_element_tensors(32)),
+        ),
     ],
-    ids=["tri-0-0-0", "tri-1-0-1", "tri-3-4-4", "rect-2-1-3-rho0", "per-element", "renumbered", "tri1"],
+    ids=[
+        "tri-0-0-0",
+        "tri-1-0-1",
+        "tri-3-4-4",
+        "rect-2-1-3-rho0",
+        "per-element",
+        "renumbered",
+        "tri1",
+        "jittered-3-4-4",
+        "jittered-per-element",
+    ],
 )
 def test_block_pattern_gives_the_coo_sum_bit_for_bit(mesh, element, params):
     # the block pattern and its scatter must give exactly the matrix that
@@ -561,9 +582,9 @@ def test_sorting_network_sorts_every_input_of_zeros_and_ones(width):
 def test_block_pattern_is_sorted_and_each_off_diagonal_block_has_one_element(request, mesh):
     # assemble assigns the off-diagonal blocks, right only when each is reached
     # by exactly one (element, p, q != p) over the whole mesh; it adds the
-    # diagonal blocks with one += per class and side p, right only when no two
-    # elements of a class reach the same block for one p; and it builds the
-    # CSR matrix with no sort, right only when each row's columns increase
+    # diagonal blocks with one += per edge sign over all sides, right only
+    # when each diagonal block is reached once with each sign; and it builds
+    # the CSR matrix with no sort, right only when each row's columns increase
     indptr, indices, own, other, slot = assembly._block_pattern(mesh)
     m = indptr.size - 1
     for i in range(m):
@@ -575,24 +596,29 @@ def test_block_pattern_is_sorted_and_each_off_diagonal_block_has_one_element(req
     if request.node.callspec.id == "renumbered":
         assert len({tuple(s) for s in mesh.element_edge_signs}) == 6
     reached = np.zeros(indices.size, dtype=int)
-    for _, elems in OperatorCache(mesh, WeakSpaceSignature(0, 0, 0)).classes():
-        for p in range(n):
-            for q in range(n):
-                d = (q - p) % n
-                target = slot[own[elems, p] if d == 0 else other[elems, p] + d - 1]
-                row = block[mesh.element_edges[elems, p]]
-                col = block[mesh.element_edges[elems, q]]
-                live = (row >= 0) & (col >= 0)
-                assert np.all(target[~live] == indices.size)
-                assert np.array_equal(block_row[target[live]], row[live])
-                assert np.array_equal(indices[target[live]], col[live])
-                if d == 0:
-                    assert np.unique(target[live]).size == np.count_nonzero(live)
-                else:
-                    reached += np.bincount(target[live], minlength=indices.size)
+    diagonal = {1: np.zeros(indices.size, dtype=int), -1: np.zeros(indices.size, dtype=int)}
+    for p in range(n):
+        for q in range(n):
+            d = (q - p) % n
+            target = slot[own[:, p] if d == 0 else other[:, p] + d - 1]
+            row = block[mesh.element_edges[:, p]]
+            col = block[mesh.element_edges[:, q]]
+            live = (row >= 0) & (col >= 0)
+            assert np.all(target[~live] == indices.size)
+            assert np.array_equal(block_row[target[live]], row[live])
+            assert np.array_equal(indices[target[live]], col[live])
+            if d == 0:
+                for sign, count in diagonal.items():
+                    one_sign = target[live & (mesh.element_edge_signs[:, p] == sign)]
+                    count += np.bincount(one_sign, minlength=indices.size)
+            else:
+                reached += np.bincount(target[live], minlength=indices.size)
     off_diagonal = indices != block_row
     assert np.all(reached[off_diagonal] == 1)
     assert np.all(reached[~off_diagonal] == 0)
+    for count in diagonal.values():
+        assert np.all(count[~off_diagonal] == 1)
+        assert np.all(count[off_diagonal] == 0)
 
 
 @pytest.mark.parametrize("shape", ["tri", "rect"])

@@ -1,6 +1,7 @@
 """Tests for manufactured solutions, error norms, and convergence studies."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from gwgfem import (
     solve,
     verify,
 )
+
+from test_weakspace import jittered_interior
 
 RNG = np.random.default_rng(20240817)
 
@@ -137,21 +140,23 @@ def test_energy_norm_of_projected_linear():
 
 
 def test_energy_norm_anisotropic_constant_field():
-    # for grad_g v = (1, 0) the energy is sqrt(a_00 |Omega|)
-    mesh = build_uniform_triangular(2)
+    # for grad_g v = (1, 0) the energy is sqrt(a_00 |Omega|), on a uniform
+    # mesh and on one whose every element is its own shape class, with the
+    # tensor given once (one matrix per class) or per element (one each)
     sig = WeakSpaceSignature(1, 1, 0)
-    cache = OperatorCache(mesh, sig)
 
     def x(p):
         return p[:, 0]
 
-    wf = project_Qh(x, mesh, sig, cache=cache)
     a_mat = np.array([[3.0, 0.5], [0.5, 2.0]])
-    val = energy_norm(wf, SchemeParameters(coefficient=a_mat), cache)
-    assert val == pytest.approx(math.sqrt(3.0), rel=1e-10)
-    stacked = np.tile(a_mat, (mesh.n_elements, 1, 1))
-    val = energy_norm(wf, SchemeParameters(coefficient=stacked), cache)
-    assert val == pytest.approx(math.sqrt(3.0), rel=1e-10)
+    for mesh in (build_uniform_triangular(2), jittered_interior(build_uniform_triangular(4), 5)):
+        cache = OperatorCache(mesh, sig)
+        wf = project_Qh(x, mesh, sig, cache=cache)
+        val = energy_norm(wf, SchemeParameters(coefficient=a_mat), cache)
+        assert val == pytest.approx(math.sqrt(3.0), rel=1e-10)
+        stacked = np.tile(a_mat, (mesh.n_elements, 1, 1))
+        val = energy_norm(wf, SchemeParameters(coefficient=stacked), cache)
+        assert val == pytest.approx(math.sqrt(3.0), rel=1e-10)
 
 
 def test_edge_norm_constant_oracle():
@@ -214,6 +219,46 @@ def test_norms_reject_a_weak_function_from_another_space():
         for norm in norms:
             with pytest.raises(ValueError, match=message):
                 norm(cache)
+
+
+def _python_calls(run):
+    """The number of Python and C function calls that run() makes, by sys.setprofile."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event in ("call", "c_call")
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_element_local_work_does_not_grow_with_the_class_count():
+    # every element of a jittered mesh is its own shape class: 32 on tri 4,
+    # 128 on tri 8.  Assembly, the projection and the norms run one stacked
+    # pass over the classes or elements, so their Python work is the same
+    # on both meshes; a loop over the classes would add calls per class
+    case, sig, params = get_case("cospi_cospi"), WeakSpaceSignature(1, 2, 2), SchemeParameters()
+    counts = []
+    for n in (4, 8):
+        mesh = jittered_interior(build_uniform_triangular(n), 5)
+        cache = OperatorCache(mesh, sig)
+        assert len(cache.class_ops) == mesh.n_elements == 2 * n * n
+        u_h = solve(assemble(mesh, sig, params, case.f, case.g, cache=cache))  # fills the lru_caches
+
+        def run():
+            assemble(mesh, sig, params, case.f, case.g, cache=cache)
+            e_h = error_function(case, u_h, cache)
+            energy_norm(e_h, params, cache)
+            l2_norm_e0(e_h, cache)
+            edge_norm_eb(e_h, cache)
+
+        counts.append(_python_calls(run))
+    assert counts[0] == counts[1]
 
 
 def test_affine_solution_error_is_machine_zero():

@@ -257,8 +257,9 @@ def _shifted(mesh, shift):
     ids=["tri-0-0-0", "tri-3-4-4", "rect-2-1-3", "shifted-1-2-2"],
 )
 def test_interior_moment_points_are_the_broadcast_formula_bit_for_bit(mesh, signature):
-    # the element quadrature points are built flat by repeat and tile; each
-    # class must pass fn exactly centroids[elems][:, None, :] + offsets
+    # the element quadrature points are the offsets of each element's class
+    # plus its centroid, added one coordinate at a time; fn must see exactly
+    # centroids[:, None, :] + offsets, for all elements in one call
     cache = OperatorCache(mesh, WeakSpaceSignature(*signature))
     seen = []
 
@@ -267,12 +268,11 @@ def test_interior_moment_points_are_the_broadcast_formula_bit_for_bit(mesh, sign
         return np.zeros(len(p))
 
     _interior_moments(cache, spy)
-    classes = list(cache.classes())
-    assert len(seen) == len(classes)
-    for pts, (ops, elems) in zip(seen, classes):
-        expected = (cache.centroids[elems][:, None, :] + ops.offsets).reshape(-1, 2)
-        assert pts.shape == expected.shape
-        assert np.array_equal(pts.view(np.uint64), expected.view(np.uint64))
+    assert len(seen) == 1
+    offsets = np.stack([cache.shape_ops(e).offsets for e in range(cache.mesh.n_elements)])
+    expected = (cache.centroids[:, None, :] + offsets).reshape(-1, 2)
+    assert seen[0].shape == expected.shape
+    assert np.array_equal(seen[0].view(np.uint64), expected.view(np.uint64))
 
 
 # ------------------------------------------------------------ weak gradient
@@ -281,13 +281,11 @@ def test_interior_moment_points_are_the_broadcast_formula_bit_for_bit(mesh, sign
 def test_shape_classes_on_uniform_meshes():
     cache = OperatorCache(build_uniform_triangular(4), WeakSpaceSignature(1, 0, 0))
     assert len(cache.class_ops) == 2
-    sizes = sorted(idx.size for idx in cache.class_elements)
-    assert sizes == [16, 16]
+    assert np.bincount(cache.class_ids).tolist() == [16, 16]
     # M0[0, 0] integrates the constant basis function 1 over the element
-    for ops, elems in cache.classes():
-        np.testing.assert_allclose(
-            cache.mesh.element_areas()[elems], ops.M0[0, 0], rtol=1e-13
-        )
+    np.testing.assert_allclose(
+        cache.mesh.element_areas(), cache.stacks["M0"][cache.class_ids, 0, 0], rtol=1e-13
+    )
     cache = OperatorCache(build_uniform_rectangular(1), WeakSpaceSignature(1, 0, 0))
     assert len(cache.class_ops) == 1
     assert abs(cache.class_ops[0].M0[0, 0] - (1.0 / 6.0) * (1.0 / 4.0)) < 1e-15
@@ -431,8 +429,7 @@ def reference_class_ops(cache):
     """ReferenceShapeOps of every class of cache, built from its first element."""
     mesh = cache.mesh
     out = []
-    for elems in cache.class_elements:
-        e = elems[0]
+    for e in cache.class_first:
         rel = mesh.vertices[mesh.elements[e]] - cache.centroids[e]
         out.append(ReferenceShapeOps(cache.shape, rel, mesh.element_edge_signs[e], cache.signature))
     return out
@@ -555,15 +552,12 @@ def test_operator_cache_survives_pickle_and_copy():
 
 
 @pytest.mark.parametrize("mesh", [jittered_interior(tri_8, 5), tri_16], ids=["jittered-tri-8", "tri-16"])
-def test_class_elements_are_the_scan_of_each_class(mesh):
-    # the elements of each class, from one sort of class_ids, must be what
-    # scanning class_ids for that class gives: the same indices, ascending
+def test_class_first_is_the_first_element_of_each_class(mesh):
+    # the stacks are built from class_first, and a pivot message names the
+    # interior coefficients of the first element of a class
     cache = OperatorCache(mesh, WeakSpaceSignature(0, 0, 0))
-    expected = [np.nonzero(cache.class_ids == c)[0] for c in range(len(cache.class_ops))]
-    assert len(cache.class_elements) == len(expected)
-    for got, want in zip(cache.class_elements, expected):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+    expected = [np.flatnonzero(cache.class_ids == c)[0] for c in range(len(cache.class_ops))]
+    np.testing.assert_array_equal(cache.class_first, expected)
 
 
 @settings(max_examples=25, deadline=None)
