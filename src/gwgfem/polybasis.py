@@ -12,12 +12,13 @@ t in [-1, 1] along the edge's ascending-vertex direction, so edge mass
 matrices are exactly diagonal.
 
 Quadrature rules are constructed for a requested polynomial exactness
-degree d: tensor Gauss-Legendre on rectangles, a collapsed (Duffy) tensor
-rule with a Gauss-Jacobi factor absorbing the volume Jacobian on
-triangles, and Gauss-Legendre on edges.  For integrands with a point
-singularity at a vertex, graded_rule composes the rule for a segment or an
-element with one dyadic grading toward that vertex: level i is the cell
-scaled by 2^-i about it.
+degree d: tensor Gauss-Legendre on rectangles, Gauss-Legendre on edges,
+and on triangles a fully symmetric rule of 6, 7, 12 or 16 points at
+d = 4, 5, 6 or 8 (the degrees the element families use), else a collapsed
+(Duffy) tensor rule with a Gauss-Jacobi factor absorbing the volume
+Jacobian.  For integrands with a point singularity at a vertex,
+graded_rule composes the rule for a segment or an element with one dyadic
+grading toward that vertex: level i is the cell scaled by 2^-i about it.
 """
 
 from __future__ import annotations
@@ -145,13 +146,73 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+# Fully symmetric triangle rules with positive weights and interior points
+# (Lyness and Jespersen 1975; Dunavant 1985), by exactness degree: orbits
+# (weight, barycentric coordinates), the weights summing to 1.  An orbit of
+# () is the centroid (S3), of (a,) the 3 points (a, a, 1 - 2a) (S21), of
+# (a, b) the 6 points (a, b, 1 - a - b) (S111).  Degree 5 is Radon's rule:
+# a = (6 -+ sqrt(15)) / 21 with weights (155 -+ sqrt(15)) / 1200.  The
+# published 15-digit values were polished by Gauss-Newton steps on the
+# moment equations in 50-digit arithmetic and rounded to double; every
+# monomial moment up to the degree is then exact to 6e-17.
+_SYMMETRIC_TRIANGLE_RULES = {
+    4: (
+        (0.22338158967801147, (0.4459484909159649,)),
+        (0.10995174365532187, (0.09157621350977074,)),
+    ),
+    5: (
+        (0.225, ()),
+        (0.1323941527885062, (0.4701420641051151,)),
+        (0.12593918054482714, (0.10128650732345634,)),
+    ),
+    6: (
+        (0.11678627572637937, (0.24928674517091043,)),
+        (0.05084490637020682, (0.06308901449150223,)),
+        (0.08285107561837357, (0.053145049844816945, 0.3103524510337844)),
+    ),
+    8: (
+        (0.14431560767778717, ()),
+        (0.09509163426728462, (0.4592925882927232,)),
+        (0.10321737053471824, (0.1705693077517602,)),
+        (0.03245849762319808, (0.05054722831703098,)),
+        (0.027230314174434993, (0.008394777409957605, 0.2631128296346381)),
+    ),
+}
+
+
+def _symmetric_triangle_rule(orbits) -> tuple[np.ndarray, np.ndarray]:
+    """Points (x, y) = barycentric (l1, l2) and weights, summing to 1/2, of a table's orbits."""
+    pts, ww = [], []
+    for weight, coords in orbits:
+        if not coords:
+            orbit = [(1.0 / 3.0, 1.0 / 3.0)]
+        elif len(coords) == 1:
+            a, c = coords[0], 1.0 - 2.0 * coords[0]
+            orbit = [(a, a), (a, c), (c, a)]
+        else:
+            a, b = coords
+            c = 1.0 - a - b
+            orbit = [(a, b), (b, a), (a, c), (c, a), (b, c), (c, b)]
+        pts += orbit
+        ww += [weight / 2.0] * len(orbit)
+    return np.array(pts), np.array(ww)
+
+
 @lru_cache(maxsize=None)
 def element_quadrature(shape: str, d: int) -> QuadratureRule:
-    """Rule of exactness >= d on the reference triangle or square."""
+    """Rule of exactness >= d on the reference triangle or square.
+
+    Rectangles take the tensor Gauss-Legendre rule of (d + 2) // 2 points
+    per axis.  Triangles take a fully symmetric rule of 6, 7, 12 and 16
+    points at d = 4, 5, 6 and 8, and otherwise the collapsed Gauss-Jacobi
+    product of ((d + 2) // 2)^2 points (the centroid alone at d <= 1).
+    """
     if d < 0:
         raise ValueError("exactness degree must be non-negative")
     n = (d + 2) // 2
-    if shape == "rectangle":
+    if shape == "triangle" and d in _SYMMETRIC_TRIANGLE_RULES:
+        pts, ww = _symmetric_triangle_rule(_SYMMETRIC_TRIANGLE_RULES[d])
+    elif shape == "rectangle":
         x, w = roots_legendre(n)
         x, w = (x + 1.0) / 2.0, w / 2.0
         px = np.repeat(x, n)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -106,6 +107,26 @@ def test_element_monomial_exactness(shape, oracle):
                 val = (rule.weights * x**a * y**b).sum()
                 exact = oracle(a, b)
                 assert abs(val - exact) <= 1e-12 * abs(exact), (shape, d, a, b)
+
+
+@pytest.mark.parametrize("d,n_points", [(4, 6), (5, 7), (6, 12), (8, 16)])
+def test_symmetric_triangle_rules(d, n_points):
+    rule = element_quadrature("triangle", d)
+    x, y = rule.points[:, 0], rule.points[:, 1]
+    assert rule.points.shape == (n_points, 2)
+    assert rule.weights.min() > 0.0
+    assert np.column_stack([1.0 - x - y, x, y]).min() > 0.0
+    # each vertex permutation maps the rule onto itself, point for point
+    for perm in itertools.permutations(range(3)):
+        pts, w = map_to_element(rule, REF_TRIANGLE[list(perm)])
+        dist = np.abs(pts[:, None, :] - rule.points[None, :, :]).max(axis=-1)
+        match = dist.argmin(axis=1)
+        assert sorted(match) == list(range(n_points))
+        assert dist.min(axis=1).max() <= 1e-15
+        assert np.abs(w - rule.weights[match]).max() <= 1e-15
+    for a in range(d + 1):
+        for b in range(d + 1 - a):
+            assert abs((rule.weights * x**a * y**b).sum() - tri_monomial(a, b)) <= 1e-15, (a, b)
 
 
 def test_element_random_polynomial_exactness():

@@ -415,6 +415,22 @@ def test_study_collects_rows_and_rates():
     assert 1.5 <= report.final_rates()[1] <= 3.5
 
 
+def test_study_on_the_twelve_point_triangle_rule():
+    # (2,2,2) integrates with the 12-point symmetric rule; its finest errors
+    # are those of the collapsed 16-point product it replaced, to quadrature
+    # error (3e-5, 6e-5 and 1e-7 relative)
+    report = run_convergence_study(
+        get_case("cospi_cospi"), "tri", [4, 8, 16], WeakSpaceSignature(2, 2, 2),
+        SchemeParameters(),
+    )
+    last = report.rows[-1]
+    np.testing.assert_allclose(
+        [last.energy_err, last.l2_err, last.edge_err],
+        [6.5582408773e-04, 7.7591604641e-06, 6.1088111095e-06],
+        rtol=1e-3,
+    )
+
+
 def test_study_rect_labels_map_to_levels():
     case = get_case("x2_cospi")
     report = run_convergence_study(

@@ -291,6 +291,16 @@ def test_shape_classes_on_uniform_meshes():
     assert abs(cache.class_ops[0].M0[0, 0] - (1.0 / 6.0) * (1.0 / 4.0)) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "element,n_points", [((0, 0, 0), 6), ((1, 2, 2), 7), ((2, 2, 2), 12), ((3, 4, 4), 16)]
+)
+def test_operator_cache_takes_the_symmetric_triangle_rule(element, n_points):
+    # the collapsed product gives the same exactness from 9, 9, 16 and 25
+    # points, so a fallback to it would pass every accuracy test
+    cache = OperatorCache(build_uniform_triangular(2), WeakSpaceSignature(*element))
+    assert cache.stacks["weights"].shape[1] == n_points
+
+
 def test_shape_classes_separate_tiny_elements_of_different_size():
     # two triangles of area ratio 1:2 with the same edge-sign pattern, on a
     # mesh so small that absolute rounding would take them for one shape
