@@ -356,6 +356,6 @@ def graded_rule(verts, corner: int, d: int, depth: int):
 def _grading_depth(strength: float, h: float) -> int:
     # Choose the dyadic depth so the untouched innermost piece, of size
     # h * 2^-depth, contributes O((h 2^-depth)^strength) ~ 2^-40 or less;
-    # capped so r**(strength - 2) stays inside double range.
-    depth = math.ceil(40.0 / strength + math.log2(max(h, 1e-300)))
-    return int(min(480, max(4, depth)))
+    # capped (before ceil, as 40 / strength may be inf) so r**(strength - 2) stays in range.
+    depth = min(480.0, 40.0 / strength + math.log2(max(h, 1e-300)))
+    return max(4, math.ceil(depth))

@@ -41,7 +41,7 @@ class ManufacturedCase:
 
     u, f, g are vectorized (n, 2) -> (n,).  singularity, if given, is a
     (point, strength) pair: u behaves like r**strength near point, so that
-    integration can be graded toward it.
+    integration can be graded toward it; point is a finite (x, y), strength finite and > 0.
     """
 
     name: str

@@ -150,7 +150,7 @@ class _ShapeOps:
     [interior block | side-0 edge block | side-1 edge block | ...], with
     edge polynomials always expressed in the canonical (ascending vertex
     index) orientation of each edge.  One element rule (offsets, weights;
-    phi0 is the P_k basis at its points) gives M0, M_m and data moments.
+    phi0 is the P_k basis at its points) gives M0, M0_inv, M_m and moments.
 
     A read-only view of class c of the stacks that _shape_stacks builds for
     all classes at once: each attribute it names is entry c of that stack,
@@ -184,12 +184,13 @@ def _shape_stacks(shape: str, X, Y, signs, signature: WeakSpaceSignature) -> dic
     relative to its centroid, and signs, (C, w), its edge orientation
     pattern.  Every stack has the shapes on its first axis: h_T (C,),
     edge_lengths (C, w), normals (C, w, 2), the element rule's offsets
-    (C, n_q, 2) and weights (C, n_q), phi0 (C, n_q, n0), M0, M_m,
+    (C, n_q, 2) and weights (C, n_q), phi0 (C, n_q, n0), M0, M0_inv, M_m,
     edge_mass (C, w, nb), trace_ops (C, w, nb, n0), delta, Gx, Gy, G,
     Sxx, Syy, Sxy and stab_unit.  Sxx, Syy and stab_unit are exactly
-    symmetric.  The number of numpy calls grows with neither C nor w, and
-    every product is an einsum or a stacked `@` of matrices too small for
-    BLAS threads.
+    symmetric.  One Cholesky factor per shape serves M_l^-1 (in delta) and
+    M0_inv = M0^-1.  The number of numpy calls grows with neither C nor w,
+    and every product is an einsum or a stacked `@` of matrices too small
+    for BLAS threads.
     """
     n0, dim_l, dim_m = signature.interior_dim, dim_pk(signature.ell), dim_pk(signature.m)
     C, w = X.shape
@@ -244,9 +245,12 @@ def _shape_stacks(shape: str, X, Y, signs, signature: WeakSpaceSignature) -> dic
     B = np.empty((C, 2, dim_l, n_loc))
     np.einsum("cds,csij->cdij", -n_cds, P @ T, out=B[..., :n0])
     B[..., n0:] = (n_cds[:, :, None, :, None] * P.swapaxes(1, 2)[:, None]).reshape(C, 2, dim_l, -1)
-    # delta = M_l^-1 B, with M_l^-1 = L^-T L^-1 from the Cholesky factor L of M_l
-    L_inv = np.linalg.inv(np.linalg.cholesky(M[:, :dim_l, :dim_l]))
-    delta = (L_inv.swapaxes(1, 2) @ L_inv)[:, None] @ B
+    # M_l and M0 are leading blocks of M, so their inverse Cholesky factors are
+    # leading blocks of L^-1, that of M's leading p x p block: delta = M_l^-1 B
+    p = max(n0, dim_l)
+    L_inv = np.linalg.inv(np.linalg.cholesky(M[:, :p, :p]))
+    L_l, L_0 = L_inv[:, :dim_l, :dim_l], L_inv[:, :n0, :n0]
+    delta = (L_l.swapaxes(1, 2) @ L_l)[:, None] @ B
 
     # grad v0 embedded into [P_m]^2, x rows then y rows, corrected by delta
     G = np.zeros((C, 2, dim_m, n_loc))
@@ -283,6 +287,7 @@ def _shape_stacks(shape: str, X, Y, signs, signature: WeakSpaceSignature) -> dic
         "weights": weights,
         "phi0": V[..., :n0],
         "M0": M[:, :n0, :n0],
+        "M0_inv": L_0.swapaxes(1, 2) @ L_0,
         "M_m": M[:, :dim_m, :dim_m],
         "edge_mass": D,
         "trace_ops": T,
@@ -401,10 +406,17 @@ def _touching(mesh: Mesh, cells: np.ndarray, singularity):
     """Rows of cells (vertex index arrays) with a vertex at the singular point.
 
     Returns (rows, local index of that vertex); both empty without a singularity.
+    ValueError unless the point is a finite (x, y) and the strength finite and > 0.
     """
     if singularity is None:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    hit = np.linalg.norm(mesh.vertices[cells] - singularity[0], axis=2) < _VERTEX_TOL
+    point, strength = np.asarray(singularity[0], dtype=float), singularity[1]
+    if point.shape != (2,) or not np.isfinite(point).all() or not 0.0 < strength < np.inf:
+        raise ValueError(
+            f"singularity must pair a finite point (x, y) with a finite strength > 0, "
+            f"got {singularity!r}"
+        )
+    hit = np.linalg.norm(mesh.vertices[cells] - point, axis=2) < _VERTEX_TOL
     rows = np.nonzero(hit.any(axis=1))[0]
     return rows, hit[rows].argmax(axis=1)
 
@@ -420,24 +432,6 @@ def _mv(M, rows, v) -> np.ndarray:
         e = slice(start, start + step)
         np.einsum("eij,ej->ei", np.take(M, rows[e], axis=0), v[e], out=out[e])
     return out
-
-
-def _cholesky_solve(L, b) -> np.ndarray:
-    """x with L_e L_e^T x_e = b_e for every row e of b (n, k); L[r, c] is entry (r, c) of each L_e.
-
-    One entry of x at a time over all n rows: 1 ms on 2048 10 x 10 factors,
-    where np.linalg.inv took 11.5 ms in one LAPACK call per matrix.
-    """
-    x = b.T.copy()
-    for i in range(len(x)):
-        for j in range(i):
-            x[i] -= L[i, j] * x[j]
-        x[i] /= L[i, i]
-    for i in reversed(range(len(x))):
-        for j in range(i + 1, len(x)):
-            x[i] -= L[j, i] * x[j]
-        x[i] /= L[i, i]
-    return x.T
 
 
 def _element_rule_degree(signature: WeakSpaceSignature) -> int:
@@ -526,15 +520,20 @@ def project_Qh(
 
     fn must be vectorized: (n, 2) points -> (n,) finite values; any other
     shape, NaN or infinity raises ValueError.  singularity, if given, is a
-    (point, strength) pair; integrals over elements and edges touching the
-    point are computed with rules graded toward it.  A cache built for
-    another mesh or signature raises ValueError.
+    (point, strength) pair, a finite (x, y) and a finite strength > 0 (else
+    ValueError); integrals over elements and edges touching the point are
+    computed with rules graded toward it.  Q0 u applies the cache's M0_inv:
+    nothing is factored per call.  A cache built for another mesh or
+    signature raises ValueError.
     """
     cache = _cache_for(mesh, signature, cache)
     dm = cache.dofmap
     wf = WeakFunction(dm)
-    L = np.linalg.cholesky(cache.stacks["M0"]).transpose(1, 2, 0)  # L[r, c]: over the classes
+    # x = M0_inv moments, refined once: unrefined, x lies 2 to 7 times farther
+    # from the exact solve than a Cholesky solve does at k = 3 on general meshes
+    ids, M0_inv = cache.class_ids, cache.stacks["M0_inv"]
     moments = _interior_moments(cache, fn, singularity)
-    dm.interiors(wf.coeffs)[:] = _cholesky_solve(np.take(L, cache.class_ids, axis=2), moments)
+    x = _mv(M0_inv, ids, moments)
+    dm.interiors(wf.coeffs)[:] = x + _mv(M0_inv, ids, moments - _mv(cache.stacks["M0"], ids, x))
     dm.edges(wf.coeffs)[:] = _edge_projection(cache, fn, np.arange(mesh.n_edges), singularity)
     return wf

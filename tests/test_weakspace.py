@@ -1,6 +1,7 @@
 """Tests for degree-of-freedom layout, projections, and weak gradients."""
 
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -36,6 +37,7 @@ from gwgfem.polybasis import (
     map_to_element,
     monomial_exponents,
 )
+from gwgfem.verify import lowreg_case, run_convergence_study
 from gwgfem.weakspace import _interior_moments
 
 
@@ -387,6 +389,7 @@ class ReferenceShapeOps:
         V = self.basis.eval(self.offsets)
         M_full = V.T @ (self.weights[:, None] * V)
         self.M0 = M_full[:n0, :n0]
+        self.M0_inv = np.linalg.inv(self.M0)
         self.M_m = M_full[:dim_m, :dim_m]
         self.phi0 = V[:, :n0]
 
@@ -498,13 +501,14 @@ def test_skipped_key_columns_give_the_full_refinement_classes(mesh):
 
 
 SHAPE_OPS_ATTRIBUTES = (
-    "h_T", "edge_lengths", "normals", "offsets", "weights", "phi0", "M0", "M_m", "edge_mass",
-    "trace_ops", "delta", "Gx", "Gy", "G", "Sxx", "Syy", "Sxy", "stab_unit",
+    "h_T", "edge_lengths", "normals", "offsets", "weights", "phi0", "M0", "M0_inv", "M_m",
+    "edge_mass", "trace_ops", "delta", "Gx", "Gy", "G", "Sxx", "Syy", "Sxy", "stab_unit",
 )
 FROM_DELTA = {"delta", "Gx", "Gy", "G", "Sxx", "Syy", "Sxy"}
 
 
-@pytest.mark.parametrize("family", [(0, 0, 0), (1, 1, 1), (1, 2, 2), (2, 1, 3), (3, 4, 4)])
+# (3, 2, 2) has k > ell: the factored block is M0's, and delta reads its leading block
+@pytest.mark.parametrize("family", [(0, 0, 0), (1, 1, 1), (1, 2, 2), (2, 1, 3), (3, 4, 4), (3, 2, 2)])
 @pytest.mark.parametrize(
     "mesh",
     [
@@ -523,18 +527,22 @@ def test_batched_shape_operators_are_the_per_class_build(mesh, family):
     # ell = 4, where two backward-stable solves agree only to about
     # eps cond(M_l) (the reference's own error is 2e-11 there).  So delta
     # and what is built from it are compared to that bound, and delta must
-    # solve the reference's system to rounding
+    # solve the reference's system to rounding; M0_inv likewise to
+    # eps cond(M0)
     cache = OperatorCache(mesh, WeakSpaceSignature(*family))
     reference = reference_class_ops(cache)
     assert len(cache.class_ops) == len(reference) > 0
     for ops, ref in zip(cache.class_ops, reference):
         assert (ops.n_sides, ops.n_loc) == (ref.n_sides, ref.n_loc)
-        from_delta = max(1e-13, np.finfo(float).eps * np.linalg.cond(ref.M_l))
+        eps = np.finfo(float).eps
+        from_delta = max(1e-13, eps * np.linalg.cond(ref.M_l))
         for name in SHAPE_OPS_ATTRIBUTES:
             got, want = getattr(ops, name), np.asarray(getattr(ref, name))
             assert got.shape == want.shape, name
             assert not got.flags.writeable, name
             rtol = from_delta if name in FROM_DELTA else 1e-13
+            if name == "M0_inv":
+                rtol = max(1e-13, eps * np.linalg.cond(ref.M0))
             np.testing.assert_allclose(
                 got, want, rtol=0, atol=rtol * np.abs(want).max(), err_msg=name
             )
@@ -546,6 +554,30 @@ def test_batched_shape_operators_are_the_per_class_build(mesh, family):
         assert ops.basis.degree == ref.basis.degree
         assert ops.basis.scale == pytest.approx(ref.basis.scale, rel=1e-15)
         np.testing.assert_array_equal(ops.basis.center, ref.basis.center)
+
+
+@pytest.mark.parametrize("family", [(3, 4, 4), (3, 2, 2), (1, 1, 0)])
+def test_projection_q0_is_the_refined_mass_matrix_solve(family):
+    # Q0 u applies each class's stored M0^-1 = L0^-T L0^-1 to the moments
+    # and refines once: it must lie within 5e-12 relative of a solve of
+    # M0 x = moments refined with long-double residuals, on a mesh where
+    # every element is its own class (cond(M0) up to 2e7 at k = 3).  The
+    # unrefined product reached 7e-12 at (3, 2, 2) on other jitter seeds
+    mesh = jittered_interior(tri_16, 5)
+    signature = WeakSpaceSignature(*family)
+    cache = OperatorCache(mesh, signature)
+
+    def u(p):
+        return np.cos(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1])
+
+    moments = _interior_moments(cache, u)
+    M0 = cache.stacks["M0"][cache.class_ids]
+    x = np.linalg.solve(M0, moments[..., None])[..., 0]
+    for _ in range(3):
+        r = moments - np.einsum("eij,ej->ei", M0.astype(np.longdouble), x.astype(np.longdouble))
+        x = x + np.linalg.solve(M0, r.astype(float)[..., None])[..., 0]
+    got = cache.dofmap.interiors(project_Qh(u, mesh, signature, cache=cache).coeffs)
+    assert np.abs(got - x).max() <= 5e-12 * np.abs(x).max()
 
 
 def test_operator_cache_survives_pickle_and_copy():
@@ -766,6 +798,8 @@ def test_grading_depth_bounds():
     assert _grading_depth(0.5, 1.0 / 64.0) == 74
     assert _grading_depth(1.0, 2.0 ** -50) >= 4
     assert _grading_depth(1.0 / 32.0, 1.0) == 480
+    # 40 / strength overflows to inf; the cap still holds
+    assert _grading_depth(1e-310, 1.0) == 480
 
 
 def test_project_q0_graded_override_matches_plain_for_polynomials():
@@ -779,3 +813,29 @@ def test_project_q0_graded_override_matches_plain_for_polynomials():
     # element 0 and two edges touch the corner, so the graded rules did run
     assert not np.array_equal(graded.coeffs, plain.coeffs)
     np.testing.assert_allclose(graded.coeffs, plain.coeffs, rtol=1e-10, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "singularity",
+    [
+        ((0.0, 0.0), 0.0),
+        ((0.0, 0.0), np.nan),
+        ((0.0, 0.0, 0.0), 0.5),
+        ((0.0, np.nan), 0.5),
+        ((0.0, 0.0), -1.0),
+        ((0.0, 0.0), np.inf),
+    ],
+    ids=["zero-strength", "nan-strength", "3d-point", "nan-point", "negative-strength", "inf-strength"],
+)
+def test_bad_singularity_is_rejected_by_every_caller(singularity):
+    # before the check these raised ZeroDivisionError, a NaN-to-integer or a
+    # broadcast error, or graded silently: a NaN point matched no vertex, and
+    # a strength of -1 or inf took the minimum depth of 4
+    mesh, signature = build_uniform_triangular(4), WeakSpaceSignature(1, 1, 0)
+    case = dataclasses.replace(lowreg_case(0.5), singularity=singularity)
+    with pytest.raises(ValueError, match="singularity"):
+        project_Qh(case.u, mesh, signature, singularity=singularity)
+    with pytest.raises(ValueError, match="singularity"):
+        assemble(mesh, signature, SchemeParameters(), case.f, case.g, singularity=singularity)
+    with pytest.raises(ValueError, match="singularity"):
+        run_convergence_study(case, "tri", [2, 4], signature, SchemeParameters())
