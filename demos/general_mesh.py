@@ -64,7 +64,8 @@ def study(signature):
         e_h = error_function(case, u_h, cache)
         errors = (energy_norm(e_h, params, cache), l2_norm_e0(e_h, cache), edge_norm_eb(e_h, cache))
         error_s = time.perf_counter() - start
-        cells = ["%4d %8d %8.3f %8.3f %8.3f" % (n, len(cache.class_ops), cache_s, assemble_s, error_s)]
+        classes = cache.class_first.size
+        cells = ["%4d %8d %8.3f %8.3f %8.3f" % (n, classes, cache_s, assemble_s, error_s)]
         for i, err in enumerate(errors):
             rate = "--" if previous is None else "%.2f" % (
                 math.log(previous[1][i] / err) / math.log(previous[0] / mesh.h_max)

@@ -98,7 +98,7 @@ class SchemeParameters:
             raise ValueError(f"stabilizer exponent gamma must be finite, got {self.gamma}")
         if self.coefficient is not None:
             a = np.asarray(self.coefficient, dtype=float)
-            if a.shape != (2, 2) and not (a.ndim == 3 and a.shape[1:] == (2, 2)):
+            if a.shape != (2, 2) and not (a.ndim == 3 and a.shape[1:] == (2, 2) and len(a)):
                 raise ValueError("coefficient must be a (2, 2) matrix or an (n, 2, 2) array")
             if not np.isfinite(a).all():
                 raise ValueError("coefficient must be finite")

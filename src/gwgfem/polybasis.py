@@ -19,6 +19,9 @@ d = 4, 5, 6 or 8 (the degrees the element families use), else a collapsed
 Jacobian.  For integrands with a point singularity at a vertex,
 graded_rule composes the rule for a segment or an element with one dyadic
 grading toward that vertex: level i is the cell scaled by 2^-i about it.
+
+map_to_element, map_to_edge and _monomials are the one code for the element
+map, the edge map and the scaled monomials; they take stacks of cells.
 """
 
 from __future__ import annotations
@@ -58,13 +61,6 @@ def monomial_exponents(r: int) -> np.ndarray:
     return out
 
 
-def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    return pts
-
-
 class ElementBasis:
     """Centroid-centered, diameter-scaled monomial basis on one element."""
 
@@ -81,36 +77,41 @@ class ElementBasis:
         return self.exponents.shape[0]
 
     def _scaled(self, points):
-        pts = _as_points(points)
-        return (pts - self.center) / self.scale
+        return (np.atleast_2d(np.asarray(points, dtype=float)) - self.center) / self.scale
 
     def eval(self, points) -> np.ndarray:
         """Values of all basis functions: (npoints, dim)."""
         uv = self._scaled(points)
-        pu = _power_table(uv[:, 0], self.degree)
-        pv = _power_table(uv[:, 1], self.degree)
-        a, b = self.exponents[:, 0], self.exponents[:, 1]
-        return pu[:, a] * pv[:, b]
+        return _monomials(uv[:, 0], uv[:, 1], self.degree)
 
     def grad(self, points) -> np.ndarray:
         """Analytic gradients, chain factor 1/scale included: (npoints, dim, 2)."""
         uv = self._scaled(points)
-        pu = _power_table(uv[:, 0], self.degree)
-        pv = _power_table(uv[:, 1], self.degree)
+        lower = _monomials(uv[:, 0], uv[:, 1], max(self.degree - 1, 0))
         a, b = self.exponents[:, 0], self.exponents[:, 1]
+        i = (a + b - 1) * (a + b) // 2 + b  # X^(a-1) Y^b in the basis of one degree less
         out = np.zeros((uv.shape[0], self.dim, 2))
-        am = a > 0
-        bm = b > 0
-        out[:, am, 0] = a[am] * pu[:, a[am] - 1] * pv[:, b[am]] / self.scale
-        out[:, bm, 1] = b[bm] * pu[:, a[bm]] * pv[:, b[bm] - 1] / self.scale
+        am, bm = a > 0, b > 0
+        out[:, am, 0] = a[am] * lower[:, i[am]] / self.scale
+        out[:, bm, 1] = b[bm] * lower[:, i[bm] - 1] / self.scale
         return out
 
 
-def _power_table(t: np.ndarray, rmax: int) -> np.ndarray:
-    out = np.ones((t.size, rmax + 1))
-    for p in range(1, rmax + 1):
-        out[:, p] = out[:, p - 1] * t
-    return out
+def _monomials(u, v, degree: int) -> np.ndarray:
+    """X^a Y^b at X = u, Y = v, u and v of one shape S, for (a, b) in monomial_exponents(degree).
+
+    Shape S + (dim_pk(degree),), the basis axis the slowest in memory.
+    """
+    powers = np.empty((degree + 1, 2) + np.shape(u))
+    powers[0] = 1.0
+    if degree:
+        powers[1, 0], powers[1, 1] = u, v
+    for p in range(2, degree + 1):
+        np.multiply(powers[p - 1], powers[1], out=powers[p])
+    out = np.empty((dim_pk(degree),) + powers.shape[2:])
+    for r in range(degree + 1):  # X^r, X^(r-1) Y, ..., Y^r in one call
+        np.multiply(powers[r::-1, 0], powers[: r + 1, 1], out=out[r * (r + 1) // 2 : dim_pk(r)])
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 class EdgeBasis:
@@ -252,21 +253,22 @@ def edge_quadrature(d: int) -> QuadratureRule:
 
 
 def map_to_element(rule: QuadratureRule, verts) -> tuple[np.ndarray, np.ndarray]:
-    """Map a reference rule onto a physical triangle or rectangle.
+    """Map a reference rule onto triangles or parallelograms, verts (..., 3 or 4, 2).
 
-    Returns physical points and weights; weights sum to the element area.
+    One formula for both shapes: v0 + p0 e1 + p1 e2, e1 from vertex 0 to
+    vertex 1 and e2 to the last vertex.  Returns points (..., n, 2) and
+    weights (..., n), the weights summing to each cell's area.
     """
     verts = np.asarray(verts, dtype=float)
-    v0 = verts[0]
-    if verts.shape[0] == 3:
-        e1, e2 = verts[1] - v0, verts[2] - v0
-    elif verts.shape[0] == 4:
-        e1, e2 = verts[1] - v0, verts[3] - v0
-    else:
-        raise ValueError("expected 3 or 4 vertices")
-    jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
-    pts = v0 + np.outer(rule.points[:, 0], e1) + np.outer(rule.points[:, 1], e2)
-    return pts, rule.weights * jac
+    if verts.ndim < 2 or verts.shape[-2:] not in ((3, 2), (4, 2)):
+        raise ValueError(f"expected vertices of shape (..., 3 or 4, 2), got {verts.shape}")
+    # x and y on a leading axis, so numpy's inner loops run over cells, not pairs
+    Z = verts.transpose(-1, *range(verts.ndim - 1))
+    v0 = Z[..., :1]
+    e1, e2 = Z[..., 1:2] - v0, Z[..., -1:] - v0
+    pts = v0 + rule.points[:, 0] * e1 + rule.points[:, 1] * e2
+    weights = rule.weights * np.abs(e1[0] * e2[1] - e1[1] * e2[0])
+    return pts.transpose(*range(1, pts.ndim), 0), weights
 
 
 def map_to_edge(rule: QuadratureRule, p0, p1):
@@ -275,20 +277,20 @@ def map_to_edge(rule: QuadratureRule, p0, p1):
     Returns (points (..., n, 2), weights (..., n) summing to each segment's
     length, t (n,)), t the reference coordinates (t = -1 at p0, t = +1 at p1).
     """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    t = rule.points
-    # one coordinate and one point at a time: a whole-array pass over a
-    # trailing axis of 2 runs numpy's inner loop on 2 entries per segment
-    mid = [(p0[..., c] + p1[..., c]) / 2.0 for c in range(2)]
-    half = [(p1[..., c] - p0[..., c]) / 2.0 for c in range(2)]
-    pts = np.empty(np.shape(mid[0]) + (t.size, 2))
-    for i, ti in enumerate(t):
-        for c in range(2):
-            np.add(mid[c], ti * half[c], out=pts[..., i, c])
+    p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+    axes = (-1, *range(p0.ndim - 1))  # x and y on a leading axis, as in map_to_element
+    P0, P1, t = p0.transpose(axes), p1.transpose(axes), rule.points
+    # order="C": in the memory order of p0 and p1 the inner loops would run over x and y
+    mid, half = np.add(P0, P1, order="C") / 2.0, np.subtract(P1, P0, order="C") / 2.0
+    pts = np.empty(mid.shape[1:] + (t.size, 2))
+    # written through (n, 2, segments) views, 2^14 entries at a time: the inner
+    # loops run over segments, and no temporary holds all the points
+    out = pts.reshape(-1, t.size, 2).transpose(1, 2, 0)
+    m, h, step = mid.reshape(2, -1), half.reshape(2, -1), max(1, 2**14 // t.size)
+    for e in (slice(s, s + step) for s in range(0, out.shape[-1], step)):
+        np.add(m[:, e], t[:, None, None] * h[:, e], out=out[..., e])
     length = np.sqrt(half[0] * half[0] + half[1] * half[1])  # |half|, as np.linalg.norm sums it
-    w = rule.weights * length[..., None]
-    return pts, w, t
+    return pts, rule.weights * length[..., None], t
 
 
 def _corner_split(v: np.ndarray) -> list[np.ndarray]:

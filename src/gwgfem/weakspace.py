@@ -20,7 +20,7 @@ them exactly translation invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,8 +32,10 @@ from .polybasis import (
     edge_quadrature,
     element_quadrature,
     _grading_depth,
+    _monomials,
     graded_rule,
     map_to_edge,
+    map_to_element,
     monomial_exponents,
 )
 
@@ -155,8 +157,8 @@ class _ShapeOps:
     A read-only view of class c of the stacks that _shape_stacks builds for
     all classes at once: each attribute it names is entry c of that stack,
     taken on first use, so trace_ops[side] is one side's trace projection.
-    basis is the scaled monomial basis about the centroid, for rules that
-    the stacks do not hold, such as the graded ones.
+    basis is the scaled monomial basis about the centroid.  OperatorCache
+    builds the views on first use; no step of the pipeline needs them.
     """
 
     def __init__(self, stacks: dict, c: int, degree: int):
@@ -187,19 +189,19 @@ def _shape_stacks(shape: str, X, Y, signs, signature: WeakSpaceSignature) -> dic
     (C, n_q, 2) and weights (C, n_q), phi0 (C, n_q, n0), M0, M0_inv, M_m,
     edge_mass (C, w, nb), trace_ops (C, w, nb, n0), delta, Gx, Gy, G,
     Sxx, Syy, Sxy and stab_unit.  Sxx, Syy and stab_unit are exactly
-    symmetric.  One Cholesky factor per shape serves M_l^-1 (in delta) and
-    M0_inv = M0^-1.  The number of numpy calls grows with neither C nor w,
-    and every product is an einsum or a stacked `@` of matrices too small
-    for BLAS threads.
+    symmetric.  One call each of map_to_element, map_to_edge and _monomials
+    maps and evaluates all shapes.  One Cholesky factor per shape serves
+    M_l^-1 (in delta) and M0_inv = M0^-1.  The number of numpy calls grows
+    with neither C nor w, and every product is an einsum or a stacked `@` of
+    matrices too small for BLAS threads.
     """
     n0, dim_l, dim_m = signature.interior_dim, dim_pk(signature.ell), dim_pk(signature.m)
     C, w = X.shape
     n_loc = n0 + w * signature.edge_dim
-    degree = max(signature.k, signature.m)
-    rule, edge_rule, E, exps, after, (rows, cols, factors) = _reference_data(shape, signature)
+    rule, edge_rule, E, after, (rows, cols, factors) = _reference_data(shape, signature)
 
     # x and y on a leading axis of 2; side s runs from vertex s to s + 1
-    Z = np.stack([X, Y])
+    Z = np.array((X, Y))
     Z1 = Z[..., after]
     d = Z1 - Z
     lengths = np.sqrt((d * d).sum(axis=0))
@@ -207,27 +209,17 @@ def _shape_stacks(shape: str, X, Y, signs, signature: WeakSpaceSignature) -> dic
     normal = d[::-1] / lengths  # unit outer normals (dy, -dx) / length
     np.negative(normal[1], out=normal[1])
 
-    # the element rule, mapped affinely from vertex 0 along the vectors to
-    # vertex 1 and to the last vertex (2 of a triangle, 3 of a parallelogram)
-    e1, e2 = d[..., :1], Z[..., -1:] - Z[..., :1]
-    offsets = Z[..., :1] + rule.points[:, 0] * e1 + rule.points[:, 1] * e2
-    weights = rule.weights * np.abs(e1[0] * e2[1] - e1[1] * e2[0])
-    # each side's edge rule in the canonical direction: the half side
-    # vector, flipped where the element runs against the edge
-    half = signs * d / 2.0
-    edge_pts = ((Z + Z1) / 2.0)[..., None] + edge_rule.points * half[..., None]
-    edge_w = edge_rule.weights * np.sqrt((half * half).sum(axis=0))[..., None]
+    offsets, weights = map_to_element(rule, Z.transpose(1, 2, 0))
+    # each side's edge rule in the canonical direction: its ends swapped where signs < 0
+    forward = signs > 0
+    ends = np.where(forward, Z, Z1), np.where(forward, Z1, Z)
+    edge_pts, edge_w, _ = map_to_edge(edge_rule, *(p.transpose(1, 2, 0) for p in ends))
 
     # the scaled basis of degree max(k, m) at the element and then the edge
-    # points, from the powers of x / h_T and y / h_T (on a leading axis)
-    pts = np.concatenate([offsets, edge_pts.reshape(2, C, -1)], axis=2) / h[:, None]
-    powers = np.ones((degree + 1,) + pts.shape)
-    for p in range(1, degree + 1):
-        np.multiply(powers[p - 1], pts, out=powers[p])
-    V = np.empty((len(exps),) + pts.shape[1:])
-    for i, (a, b) in enumerate(exps):  # basis function i is X^a Y^b
-        np.multiply(powers[a, 0], powers[b, 1], out=V[i])
-    V = V.transpose(1, 2, 0)  # (C, points, basis)
+    # points, x and y on a leading axis as the maps store them
+    pts = np.concatenate([a.transpose(2, 0, 1) for a in (offsets, edge_pts.reshape(C, -1, 2))], 2)
+    pts /= h[:, None]
+    V = _monomials(pts[0], pts[1], max(signature.k, signature.m))  # (C, points, basis)
     n_q = weights.shape[1]
     wV_edge = edge_w[..., None] * V[:, n_q:].reshape(C, w, edge_w.shape[-1], -1)
     V = V[:, :n_q]
@@ -283,7 +275,7 @@ def _shape_stacks(shape: str, X, Y, signs, signature: WeakSpaceSignature) -> dic
         "h_T": h,
         "edge_lengths": lengths,
         "normals": normal.transpose(1, 2, 0),
-        "offsets": offsets.transpose(1, 2, 0),
+        "offsets": offsets,
         "weights": weights,
         "phi0": V[..., :n0],
         "M0": M[:, :n0, :n0],
@@ -310,11 +302,10 @@ def _reference_data(shape: str, signature: WeakSpaceSignature):
     """What the local operators need of the family alone, not of the element.
 
     The element rule, the edge rule, the Legendre values E at its points,
-    the exponents (a, b) of the basis of degree max(k, m), the vertex after
-    each vertex, and where grad of the P_k basis sits in G: rows, columns
-    and factors, times 1/h_T.  d/dx X^p Y^q = p X^(p-1) Y^q and
-    d/dy X^p Y^q = q X^p Y^(q-1); the monomial of degree r at position q
-    within its degree is basis function r (r + 1) / 2 + q, and the d/dy
+    the vertex after each vertex, and where grad of the P_k basis sits in
+    G: rows, columns and factors, times 1/h_T.  d/dx X^p Y^q = p X^(p-1) Y^q
+    and d/dy X^p Y^q = q X^p Y^(q-1); the monomial of degree r at position
+    q within its degree is basis function r (r + 1) / 2 + q, and the d/dy
     rows follow the dim_m d/dx rows.
     """
     k, j, m = signature.k, signature.j, signature.m
@@ -328,7 +319,7 @@ def _reference_data(shape: str, signature: WeakSpaceSignature):
     for array in (E, after, *gradient):
         array.setflags(write=False)
     rule = element_quadrature(shape, _element_rule_degree(signature))
-    return rule, edge_rule, E, monomial_exponents(max(k, m)).tolist(), after, gradient
+    return rule, edge_rule, E, after, gradient
 
 
 class OperatorCache:
@@ -341,8 +332,8 @@ class OperatorCache:
     (triangles) or one (rectangles); on a general mesh nearly every element
     is its own group.  The operators of all groups are built in one batched
     pass (_shape_stacks) from each group's first element, class_first[c];
-    stacks holds them over the groups, and class_ops[c] views group c.
-    Element-local work gathers what it needs from stacks by class_ids.
+    stacks holds them over the groups, and class_ops[c], built on first use,
+    views group c.  Element-local work gathers from stacks by class_ids.
     """
 
     def __init__(self, mesh: Mesh, signature: WeakSpaceSignature):
@@ -383,9 +374,12 @@ class OperatorCache:
         order = np.argsort(first)  # classes in order of first appearance
         self.class_ids = np.argsort(order)[group]
         reps = self.class_first = first[order]
-        stacks = self.stacks = _shape_stacks(self.shape, rx[reps], ry[reps], signs[reps], signature)
-        degree = max(signature.k, signature.m)
-        self.class_ops: list[_ShapeOps] = [_ShapeOps(stacks, c, degree) for c in range(reps.size)]
+        self.stacks = _shape_stacks(self.shape, rx[reps], ry[reps], signs[reps], signature)
+
+    @cached_property
+    def class_ops(self) -> list[_ShapeOps]:
+        degree = max(self.signature.k, self.signature.m)
+        return [_ShapeOps(self.stacks, c, degree) for c in range(self.class_first.size)]
 
     def shape_ops(self, element: int) -> _ShapeOps:
         return self.class_ops[self.class_ids[element]]
@@ -442,11 +436,14 @@ def _element_rule_degree(signature: WeakSpaceSignature) -> int:
 def _values(fn, pts) -> np.ndarray:
     """fn at the (n, 2) points pts, checked to be n finite values.
 
-    Raises ValueError, naming fn, when it returns another shape or a value
-    that is NaN or infinite.
+    Raises ValueError, naming fn, when it returns complex values, another
+    shape, or a value that is NaN or infinite.
     """
-    values = np.asarray(fn(pts), dtype=float)
+    values = np.asarray(fn(pts))
     name = getattr(fn, "__name__", repr(fn))
+    if np.iscomplexobj(values):
+        raise ValueError(f"function {name} must return real values: it returned {values.dtype}")
+    values = values.astype(float, copy=False)
     if values.shape != (len(pts),):
         raise ValueError(
             f"function {name} must return one value per point: it returned shape "
@@ -477,12 +474,11 @@ def _interior_moments(cache: OperatorCache, fn, singularity=None) -> np.ndarray:
     values = _values(fn, pts.reshape(-1, 2)).reshape(mesh.n_elements, -1)
     out = _mv((weights[..., None] * phi0).swapaxes(1, 2), ids, values)
     for e, corner in zip(*_touching(mesh, mesh.elements, singularity)):
-        ops = cache.shape_ops(e)
-        depth = _grading_depth(singularity[1], ops.h_T)
-        verts = mesh.vertices[mesh.elements[e]]
+        h_T, verts = stacks["h_T"][ids[e]], mesh.vertices[mesh.elements[e]]
+        depth = _grading_depth(singularity[1], h_T)
         pts, w = graded_rule(verts, corner, _element_rule_degree(cache.signature), depth)
-        phi = ops.basis.eval(pts - cache.centroids[e])[:, : out.shape[1]]
-        out[e] = phi.T @ (w * _values(fn, pts))
+        X, Y = ((pts[:, c] - cache.centroids[e, c]) / h_T for c in range(2))
+        out[e] = _monomials(X, Y, cache.signature.k).T @ (w * _values(fn, pts))
     return out
 
 

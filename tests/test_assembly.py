@@ -231,8 +231,10 @@ def test_scheme_parameters_validation():
         SchemeParameters(coefficient=[[1.0, 0.3], [0.2, 1.0]])
     with pytest.raises(ValueError):
         SchemeParameters(coefficient=[[1.0, 2.0], [2.0, 1.0]])  # indefinite
-    with pytest.raises(ValueError):
-        SchemeParameters(coefficient=np.ones((3, 2)))
+    # an empty per-element stack once raised numpy's zero-size reduction error
+    for bad in [np.ones((3, 2)), np.zeros((0, 2, 2))]:
+        with pytest.raises(ValueError, match=r"\(2, 2\) matrix or an \(n, 2, 2\) array$"):
+            SchemeParameters(coefficient=bad)
     nan_stack = np.tile(np.eye(2), (3, 1, 1))
     nan_stack[1, 0, 0] = math.nan
     for bad in [[[math.inf, 0.0], [0.0, 1.0]], [[math.nan, 0.0], [0.0, 1.0]], nan_stack]:
@@ -1486,6 +1488,31 @@ def test_infinite_boundary_data_is_rejected(radius, singularity):
             g,
             singularity=singularity,
         )
+
+
+def _complex_near_origin(radius):
+    """A data function equal to 1, returned as a complex array when a point lies within radius."""
+
+    def data(p):
+        values = np.ones(len(p))
+        return values + 0j if (np.hypot(p[:, 0], p[:, 1]) < radius).any() else values
+
+    return data
+
+
+@_PLAIN_AND_GRADED
+@pytest.mark.parametrize("caller", ["f", "g", "project_Qh"])
+def test_complex_data_is_rejected(radius, singularity, caller):
+    # a cast to float kept only the real part, with a ComplexWarning
+    data = _complex_near_origin(radius)
+    mesh, sig = build_uniform_triangular(4), WeakSpaceSignature(1, 1, 1)
+    message = "function data must return real values: it returned complex128"
+    with pytest.raises(ValueError, match=message):
+        if caller == "project_Qh":
+            project_Qh(data, mesh, sig, singularity=singularity)
+        else:
+            f, g = (data, _g) if caller == "f" else (_f, data)
+            assemble(mesh, sig, SchemeParameters(), f, g, singularity=singularity)
 
 
 def test_scalar_load_is_rejected():

@@ -62,16 +62,33 @@ def test_grad_constant_and_linear():
     np.testing.assert_allclose(g[0, 2], [0.0, 4.0], atol=1e-15)
 
 
+@pytest.mark.parametrize("degree", range(8))
+def test_eval_is_the_written_out_monomials(degree):
+    # the powers come from repeated multiplication, so each value is within
+    # a few ulp of x**a * y**b
+    rng = np.random.default_rng(11)
+    center, scale = np.array([0.3, -0.2]), 0.45
+    pts = center + rng.uniform(-0.6, 0.6, size=(40, 2))
+    x, y = ((pts - center) / scale).T
+    expected = np.column_stack([x**a * y**b for a, b in monomial_exponents(degree)])
+    got = ElementBasis(degree, center, scale).eval(pts)
+    assert got.shape == (40, dim_pk(degree))
+    np.testing.assert_allclose(got, expected, rtol=8 * np.finfo(float).eps, atol=0)
+
+
 def test_grad_matches_finite_differences():
+    # grad multiplies a into X^(a-1) Y^b, for every degree the families use
     rng = np.random.default_rng(7)
-    basis = ElementBasis(3, [0.3, 0.6], 0.7)
     pts = rng.uniform(0.0, 1.0, size=(20, 2))
-    g = basis.grad(pts)
     eps = 1e-6
-    dx = (basis.eval(pts + [eps, 0.0]) - basis.eval(pts - [eps, 0.0])) / (2 * eps)
-    dy = (basis.eval(pts + [0.0, eps]) - basis.eval(pts - [0.0, eps])) / (2 * eps)
-    assert np.max(np.abs(g[:, :, 0] - dx)) <= 1e-8
-    assert np.max(np.abs(g[:, :, 1] - dy)) <= 1e-8
+    for degree in range(8):
+        basis = ElementBasis(degree, [0.3, 0.6], 0.7)
+        g = basis.grad(pts)
+        assert g.shape == (20, dim_pk(degree), 2)
+        dx = (basis.eval(pts + [eps, 0.0]) - basis.eval(pts - [eps, 0.0])) / (2 * eps)
+        dy = (basis.eval(pts + [0.0, eps]) - basis.eval(pts - [0.0, eps])) / (2 * eps)
+        assert np.max(np.abs(g[:, :, 0] - dx)) <= 1e-8, degree
+        assert np.max(np.abs(g[:, :, 1] - dy)) <= 1e-8, degree
 
 
 def test_triangle_centroid_rule():
@@ -177,6 +194,64 @@ def test_map_to_element_measures():
     pts, w = map_to_element(sq_rule, [[0.0, 0.0], [1 / 3, 0.0], [1 / 3, 0.5], [0.0, 0.5]])
     assert abs(w.sum() - 1.0 / 6.0) <= 1e-15
     assert pts[:, 0].max() <= 1 / 3 and pts[:, 1].max() <= 0.5
+
+
+def test_map_to_element_single_cell_shapes():
+    for shape, cell in (("triangle", REF_TRIANGLE), ("rectangle", UNIT_SQUARE)):
+        rule = element_quadrature(shape, 5)
+        pts, w = map_to_element(rule, cell)
+        assert pts.shape == rule.points.shape and w.shape == rule.weights.shape
+        np.testing.assert_array_equal(pts, rule.points)
+        np.testing.assert_array_equal(w, rule.weights)
+    with pytest.raises(ValueError, match="3 or 4"):
+        map_to_element(element_quadrature("triangle", 2), UNIT_SQUARE[:2])
+
+
+def _affine_parallelograms():
+    """rect 2 under a fixed affine map: 96 parallelograms, every side slanted."""
+    mesh = build_uniform_rectangular(2)
+    A = np.array([[1.3, 0.4], [-0.7, 0.9]])
+    return (mesh.vertices @ A.T + [-5.0, 3.0])[mesh.elements]
+
+
+def _scattered_triangles():
+    """Triangles with coordinates over 12 decades, and the cells of a uniform mesh far out."""
+    rng = np.random.default_rng(4)
+    scattered = rng.standard_normal((300, 3, 2)) * 10.0 ** rng.integers(-6, 6, (300, 3, 2))
+    mesh = build_uniform_triangular(8)
+    return np.concatenate([scattered, mesh.vertices[mesh.elements] + [1e3, -7.0]])
+
+
+@pytest.mark.parametrize(
+    "shape,cells",
+    [("triangle", _scattered_triangles()), ("rectangle", _affine_parallelograms())],
+    ids=["triangles", "parallelograms"],
+)
+@pytest.mark.parametrize("degree", [1, 4, 8])
+def test_map_to_element_on_a_stack_is_each_cell_and_the_broadcast_formula_bit_for_bit(
+    shape, cells, degree
+):
+    # a stack of cells maps as each cell alone and as v0 + p0 e1 + p1 e2,
+    # e1 to vertex 1 and e2 to the last vertex, bit for bit (so -0.0 and
+    # 0.0 differ), also with two leading axes
+    rule = element_quadrature(shape, degree)
+    pts, w = map_to_element(rule, cells)
+    n = rule.weights.size
+    assert pts.shape == (len(cells), n, 2) and w.shape == (len(cells), n)
+    v0, v1, vl = (cells[:, None, i] for i in (0, 1, -1))
+    e1, e2 = v1 - v0, vl - v0
+    expected = v0 + rule.points[:, :1] * e1 + rule.points[:, 1:] * e2
+    assert np.array_equal(pts.view(np.uint64), expected.view(np.uint64))
+    expected = rule.weights * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+    assert np.array_equal(w.view(np.uint64), expected.view(np.uint64))
+    for cell, cell_pts, cell_w in zip(cells, pts, w):
+        alone = map_to_element(rule, cell)
+        assert np.array_equal(alone[0].view(np.uint64), cell_pts.view(np.uint64))
+        assert np.array_equal(alone[1].view(np.uint64), cell_w.view(np.uint64))
+    half = len(cells) // 2
+    pts2, w2 = map_to_element(rule, cells[: 2 * half].reshape(2, half, -1, 2))
+    assert np.array_equal(pts2.reshape(-1, n, 2).view(np.uint64), pts[: 2 * half].view(np.uint64))
+    assert np.array_equal(w2.reshape(-1, n).view(np.uint64), w[: 2 * half].view(np.uint64))
 
 
 def test_map_to_edge():

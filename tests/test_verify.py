@@ -261,6 +261,26 @@ def test_element_local_work_does_not_grow_with_the_class_count():
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize(
+    "case", [get_case("cospi_cospi"), lowreg_case(0.5)], ids=["smooth", "lowreg"]
+)
+def test_a_study_step_builds_no_class_views(case):
+    # the per-class views are built on first use, and no pipeline step uses
+    # them: on a jittered mesh (one class per element) they stay unbuilt
+    # through assemble, solve, the error function and the three norms, on
+    # the plain path and on the graded rules of lowreg
+    mesh = jittered_interior(build_uniform_triangular(4), 5)
+    sig, params = WeakSpaceSignature(1, 1, 0), SchemeParameters()
+    cache = OperatorCache(mesh, sig)
+    system = assemble(mesh, sig, params, case.f, case.g, cache=cache, singularity=case.singularity)
+    e_h = error_function(case, solve(system), cache)
+    errors = (energy_norm(e_h, params, cache), l2_norm_e0(e_h, cache), edge_norm_eb(e_h, cache))
+    assert all(0.0 < err < math.inf for err in errors), errors
+    assert "class_ops" not in cache.__dict__
+    assert cache.shape_ops(3) is cache.class_ops[cache.class_ids[3]]
+    assert "class_ops" in cache.__dict__
+
+
 def test_affine_solution_error_is_machine_zero():
     # solving with an affine exact solution must hit the projection exactly
     mesh = build_uniform_triangular(2)

@@ -556,6 +556,35 @@ def test_batched_shape_operators_are_the_per_class_build(mesh, family):
         np.testing.assert_array_equal(ops.basis.center, ref.basis.center)
 
 
+@pytest.mark.parametrize(
+    "mesh,family",
+    [
+        (jittered_interior(build_uniform_triangular(4), 5), (3, 4, 4)),
+        (build_uniform_rectangular(2), (2, 1, 3)),
+    ],
+    ids=["jittered-tri-4", "rect-2"],
+)
+def test_class_rules_and_basis_are_the_polybasis_maps_bit_for_bit(mesh, family):
+    # the batched build takes its element rule and basis values from
+    # map_to_element and the scaled monomials of polybasis: each class's
+    # offsets, weights and phi0 are those of its vertices alone, bit for bit
+    sig = WeakSpaceSignature(*family)
+    cache = OperatorCache(mesh, sig)
+    stacks = cache.stacks
+    rule = element_quadrature(cache.shape, max(2 * max(sig.k, sig.m), sig.k + 4))
+    for c, e in enumerate(cache.class_first):
+        rel = mesh.vertices[mesh.elements[e]] - cache.centroids[e]
+        offsets, weights = map_to_element(rule, rel)
+        phi0 = ElementBasis(max(sig.k, sig.m), (0.0, 0.0), stacks["h_T"][c]).eval(offsets)
+        for got, want in [
+            (stacks["offsets"][c], offsets),
+            (stacks["weights"][c], weights),
+            (stacks["phi0"][c], phi0[:, : sig.interior_dim]),
+        ]:
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("family", [(3, 4, 4), (3, 2, 2), (1, 1, 0)])
 def test_projection_q0_is_the_refined_mass_matrix_solve(family):
     # Q0 u applies each class's stored M0^-1 = L0^-T L0^-1 to the moments
