@@ -30,6 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh_tridiagonal
 
+from ._checks import real_array
 from .mesh import Mesh
 from .weakspace import (
     OperatorCache,
@@ -97,7 +98,7 @@ class SchemeParameters:
         if not math.isfinite(self.gamma):
             raise ValueError(f"stabilizer exponent gamma must be finite, got {self.gamma}")
         if self.coefficient is not None:
-            a = np.asarray(self.coefficient, dtype=float)
+            a = real_array(self.coefficient, "coefficient")
             if a.shape != (2, 2) and not (a.ndim == 3 and a.shape[1:] == (2, 2) and len(a)):
                 raise ValueError("coefficient must be a (2, 2) matrix or an (n, 2, 2) array")
             if not np.isfinite(a).all():

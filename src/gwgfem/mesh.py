@@ -11,10 +11,11 @@ across the two elements sharing an interior edge.
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import combinations
+from functools import lru_cache, reduce
 
 import numpy as np
+
+from ._checks import check_integer, real_array
 
 __all__ = [
     "Mesh",
@@ -43,7 +44,7 @@ class Mesh:
     """
 
     def __init__(self, vertices, elements):
-        self.vertices = np.asarray(vertices, dtype=float)
+        self.vertices = real_array(vertices, "vertices")
         raw = np.asarray(elements)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (nv, 2) array")
@@ -149,9 +150,18 @@ class Mesh:
 
 def _diameters(x, y):
     """Largest vertex distance of each polygon with vertex coordinates x, y, each (n, w)."""
-    i, j = np.array(list(combinations(range(x.shape[1]), 2))).T  # np.triu_indices' pairs, faster
+    i, j = _vertex_pairs(x.shape[1])
     dx, dy = x[:, i] - x[:, j], y[:, i] - y[:, j]
     return np.sqrt((dx**2 + dy**2).max(axis=1))
+
+
+@lru_cache(maxsize=None)
+def _vertex_pairs(w: int):
+    """Index arrays (i, j) of the vertex pairs i < j of a w-gon, built once per w."""
+    i, j = np.triu_indices(w, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
 
 def build_uniform_triangular(n: int) -> Mesh:
@@ -159,10 +169,7 @@ def build_uniform_triangular(n: int) -> Mesh:
 
     Produces 2*n**2 congruent right triangles; convergence studies label it 1/h = n.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"subdivision count n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("subdivision count n must be at least 1")
+    check_integer(n, "subdivision count n", 1)
     t = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(t, t, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
@@ -180,10 +187,7 @@ def build_uniform_rectangular(level: int) -> Mesh:
     Each level quarters every rectangle, so level L has 6*4**L cells of
     size (1/3)/2**L by (1/2)/2**L.  Convergence studies label it 1/h = 4*2**L.
     """
-    if not isinstance(level, (int, np.integer)):
-        raise ValueError(f"refinement level must be an integer, got {level!r}")
-    if level < 0:
-        raise ValueError("refinement level must be non-negative")
+    check_integer(level, "refinement level")
     nx, ny = 3 * 2**level, 2 * 2**level
     tx = np.linspace(0.0, 1.0, nx + 1)
     ty = np.linspace(0.0, 1.0, ny + 1)

@@ -18,7 +18,9 @@ d = 4, 5, 6 or 8 (the degrees the element families use), else a collapsed
 (Duffy) tensor rule with a Gauss-Jacobi factor absorbing the volume
 Jacobian.  For integrands with a point singularity at a vertex,
 graded_rule composes the rule for a segment or an element with one dyadic
-grading toward that vertex: level i is the cell scaled by 2^-i about it.
+grading toward that vertex: level i is the cell scaled by 2^-i about it,
+and its children are the cell halved about each vertex (and a triangle's
+middle child), all mapped in one stacked call.
 
 map_to_element, map_to_edge and _monomials are the one code for the element
 map, the edge map and the scaled monomials; they take stacks of cells.
@@ -33,6 +35,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.special import roots_jacobi, roots_legendre
+
+from ._checks import check_integer
 
 __all__ = [
     "dim_pk",
@@ -65,8 +69,7 @@ class ElementBasis:
     """Centroid-centered, diameter-scaled monomial basis on one element."""
 
     def __init__(self, degree: int, center, scale: float):
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
+        check_integer(degree, "degree")
         self.degree = degree
         self.center = np.asarray(center, dtype=float)
         self.scale = float(scale)
@@ -118,8 +121,7 @@ class EdgeBasis:
     """Legendre polynomials L_0..L_j in the edge coordinate t in [-1, 1]."""
 
     def __init__(self, degree: int):
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
+        check_integer(degree, "degree")
         self.degree = degree
 
     @property
@@ -199,7 +201,7 @@ def _symmetric_triangle_rule(orbits) -> tuple[np.ndarray, np.ndarray]:
     return np.array(pts), np.array(ww)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: the rule cached for 4 must not answer 4.0
 def element_quadrature(shape: str, d: int) -> QuadratureRule:
     """Rule of exactness >= d on the reference triangle or square.
 
@@ -208,8 +210,7 @@ def element_quadrature(shape: str, d: int) -> QuadratureRule:
     points at d = 4, 5, 6 and 8, and otherwise the collapsed Gauss-Jacobi
     product of ((d + 2) // 2)^2 points (the centroid alone at d <= 1).
     """
-    if d < 0:
-        raise ValueError("exactness degree must be non-negative")
+    check_integer(d, "exactness degree")
     n = (d + 2) // 2
     if shape == "triangle" and d in _SYMMETRIC_TRIANGLE_RULES:
         pts, ww = _symmetric_triangle_rule(_SYMMETRIC_TRIANGLE_RULES[d])
@@ -240,11 +241,10 @@ def element_quadrature(shape: str, d: int) -> QuadratureRule:
     return QuadratureRule(points=pts, weights=ww)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def edge_quadrature(d: int) -> QuadratureRule:
     """Gauss-Legendre rule on [-1, 1] of exactness >= d."""
-    if d < 0:
-        raise ValueError("exactness degree must be non-negative")
+    check_integer(d, "exactness degree")
     n = (d + 2) // 2
     x, w = roots_legendre(n)
     x.setflags(write=False)
@@ -293,37 +293,17 @@ def map_to_edge(rule: QuadratureRule, p0, p1):
     return pts, rule.weights * length[..., None], t
 
 
-def _corner_split(v: np.ndarray) -> list[np.ndarray]:
-    """Split a segment in 2, or an element in 4, congruent children; child 0 keeps vertex 0."""
-    if v.shape[0] == 2:
-        m = (v[0] + v[1]) / 2
-        return [np.array([v[0], m]), np.array([m, v[1]])]
-    if v.shape[0] == 3:
-        m01, m12, m02 = (v[0] + v[1]) / 2, (v[1] + v[2]) / 2, (v[0] + v[2]) / 2
-        return [
-            np.array([v[0], m01, m02]),
-            np.array([m01, v[1], m12]),
-            np.array([m02, m12, v[2]]),
-            np.array([m01, m12, m02]),
-        ]
-    c = v.mean(axis=0)
-    m01, m12 = (v[0] + v[1]) / 2, (v[1] + v[2]) / 2
-    m23, m30 = (v[2] + v[3]) / 2, (v[3] + v[0]) / 2
-    return [
-        np.array([v[0], m01, c, m30]),
-        np.array([m01, v[1], m12, c]),
-        np.array([c, m12, v[2], m23]),
-        np.array([m30, c, m23, v[3]]),
-    ]
+def _corner_split(v: np.ndarray) -> np.ndarray:
+    """The 2 or 4 congruent children of a segment, triangle or parallelogram, stacked.
 
-
-def _base_rule(cell: np.ndarray, d: int):
-    """Rule of exactness d mapped onto a segment, triangle or parallelogram: (points, weights)."""
-    if cell.shape[0] == 2:
-        pts, w, _ = map_to_edge(edge_quadrature(d), cell[0], cell[1])
-        return pts, w
-    shape = "triangle" if cell.shape[0] == 3 else "rectangle"
-    return map_to_element(element_quadrature(shape, d), cell)
+    Child i, the cell halved about vertex i, is (v + v[i]) / 2, so it holds
+    vertex i; a triangle's fourth child is its middle one, (v + roll(v, -1)) / 2.
+    Together the children tile the cell.
+    """
+    children = (v + v[:, None]) / 2
+    if len(v) == 3:
+        children = np.concatenate([children, [(v + np.roll(v, -1, axis=0)) / 2]])
+    return children
 
 
 def graded_rule(verts, corner: int, d: int, depth: int):
@@ -331,27 +311,33 @@ def graded_rule(verts, corner: int, d: int, depth: int):
 
     verts holds a segment (2 vertices), a triangle (3) or a parallelogram
     (4).  Level i of the grading is the cell scaled by 2^-i about vertex
-    `corner`: the base rule of exactness d is applied on the children of
-    every level i < depth that do not hold the corner, and on the innermost
-    cell, the one at scale 2^-depth.  Returns (points, weights), the weights
-    summing to the cell's length or area.  Each point is the corner plus an
-    exactly scaled offset, so with the corner at the origin the points
-    approach it without cancellation.  Used for integrands with a point
-    singularity at that vertex.
+    `corner`: the rule of exactness d is applied on the children of every
+    level i < depth that do not hold the corner, and on the innermost cell,
+    the one at scale 2^-depth.  Those children and the cell itself are
+    mapped in one stacked map_to_edge or map_to_element call.  Returns
+    (points, weights), the weights summing to the cell's length or area.
+    Each point is the corner plus an exactly scaled offset, so with the
+    corner at the origin the points approach it without cancellation.  Used
+    for integrands with a point singularity at that vertex.
     """
     cell = np.roll(np.asarray(verts, dtype=float), -corner, axis=0)
     apex = cell[0]
-    dim = 1 if cell.shape[0] == 2 else 2
-    outer = [_base_rule(child, d) for child in _corner_split(cell)[1:]]
-    outer_pts = np.concatenate([p for p, _ in outer]) - apex
-    outer_w = np.concatenate([w for _, w in outer])
-    inner_pts, inner_w = _base_rule(cell, d)
+    # the children without the corner, then the cell itself
+    cells = np.concatenate([_corner_split(cell)[1:], cell[None]])
+    if len(cell) == 2:
+        pts, w, _ = map_to_edge(edge_quadrature(d), cells[:, 0], cells[:, 1])
+        dim = 1
+    else:
+        shape = "triangle" if len(cell) == 3 else "rectangle"
+        pts, w = map_to_element(element_quadrature(shape, d), cells)
+        dim = 2
+    pts = pts - apex
     # all levels 0..depth-1 of the outer children in one broadcast, then the innermost cell
-    level = -np.arange(depth)[:, None]
+    level = -np.arange(depth)[:, None, None]
     pts = np.concatenate(
-        [np.ldexp(outer_pts, level[..., None]).reshape(-1, 2), np.ldexp(inner_pts - apex, -depth)]
+        [np.ldexp(pts[:-1], level[..., None]).reshape(-1, 2), np.ldexp(pts[-1], -depth)]
     )
-    w = np.concatenate([np.ldexp(outer_w, dim * level).ravel(), np.ldexp(inner_w, -dim * depth)])
+    w = np.concatenate([np.ldexp(w[:-1], dim * level).ravel(), np.ldexp(w[-1], -dim * depth)])
     return apex + pts, w
 
 

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
+from ._checks import check_integer, real_array
 from .mesh import Mesh, _diameters
 from .polybasis import (
     EdgeBasis,
@@ -60,9 +62,7 @@ class WeakSpaceSignature:
 
     def __post_init__(self):
         for name in ("k", "j", "ell"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 0:
-                raise ValueError(f"degree {name} must be a non-negative integer, got {value!r}")
+            check_integer(getattr(self, name), f"degree {name}")
 
     @property
     def s(self) -> int:
@@ -123,7 +123,7 @@ class WeakFunction:
         if coeffs is None:
             coeffs = np.zeros(dofmap.total)
         else:
-            coeffs = np.asarray(coeffs, dtype=float)
+            coeffs = real_array(coeffs, "coeffs")
             if coeffs.shape != (dofmap.total,):
                 raise ValueError(
                     f"coefficient vector has shape {coeffs.shape}, expected ({dofmap.total},)"
@@ -143,40 +143,6 @@ class WeakFunction:
         ):
             raise ValueError("weak functions live on different spaces")
         return WeakFunction(self.dofmap, self.coeffs - other.coeffs)
-
-
-class _ShapeOps:
-    """Local operators shared by every translate of one element shape.
-
-    All matrices act on the local coefficient vector ordered as
-    [interior block | side-0 edge block | side-1 edge block | ...], with
-    edge polynomials always expressed in the canonical (ascending vertex
-    index) orientation of each edge.  One element rule (offsets, weights;
-    phi0 is the P_k basis at its points) gives M0, M0_inv, M_m and moments.
-
-    A read-only view of class c of the stacks that _shape_stacks builds for
-    all classes at once: each attribute it names is entry c of that stack,
-    taken on first use, so trace_ops[side] is one side's trace projection.
-    basis is the scaled monomial basis about the centroid.  OperatorCache
-    builds the views on first use; no step of the pipeline needs them.
-    """
-
-    def __init__(self, stacks: dict, c: int, degree: int):
-        self._stacks, self._c, self._degree = stacks, c, degree
-        self.n_sides = stacks["normals"].shape[1]
-        self.n_loc = stacks["G"].shape[-1]
-
-    def __getattr__(self, name):
-        stacks = self.__dict__.get("_stacks", {})  # empty while pickle or copy rebuilds a view
-        if name not in stacks:
-            raise AttributeError(f"shape-class operators have no attribute {name!r}")
-        value = stacks[name][self._c]
-        setattr(self, name, value)  # later reads find it without this call
-        return value
-
-    @property
-    def basis(self) -> ElementBasis:
-        return ElementBasis(self._degree, (0.0, 0.0), self.h_T)
 
 
 def _shape_stacks(shape: str, X, Y, signs, signature: WeakSpaceSignature) -> dict:
@@ -326,14 +292,18 @@ class OperatorCache:
     """Shape-class detection and shared local operators for one mesh/family.
 
     Elements are grouped by their centroid-relative vertex coordinates, taken
-    relative to the mesh size h_max, and their edge orientation pattern; each
-    group gets a single _ShapeOps bundle, numbered in order of first
-    appearance.  On the uniform meshes used here this yields two groups
-    (triangles) or one (rectangles); on a general mesh nearly every element
-    is its own group.  The operators of all groups are built in one batched
-    pass (_shape_stacks) from each group's first element, class_first[c];
-    stacks holds them over the groups, and class_ops[c], built on first use,
-    views group c.  Element-local work gathers from stacks by class_ids.
+    relative to the mesh size h_max, and their edge orientation pattern, and
+    the groups are numbered in order of first appearance.  On the uniform
+    meshes used here this yields two groups (triangles) or one
+    (rectangles); on a general mesh nearly every element is its own group.
+    The operators of all groups are built in one batched pass
+    (_shape_stacks) from each group's first element, class_first[c]; stacks
+    holds them over the groups, and element-local work gathers from stacks
+    by class_ids.  Every matrix acts on the local coefficient vector
+    [interior block | side-0 edge block | side-1 edge block | ...], edge
+    polynomials in each edge's ascending-vertex orientation.  class_ops[c]
+    is a plain namespace of group c's entries, built for all groups on
+    first use; shape_ops(e) is element e's.
     """
 
     def __init__(self, mesh: Mesh, signature: WeakSpaceSignature):
@@ -377,11 +347,25 @@ class OperatorCache:
         self.stacks = _shape_stacks(self.shape, rx[reps], ry[reps], signs[reps], signature)
 
     @cached_property
-    def class_ops(self) -> list[_ShapeOps]:
-        degree = max(self.signature.k, self.signature.m)
-        return [_ShapeOps(self.stacks, c, degree) for c in range(self.class_first.size)]
+    def class_ops(self) -> list[SimpleNamespace]:
+        """One namespace per class c: entry c of every stack, n_sides, n_loc and basis.
 
-    def shape_ops(self, element: int) -> _ShapeOps:
+        basis is the scaled monomial basis of degree max(k, m) about the
+        centroid.  All are built on first use; no step of the pipeline needs them.
+        """
+        stacks, degree = self.stacks, max(self.signature.k, self.signature.m)
+        n_sides, n_loc = stacks["normals"].shape[1], stacks["G"].shape[-1]
+        return [
+            SimpleNamespace(
+                **dict(zip(stacks, entries)),
+                n_sides=n_sides,
+                n_loc=n_loc,
+                basis=ElementBasis(degree, (0.0, 0.0), stacks["h_T"][c]),
+            )
+            for c, entries in enumerate(zip(*stacks.values()))
+        ]
+
+    def shape_ops(self, element: int) -> SimpleNamespace:
         return self.class_ops[self.class_ids[element]]
 
 
@@ -439,11 +423,8 @@ def _values(fn, pts) -> np.ndarray:
     Raises ValueError, naming fn, when it returns complex values, another
     shape, or a value that is NaN or infinite.
     """
-    values = np.asarray(fn(pts))
     name = getattr(fn, "__name__", repr(fn))
-    if np.iscomplexobj(values):
-        raise ValueError(f"function {name} must return real values: it returned {values.dtype}")
-    values = values.astype(float, copy=False)
+    values = real_array(fn(pts), f"the values of function {name}")
     if values.shape != (len(pts),):
         raise ValueError(
             f"function {name} must return one value per point: it returned shape "

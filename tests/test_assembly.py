@@ -1506,13 +1506,27 @@ def test_complex_data_is_rejected(radius, singularity, caller):
     # a cast to float kept only the real part, with a ComplexWarning
     data = _complex_near_origin(radius)
     mesh, sig = build_uniform_triangular(4), WeakSpaceSignature(1, 1, 1)
-    message = "function data must return real values: it returned complex128"
+    message = "the values of function data must be real, got complex128"
     with pytest.raises(ValueError, match=message):
         if caller == "project_Qh":
             project_Qh(data, mesh, sig, singularity=singularity)
         else:
             f, g = (data, _g) if caller == "f" else (_f, data)
             assemble(mesh, sig, SchemeParameters(), f, g, singularity=singularity)
+
+
+@pytest.mark.parametrize("argument", ["coeffs", "coefficient", "vertices"])
+def test_complex_input_is_rejected(argument):
+    # a cast to float kept only the real part, with a ComplexWarning
+    mesh = build_uniform_triangular(2)
+    with pytest.raises(ValueError, match=f"^{argument} must be real, got complex128$"):
+        if argument == "coeffs":
+            dofmap = OperatorCache(mesh, WeakSpaceSignature(1, 1, 1)).dofmap
+            WeakFunction(dofmap, np.ones(dofmap.total) + 1j)
+        elif argument == "coefficient":
+            SchemeParameters(coefficient=np.eye(2) + 1j * np.eye(2))
+        else:
+            Mesh(mesh.vertices + 1j, mesh.elements)
 
 
 def test_scalar_load_is_rejected():

@@ -42,8 +42,10 @@ def test_triangular_rejects_zero():
     [
         (build_uniform_triangular, 2.5, "subdivision count n"),
         (build_uniform_rectangular, 1.5, "refinement level"),
+        (build_uniform_triangular, True, "subdivision count n"),
+        (build_uniform_rectangular, False, "refinement level"),
     ],
-    ids=["tri", "rect"],
+    ids=["tri", "rect", "tri-bool", "rect-bool"],
 )
 def test_builders_reject_a_size_that_is_not_an_integer(build, size, name):
     with pytest.raises(ValueError, match=f"{name} must be an integer, got {size}"):

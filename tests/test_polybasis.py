@@ -207,6 +207,46 @@ def test_map_to_element_single_cell_shapes():
         map_to_element(element_quadrature("triangle", 2), UNIT_SQUARE[:2])
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: element_quadrature("triangle", 4.0), "exactness degree must be an integer, got 4"),
+        (lambda: element_quadrature("triangle", 7.0), "exactness degree must be an integer, got 7"),
+        (lambda: element_quadrature("rectangle", -1), "exactness degree must be at least 0"),
+        (lambda: edge_quadrature(2.5), "exactness degree must be an integer, got 2.5"),
+        (lambda: edge_quadrature(True), "exactness degree must be an integer, got True"),
+        (lambda: ElementBasis(2.5, (0.0, 0.0), 1.0), "degree must be an integer, got 2.5"),
+        (lambda: ElementBasis(-1, (0.0, 0.0), 1.0), "degree must be at least 0"),
+        (lambda: EdgeBasis(1.5), "degree must be an integer, got 1.5"),
+        (lambda: EdgeBasis(-2), "degree must be at least 0"),
+    ],
+    ids=[
+        "tri-4.0",
+        "tri-7.0",
+        "rect-negative",
+        "edge-2.5",
+        "edge-bool",
+        "element-basis-2.5",
+        "element-basis-negative",
+        "edge-basis-1.5",
+        "edge-basis-negative",
+    ],
+)
+def test_degrees_must_be_integers(make, message):
+    # the rules of 4 and 1 are cached first: 4.0 and True must not find them
+    element_quadrature("triangle", 4)
+    edge_quadrature(1)
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_degrees_accept_numpy_integers():
+    assert element_quadrature("triangle", np.int64(4)).weights.size == 6
+    assert edge_quadrature(np.int32(3)).weights.size == 2
+    assert ElementBasis(np.int64(2), (0.0, 0.0), 1.0).dim == 6
+    assert EdgeBasis(np.int16(2)).dim == 3
+
+
 def _affine_parallelograms():
     """rect 2 under a fixed affine map: 96 parallelograms, every side slanted."""
     mesh = build_uniform_rectangular(2)
@@ -267,9 +307,9 @@ def test_map_to_edge():
 def test_map_to_edge_points_and_weights_are_the_broadcast_formulas_bit_for_bit(degree):
     # the points are built one coordinate and one point at a time; they and
     # the weights must equal mid + t[:, None] * half and weights * |half| bit
-    # for bit (so -0.0 and 0.0 differ), both for the batched call of the edge
-    # projection (non-contiguous end points of a mesh's edges) and for the
-    # single pairs of _ShapeOps and graded_rule
+    # for bit (so -0.0 and 0.0 differ), for the batched call of the edge
+    # projection (non-contiguous end points of a mesh's edges), for scattered
+    # stacks such as a graded rule's children, and for a single pair
     rule = edge_quadrature(degree)
     mesh = build_uniform_triangular(16)
     ends = mesh.vertices[mesh.edges] + np.array([-1e3, 7.0])

@@ -419,6 +419,15 @@ def test_study_rejects_non_integer_labels(family, labels, shown):
     assert str(err.value) == f"refinement levels must be integers, got {shown}"
 
 
+def test_low_regularity_study_on_parallelograms():
+    # the graded rules on parallelograms and their edges, through a whole study
+    report = run_convergence_study(
+        lowreg_case(0.5), "rect", [8, 16, 32], WeakSpaceSignature(2, 1, 3), SchemeParameters()
+    )
+    rates = report.final_rates()
+    assert all(abs(r - t) <= 0.1 for r, t in zip(rates, (0.5, 1.5, 1.5))), rates
+
+
 def test_study_collects_rows_and_rates():
     case = get_case("cospi_cospi")
     report = run_convergence_study(

@@ -29,6 +29,7 @@ from gwgfem.polybasis import (
     ElementBasis,
     EdgeBasis,
     dim_pk,
+    _corner_split,
     _grading_depth,
     element_quadrature,
     edge_quadrature,
@@ -78,6 +79,9 @@ def test_signature_properties():
         WeakSpaceSignature(-1, 0, 0)
     with pytest.raises(ValueError):
         WeakSpaceSignature(1, 0.5, 0)
+    with pytest.raises(ValueError, match="degree k must be an integer, got True"):
+        WeakSpaceSignature(True, 1, 1)
+    assert WeakSpaceSignature(np.int64(1), np.int32(1), 1).m == 1
 
 
 # ------------------------------------------------------------------ dof map
@@ -610,8 +614,8 @@ def test_projection_q0_is_the_refined_mass_matrix_solve(family):
 
 
 def test_operator_cache_survives_pickle_and_copy():
-    # a class view reads its stacks on demand; a copy or an unpickled cache
-    # must still give the same operators, and an unknown name must raise
+    # a copy of a class view or an unpickled cache must still give the same
+    # operators, and an unknown name must raise
     cache = OperatorCache(build_uniform_triangular(2), WeakSpaceSignature(1, 1, 1))
     ops = cache.shape_ops(0)
     restored = pickle.loads(pickle.dumps(cache))
@@ -820,6 +824,91 @@ def test_graded_edge_rule_both_orientations():
         np.testing.assert_array_equal(pts[:, 1], 0.0)
         # the points reach the singular end without cancellation
         assert pts[:, 0].min() < 1e-20
+
+
+SKEWED_PARALLELOGRAM = np.array([[0.0, 0.0], [1.0, 0.25], [1.5, 1.25], [0.5, 1.0]])
+
+
+def _measure(cell):
+    """Length of a segment, area of a counterclockwise triangle or parallelogram."""
+    if len(cell) == 2:
+        return np.linalg.norm(cell[1] - cell[0])
+    x, y = cell[:, 0], cell[:, 1]
+    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        np.array([[0.25, -1.0], [2.0, 0.5]]),
+        np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 0.9]]),
+        SKEWED_PARALLELOGRAM,
+    ],
+    ids=["segment", "triangle", "parallelogram"],
+)
+def test_corner_split_children_hold_their_vertex_and_tile_the_cell(cell):
+    children = _corner_split(cell)
+    assert len(children) == (2 if len(cell) == 2 else 4)
+    for i, vertex in enumerate(cell):
+        np.testing.assert_array_equal(children[i][i], vertex)
+    measures = [_measure(child) for child in children]
+    np.testing.assert_allclose(measures, _measure(cell) / len(children), rtol=1e-14)
+    assert math.fsum(measures) == pytest.approx(_measure(cell), rel=1e-14)
+
+
+def _per_child_graded_rule(verts, corner, d, depth):
+    """graded_rule as one map call per child, over written-out children."""
+    cell = np.roll(np.asarray(verts, dtype=float), -corner, axis=0)
+    apex = cell[0]
+    if len(cell) == 2:
+        m = (cell[0] + cell[1]) / 2
+        outer = [np.array([m, cell[1]])]
+    else:
+        v0, v1, v2 = cell
+        m01, m12, m02 = (v0 + v1) / 2, (v1 + v2) / 2, (v0 + v2) / 2
+        outer = [np.array([m01, v1, m12]), np.array([m02, m12, v2]), np.array([m01, m12, m02])]
+
+    def mapped(child):
+        if len(child) == 2:
+            return map_to_edge(edge_quadrature(d), child[0], child[1])[:2]
+        return map_to_element(element_quadrature("triangle", d), child)
+
+    rules = [mapped(child) for child in outer]
+    outer_pts = np.concatenate([p for p, _ in rules]) - apex
+    outer_w = np.concatenate([w for _, w in rules])
+    inner_pts, inner_w = mapped(cell)
+    dim = 1 if len(cell) == 2 else 2
+    pts = [np.ldexp(outer_pts, -i) for i in range(depth)] + [np.ldexp(inner_pts - apex, -depth)]
+    w = [np.ldexp(outer_w, -dim * i) for i in range(depth)] + [np.ldexp(inner_w, -dim * depth)]
+    return apex + np.concatenate(pts), np.concatenate(w)
+
+
+@pytest.mark.parametrize("n_vertices", [2, 3])
+def test_graded_rule_is_the_per_child_rule_bit_for_bit(n_vertices):
+    # segments and triangles over 12 decades, at every corner
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        verts = rng.standard_normal((n_vertices, 2)) * 10.0 ** rng.integers(-6, 6)
+        d, depth = int(rng.integers(0, 13)), int(rng.integers(1, 40))
+        for corner in range(n_vertices):
+            got = graded_rule(verts, corner, d, depth)
+            want = _per_child_graded_rule(verts, corner, d, depth)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_graded_parallelogram_rule_is_its_two_triangles():
+    # r^(-1/2) with the corner at the origin: the parallelogram's graded rule
+    # against those of the two triangles that share its corner
+    cell = SKEWED_PARALLELOGRAM
+
+    def integral(verts):
+        pts, w = graded_rule(verts, 0, 12, 30)
+        return w @ np.hypot(pts[:, 0], pts[:, 1]) ** -0.5
+
+    halves = integral(cell[[0, 1, 2]]) + integral(cell[[0, 2, 3]])
+    np.testing.assert_allclose(integral(cell), halves, rtol=1e-7)
 
 
 def test_grading_depth_bounds():
