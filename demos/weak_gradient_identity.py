@@ -14,15 +14,27 @@ Two consequences are checked numerically below:
   * for the projection Qh u of a smooth u, the weak gradient satisfies
     (grad_g Qh u, psi)_T = (grad u, psi)_T + (u - Q0 u, div psi)_T
     for every psi in [P_s]^2 with s = min(j, l).
+
+The operators are read from the cache's stacks, entry class_ids[e] for
+element e.  Coefficients are written in each class's orthonormal basis
+phi = monomials @ U, the monomials scaled by h_T about the centroid.
 """
 import numpy as np
 
 from gwgfem import OperatorCache, WeakSpaceSignature, build_uniform_triangular, project_Qh
-from gwgfem.polybasis import dim_pk, element_quadrature, map_to_element
+from gwgfem.polybasis import ElementBasis, dim_pk, element_quadrature, map_to_element
 
 mesh = build_uniform_triangular(2)
 sig = WeakSpaceSignature(k=2, j=2, ell=1)
 cache = OperatorCache(mesh, sig)
+stacks, ids = cache.stacks, cache.class_ids
+
+
+def basis(e, pts):
+    """The scaled monomials of element e at pts, their gradients, and phi = monomials @ U."""
+    monomials = ElementBasis(max(sig.k, sig.m), cache.centroids[e], stacks["h_T"][ids[e]])
+    V = monomials.eval(pts)
+    return V, monomials.grad(pts), V @ stacks["U"][ids[e]]
 
 
 def u(p):
@@ -45,9 +57,8 @@ def quadratic(p):
 wq = project_Qh(quadratic, mesh, sig, cache=cache)
 worst = 0.0
 for e in range(mesh.n_elements):
-    ops = cache.shape_ops(e)
     c = wq.coeffs[cache.dofmap.element_dof_table[e]]
-    worst = max(worst, float(np.abs(ops.delta @ c).max()))
+    worst = max(worst, float(np.abs(stacks["delta"][ids[e]] @ c).max()))
 print("largest correction coefficient on a projected quadratic: %.3e" % worst)
 
 # 2. the projection identity, tested with random psi on every element
@@ -56,19 +67,18 @@ dim_s, dim_m, n0 = dim_pk(sig.s), dim_pk(sig.m), sig.interior_dim
 rule = element_quadrature("triangle", 2 * (sig.k + sig.m) + 6)
 worst = 0.0
 for e in range(mesh.n_elements):
-    ops = cache.shape_ops(e)
     c = wf.coeffs[cache.dofmap.element_dof_table[e]]
-    gx, gy = ops.Gx @ c, ops.Gy @ c
+    gx, gy = stacks["Gx"][ids[e]] @ c, stacks["Gy"][ids[e]] @ c
     pts, w = map_to_element(rule, mesh.vertices[mesh.elements[e]])
-    V = ops.basis.eval(pts - cache.centroids[e])
-    Vg = ops.basis.grad(pts - cache.centroids[e])
+    V, Vg, phi = basis(e, pts)
+    # psi in any basis of [P_s]^2: here the monomials
     cs = rng.uniform(-1.0, 1.0, (2, dim_s))
     psi = np.stack([V[:, :dim_s] @ cs[0], V[:, :dim_s] @ cs[1]], axis=1)
     div_psi = Vg[:, :dim_s, 0] @ cs[0] + Vg[:, :dim_s, 1] @ cs[1]
-    wg = np.stack([V[:, :dim_m] @ gx, V[:, :dim_m] @ gy], axis=1)
+    wg = np.stack([phi[:, :dim_m] @ gx, phi[:, :dim_m] @ gy], axis=1)
     lhs = float((w[:, None] * wg * psi).sum())
     t1 = float((w[:, None] * grad_u(pts) * psi).sum())
-    t2 = float((w * (u(pts) - V[:, :n0] @ c[:n0]) * div_psi).sum())
+    t2 = float((w * (u(pts) - phi[:, :n0] @ c[:n0]) * div_psi).sum())
     worst = max(worst, abs(lhs - t1 - t2) / (abs(t1) + abs(t2)))
 print(
     "worst relative residual of the projection identity: %.3e" % worst
@@ -79,11 +89,10 @@ print(
 # arithmetic replaced by a fine quadrature L2 comparison)
 err2, nrm2 = 0.0, 0.0
 for e in range(mesh.n_elements):
-    ops = cache.shape_ops(e)
     c = wf.coeffs[cache.dofmap.element_dof_table[e]]
     pts, w = map_to_element(rule, mesh.vertices[mesh.elements[e]])
-    V = ops.basis.eval(pts - cache.centroids[e])
-    wg = np.stack([V[:, :dim_m] @ (ops.Gx @ c), V[:, :dim_m] @ (ops.Gy @ c)], axis=1)
+    phi = basis(e, pts)[2][:, :dim_m]
+    wg = np.stack([phi @ (stacks["Gx"][ids[e]] @ c), phi @ (stacks["Gy"][ids[e]] @ c)], axis=1)
     diff = wg - grad_u(pts)
     err2 += float((w[:, None] * diff**2).sum())
     nrm2 += float((w[:, None] * grad_u(pts) ** 2).sum())

@@ -3,9 +3,9 @@
 Element bases are centroid-centered monomials in (x - xc)/h_T and
 (y - yc)/h_T, ordered graded-lexicographically: 1, X, Y, X^2, XY, Y^2, ...
 Centering and scaling free the basis of the element's size and position, but
-its mass matrix is ill conditioned at high degree: cond 72 at degree 1, 9.1e5
-at 3, 1.1e8 at 4 and 2.4e14 at 7 on the uniform triangles; at degree 4,
-5.0e6 on rect 2 and 1.9e10 on tri 8 with interior vertices moved by up to h/10.
+its mass matrix is ill conditioned at high degree (cond 1.1e8 at degree 4 on
+the uniform triangles, 1.9e10 with vertices moved by up to h/10), so the
+weak space orthonormalizes it per shape class and solves no mass matrix.
 
 Edge bases are Legendre polynomials in the arc-length coordinate
 t in [-1, 1] along the edge's ascending-vertex direction, so edge mass

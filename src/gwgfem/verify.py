@@ -173,7 +173,7 @@ def energy_norm(wf: WeakFunction, params: SchemeParameters, cache: OperatorCache
 def l2_norm_e0(wf: WeakFunction, cache: OperatorCache) -> float:
     """L2 norm of the interior component over the domain."""
     v = _local(wf, cache, slice(None, cache.signature.interior_dim))
-    return _norm(v, _mv(cache.stacks["M0"], cache.class_ids, v))
+    return _norm(v, v)
 
 
 def edge_norm_eb(wf: WeakFunction, cache: OperatorCache) -> float:

@@ -14,7 +14,9 @@ for every psi in [P_ell(T)]^2, with Qb the L2 projection onto the edge
 polynomial space.  All local operators below are assembled once per element
 shape class (uniform meshes only contain a handful of shapes up to
 translation) and expressed in centroid-relative coordinates, which makes
-them exactly translation invariant.
+them exactly translation invariant.  Interior polynomials and weak
+gradients are written in a basis orthonormal on each class, so every
+element mass matrix is the identity.
 """
 
 from __future__ import annotations
@@ -152,14 +154,16 @@ def _shape_stacks(shape: str, X, Y, signs, signature: WeakSpaceSignature) -> dic
     relative to its centroid, and signs, (C, w), its edge orientation
     pattern.  Every stack has the shapes on its first axis: h_T (C,),
     edge_lengths (C, w), normals (C, w, 2), the element rule's offsets
-    (C, n_q, 2) and weights (C, n_q), phi0 (C, n_q, n0), M0, M0_inv, M_m,
-    edge_mass (C, w, nb), trace_ops (C, w, nb, n0), delta, Gx, Gy, G,
-    Sxx, Syy, Sxy and stab_unit.  Sxx, Syy and stab_unit are exactly
-    symmetric.  One call each of map_to_element, map_to_edge and _monomials
-    maps and evaluates all shapes.  One Cholesky factor per shape serves
-    M_l^-1 (in delta) and M0_inv = M0^-1.  The number of numpy calls grows
-    with neither C nor w, and every product is an einsum or a stacked `@` of
-    matrices too small for BLAS threads.
+    (C, n_q, 2) and weights (C, n_q), U (C, nb, nb), phi0 (C, n_q, n0),
+    edge_mass (C, w, j + 1), trace_ops (C, w, j + 1, n0), delta, Gx, Gy,
+    G, Sxx, Syy, Sxy and stab_unit.  U is upper triangular and phi =
+    monomials @ U, nb = dim_pk(max(k, m)) of them, orthonormal on the
+    element rule; its leading blocks are bases of P_k, P_ell and P_m, in
+    which every interior and gradient coefficient is written.  Sxx, Syy
+    and stab_unit are exactly symmetric.  One call each of map_to_element,
+    map_to_edge and _monomials maps and evaluates all shapes.  The number
+    of numpy calls grows with neither C nor w, and every product is an
+    einsum or a stacked `@` of matrices too small for BLAS threads.
     """
     n0, dim_l, dim_m = signature.interior_dim, dim_pk(signature.ell), dim_pk(signature.m)
     C, w = X.shape
@@ -187,43 +191,42 @@ def _shape_stacks(shape: str, X, Y, signs, signature: WeakSpaceSignature) -> dic
     pts /= h[:, None]
     V = _monomials(pts[0], pts[1], max(signature.k, signature.m))  # (C, points, basis)
     n_q = weights.shape[1]
-    wV_edge = edge_w[..., None] * V[:, n_q:].reshape(C, w, edge_w.shape[-1], -1)
-    V = V[:, :n_q]
-    M = V.swapaxes(1, 2) @ (weights[..., None] * V)
+    # CholeskyQR2 on the element rule: phi = V U is orthonormal, U is upper
+    # triangular and R = U^-1 = (L1 L2)^T.  One pass alone leaves about 1e-12
+    # in phi^T W phi - I on skewed shapes; the second, on V L1^-T, rounding
+    U, L = np.eye(V.shape[-1]), []
+    for _ in range(2):
+        phi = V[:, :n_q] @ U
+        L.append(np.linalg.cholesky(phi.swapaxes(1, 2) @ (weights[..., None] * phi)))
+        U = U @ np.linalg.inv(L[-1]).swapaxes(1, 2)
+    R, phi = (L[0] @ L[1]).swapaxes(1, 2), V @ U
+    w_phi_edge = edge_w[..., None] * phi[:, n_q:].reshape(C, w, edge_w.shape[-1], -1)
 
     D = EdgeBasis(signature.j).mass_diagonal(lengths[..., None])
     # T[s] v0: the coefficients of the L2 trace projection Qb v0 on side s
-    T = (E.T @ wV_edge[..., :n0]) / D[..., None]
-    # moments (delta_g v, psi)_T = <Qb v0 - vb, psi . n>_boundary against
-    # the P_ell basis psi, x and y on axis 1: the interior block sums
-    # -n_s P_s T_s over the sides s, side s's block is n_s P_s, with
-    # P_s = <psi, L_a>_s
-    P = wV_edge[..., :dim_l].swapaxes(-1, -2) @ E
+    T = (E.T @ w_phi_edge[..., :n0]) / D[..., None]
+    # delta = the moments <Qb v0 - vb, psi . n>_boundary against the orthonormal
+    # P_ell basis psi, x and y on axis 1: the interior block sums -n_s P_s T_s
+    # over the sides s, side s's block is n_s P_s, with P_s = <psi, L_a>_s
+    P = w_phi_edge[..., :dim_l].swapaxes(-1, -2) @ E
     n_cds = normal.transpose(1, 0, 2)  # component d of side s's normal, (C, 2, w)
-    B = np.empty((C, 2, dim_l, n_loc))
-    np.einsum("cds,csij->cdij", -n_cds, P @ T, out=B[..., :n0])
-    B[..., n0:] = (n_cds[:, :, None, :, None] * P.swapaxes(1, 2)[:, None]).reshape(C, 2, dim_l, -1)
-    # M_l and M0 are leading blocks of M, so their inverse Cholesky factors are
-    # leading blocks of L^-1, that of M's leading p x p block: delta = M_l^-1 B
-    p = max(n0, dim_l)
-    L_inv = np.linalg.inv(np.linalg.cholesky(M[:, :p, :p]))
-    L_l, L_0 = L_inv[:, :dim_l, :dim_l], L_inv[:, :n0, :n0]
-    delta = (L_l.swapaxes(1, 2) @ L_l)[:, None] @ B
+    delta = np.empty((C, 2, dim_l, n_loc))
+    np.einsum("cds,csij->cdij", -n_cds, P @ T, out=delta[..., :n0])
+    delta[..., n0:] = (n_cds[:, :, None, :, None] * P.swapaxes(1, 2)[:, None]).reshape(C, 2, dim_l, -1)
 
-    # grad v0 embedded into [P_m]^2, x rows then y rows, corrected by delta
+    # grad v0 in [P_m]^2, x rows then y rows: R_m (monomial derivatives) U_k, plus delta
     G = np.zeros((C, 2, dim_m, n_loc))
     G.reshape(C, -1, n_loc)[:, rows, cols] = factors / h[:, None]
+    G[..., :n0] = R[:, None, :dim_m, :dim_m] @ G[..., :n0] @ U[:, None, :n0, :n0]
     G[:, :, :dim_l] += delta
     Gx, Gy = G[:, 0], G[:, 1]
-    MG = M[:, None, :dim_m, :dim_m] @ G
-    # Sxx = Gx^T M_m Gx, Syy and Sxy likewise, written in place; Sxx and Syy
-    # as 0.5 (S + S^T), exactly symmetric
+    # Sxx = Gx^T Gx, Syy and Sxy likewise, in place; Sxx and Syy exactly symmetric
     Sxx, Syy, Sxy = np.empty((3, C, n_loc, n_loc))
-    np.matmul(Gx.swapaxes(1, 2), MG[:, 1], out=Sxy)
-    GMG = np.empty_like(Sxx)
-    for out, Gd, MGd in ((Sxx, Gx, MG[:, 0]), (Syy, Gy, MG[:, 1])):
-        np.matmul(Gd.swapaxes(1, 2), MGd, out=GMG)
-        np.add(GMG, GMG.swapaxes(1, 2), out=out)
+    np.matmul(Gx.swapaxes(1, 2), Gy, out=Sxy)
+    GG = np.empty_like(Sxx)
+    for out, Gd in ((Sxx, Gx), (Syy, Gy)):
+        np.matmul(Gd.swapaxes(1, 2), Gd, out=GG)
+        np.add(GG, GG.swapaxes(1, 2), out=out)
         out *= 0.5
 
     # stabilizer sum_s N_s^T diag(D_s) N_s, where N_s v = T_s v0 - vb_s
@@ -243,10 +246,8 @@ def _shape_stacks(shape: str, X, Y, signs, signature: WeakSpaceSignature) -> dic
         "normals": normal.transpose(1, 2, 0),
         "offsets": offsets,
         "weights": weights,
-        "phi0": V[..., :n0],
-        "M0": M[:, :n0, :n0],
-        "M0_inv": L_0.swapaxes(1, 2) @ L_0,
-        "M_m": M[:, :dim_m, :dim_m],
+        "phi0": phi[:, :n_q, :n0],
+        "U": U,
         "edge_mass": D,
         "trace_ops": T,
         "delta": delta.reshape(C, 2 * dim_l, n_loc),
@@ -300,8 +301,9 @@ class OperatorCache:
     (_shape_stacks) from each group's first element, class_first[c]; stacks
     holds them over the groups, and element-local work gathers from stacks
     by class_ids.  Every matrix acts on the local coefficient vector
-    [interior block | side-0 edge block | side-1 edge block | ...], edge
-    polynomials in each edge's ascending-vertex orientation.  class_ops[c]
+    [interior block | side-0 edge block | side-1 edge block | ...], interior
+    polynomials in the group's orthonormal basis monomials @ U[c][:n0, :n0]
+    and edge polynomials in each edge's ascending-vertex orientation.  class_ops[c]
     is a plain namespace of group c's entries, built for all groups on
     first use; shape_ops(e) is element e's.
     """
@@ -350,8 +352,8 @@ class OperatorCache:
     def class_ops(self) -> list[SimpleNamespace]:
         """One namespace per class c: entry c of every stack, n_sides, n_loc and basis.
 
-        basis is the scaled monomial basis of degree max(k, m) about the
-        centroid.  All are built on first use; no step of the pipeline needs them.
+        basis is the scaled monomial basis of degree max(k, m) about the centroid,
+        basis.eval(pts) @ U the orthonormal one.  All are built on first use.
         """
         stacks, degree = self.stacks, max(self.signature.k, self.signature.m)
         n_sides, n_loc = stacks["normals"].shape[1], stacks["G"].shape[-1]
@@ -441,7 +443,7 @@ def _values(fn, pts) -> np.ndarray:
 
 
 def _interior_moments(cache: OperatorCache, fn, singularity=None) -> np.ndarray:
-    """(fn, phi_i)_T against the P_k basis of every element, shape (n_elements, n0).
+    """(fn, phi_i)_T against the orthonormal P_k basis of every element, shape (n_elements, n0).
 
     singularity, if given, is a (point, strength) pair; elements with a
     vertex at the point are integrated with a rule graded toward it.
@@ -454,12 +456,13 @@ def _interior_moments(cache: OperatorCache, fn, singularity=None) -> np.ndarray:
         np.add(offsets[ids], cache.centroids[:, d, None], out=pts[..., d])
     values = _values(fn, pts.reshape(-1, 2)).reshape(mesh.n_elements, -1)
     out = _mv((weights[..., None] * phi0).swapaxes(1, 2), ids, values)
+    U0 = stacks["U"][:, : out.shape[1], : out.shape[1]]  # to the orthonormal basis
     for e, corner in zip(*_touching(mesh, mesh.elements, singularity)):
         h_T, verts = stacks["h_T"][ids[e]], mesh.vertices[mesh.elements[e]]
         depth = _grading_depth(singularity[1], h_T)
         pts, w = graded_rule(verts, corner, _element_rule_degree(cache.signature), depth)
         X, Y = ((pts[:, c] - cache.centroids[e, c]) / h_T for c in range(2))
-        out[e] = _monomials(X, Y, cache.signature.k).T @ (w * _values(fn, pts))
+        out[e] = U0[ids[e]].T @ _monomials(X, Y, cache.signature.k).T @ (w * _values(fn, pts))
     return out
 
 
@@ -499,18 +502,13 @@ def project_Qh(
     shape, NaN or infinity raises ValueError.  singularity, if given, is a
     (point, strength) pair, a finite (x, y) and a finite strength > 0 (else
     ValueError); integrals over elements and edges touching the point are
-    computed with rules graded toward it.  Q0 u applies the cache's M0_inv:
-    nothing is factored per call.  A cache built for another mesh or
-    signature raises ValueError.
+    computed with rules graded toward it.  Q0 u is the moments against each
+    class's orthonormal basis, so nothing is solved per call.  A cache
+    built for another mesh or signature raises ValueError.
     """
     cache = _cache_for(mesh, signature, cache)
     dm = cache.dofmap
     wf = WeakFunction(dm)
-    # x = M0_inv moments, refined once: unrefined, x lies 2 to 7 times farther
-    # from the exact solve than a Cholesky solve does at k = 3 on general meshes
-    ids, M0_inv = cache.class_ids, cache.stacks["M0_inv"]
-    moments = _interior_moments(cache, fn, singularity)
-    x = _mv(M0_inv, ids, moments)
-    dm.interiors(wf.coeffs)[:] = x + _mv(M0_inv, ids, moments - _mv(cache.stacks["M0"], ids, x))
+    dm.interiors(wf.coeffs)[:] = _interior_moments(cache, fn, singularity)
     dm.edges(wf.coeffs)[:] = _edge_projection(cache, fn, np.arange(mesh.n_edges), singularity)
     return wf

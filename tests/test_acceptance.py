@@ -32,7 +32,7 @@ from gwgfem import (
 )
 from gwgfem.polybasis import dim_pk, element_quadrature, map_to_element
 
-from test_assembly import brute_condensed_system, brute_local_matrices
+from test_assembly import brute_condensed_system, brute_local_matrices, interior_basis_change
 
 _REPORTS = {}
 
@@ -223,13 +223,14 @@ def test_weak_gradient_commutes_with_projection():
                 pts, w = map_to_element(rule, mesh.vertices[mesh.elements[e]])
                 V = ops.basis.eval(pts - cache.centroids[e])
                 Vg = ops.basis.grad(pts - cache.centroids[e])
+                phi_T = V @ ops.U  # the class's orthonormal basis, in which c is written
                 cs = rng.uniform(-1.0, 1.0, (2, dim_s))
                 psi = np.stack([V[:, :dim_s] @ cs[0], V[:, :dim_s] @ cs[1]], axis=1)
                 div_psi = Vg[:, :dim_s, 0] @ cs[0] + Vg[:, :dim_s, 1] @ cs[1]
-                wg = np.stack([V[:, :dim_m] @ gx, V[:, :dim_m] @ gy], axis=1)
+                wg = np.stack([phi_T[:, :dim_m] @ gx, phi_T[:, :dim_m] @ gy], axis=1)
                 lhs = float((w[:, None] * wg * psi).sum())
                 t1 = float((w[:, None] * grad_phi(pts) * psi).sum())
-                t2 = float((w * (phi(pts) - V[:, :n0] @ c[:n0]) * div_psi).sum())
+                t2 = float((w * (phi(pts) - phi_T[:, :n0] @ c[:n0]) * div_psi).sum())
                 worst = max(worst, abs(lhs - t1 - t2) / (abs(t1) + abs(t2) + 1e-30))
     report(
         "weak gradient commutes with projection",
@@ -302,6 +303,8 @@ def test_matrices_match_dense_reconstruction():
 
     for e in range(mesh.n_elements):
         stiff, stab, _ = brute_local_matrices(mesh, e, sig)
+        T = interior_basis_change(cache, [e], len(stiff))
+        stiff, stab = T.T @ stiff @ T, T.T @ stab @ T
         fast_stiff, fast_stab = local_forms(cache, e, params)
         scale = np.abs(stiff).max()
         worst = max(

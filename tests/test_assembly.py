@@ -4,7 +4,9 @@ The heart of this file is a deliberately slow, dense, loop-based
 reconstruction of the local stiffness matrix, the local stabilizer, the
 reduced global system and its dense Schur complement onto the edge
 unknowns.  It shares only the basis conventions (scaled monomials, Legendre
-edge polynomials) and the degree-of-freedom layout with the package; every
+edge polynomials) and the degree-of-freedom layout with the package, and
+is compared after the change of basis to the package's orthonormal
+interior basis (interior_basis_change); every
 projection, moment solve, and scatter is redone from scratch with plain
 numpy so that any plumbing mistake in the fast path shows up as a
 disagreement.
@@ -18,6 +20,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -207,6 +210,18 @@ def brute_global_system(mesh, sig, params, f, g):
     return A_red, b_red, dirichlet
 
 
+def interior_basis_change(cache, elements, size):
+    """T = blockdiag(U0 of each of elements, I), of size x size: monomial from orthonormal coefficients.
+
+    The oracle works in the scaled monomials and the package in each class's
+    orthonormal basis phi = monomials @ U, so T^T K T is the oracle's matrix
+    K in the package's basis.  The interior blocks of elements come first.
+    """
+    n0 = cache.signature.interior_dim
+    U0 = cache.stacks["U"][cache.class_ids[elements], :n0, :n0]
+    return scipy.linalg.block_diag(*U0, np.eye(size - U0.shape[0] * n0))
+
+
 def brute_condensed_system(mesh, sig, params, f, g):
     """Dense Schur complement of brute_global_system onto the free edge unknowns.
 
@@ -282,7 +297,7 @@ def test_local_stabilizer_constant_interior_oracle():
     sig = WeakSpaceSignature(1, 1, 1)
     cache = OperatorCache(mesh, sig)
     v = np.zeros(sig.interior_dim + 3 * sig.edge_dim)
-    v[0] = 1.0
+    v[0] = 1.0 / cache.stacks["U"][cache.class_ids[0], 0, 0]  # the constant 1
     for gamma, scale in [(0.0, 1.0), (-1.0, 1.0 / math.sqrt(2)), (1.0, math.sqrt(2))]:
         _, S = local_forms(cache, 0, SchemeParameters(rho=1.0, gamma=gamma))
         assert v @ S @ v == pytest.approx((2.0 + math.sqrt(2)) * scale, rel=1e-13)
@@ -318,6 +333,8 @@ def test_local_forms_match_brute_force(shape, k, j, ell):
     params = SchemeParameters(rho=1.0, gamma=0.0)
     for e in range(min(mesh.n_elements, 2)):
         stiff, stab, _ = brute_local_matrices(mesh, e, sig)
+        T = interior_basis_change(cache, [e], len(stiff))
+        stiff, stab = T.T @ stiff @ T, T.T @ stab @ T
         fast_stiff, fast_stab = local_forms(cache, e, params)
         scale = max(np.abs(stiff).max(), 1.0)
         assert np.abs(fast_stiff - stiff).max() <= 1e-12 * scale
@@ -330,7 +347,10 @@ def test_local_stiffness_anisotropic_matches_brute_force():
     a_mat = np.array([[2.0, 0.5], [0.5, 1.0]])
     params = SchemeParameters(coefficient=a_mat)
     stiff, _, _ = brute_local_matrices(mesh, 0, sig, a_mat=a_mat)
-    fast, _ = local_forms(OperatorCache(mesh, sig), 0, params)
+    cache = OperatorCache(mesh, sig)
+    T = interior_basis_change(cache, [0], len(stiff))
+    stiff = T.T @ stiff @ T
+    fast, _ = local_forms(cache, 0, params)
     assert np.abs(fast - stiff).max() <= 1e-12 * np.abs(stiff).max()
 
 
@@ -720,6 +740,8 @@ def test_solve_matches_dense_solver(shape, k, j, ell, rho, per_element):
     system = assemble(mesh, sig, params, f, g)
     u_h = solve(system)
     A_ref, b_ref, _ = brute_global_system(mesh, sig, params, lambda p: 0.0 * f(p), g)
+    T = interior_basis_change(system.cache, np.arange(mesh.n_elements), len(A_ref))
+    A_ref, b_ref = T.T @ A_ref @ T, T.T @ b_ref
     dm = system.cache.dofmap
     b_ref[: dm.n_interior] += _interior_moments(system.cache, f).ravel()
     x_ref = np.linalg.solve(A_ref, b_ref)

@@ -53,10 +53,16 @@ def unit_right_triangle():
     return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
 
 
-def interior_values(mesh, wf, element, pts):
+def interior_U(cache, element, dim):
+    """The leading dim x dim block of element's U: its orthonormal basis of P_r, dim = dim_pk(r)."""
+    return cache.stacks["U"][cache.class_ids[element], :dim, :dim]
+
+
+def interior_values(cache, wf, element, pts):
+    mesh, n0 = cache.mesh, wf.dofmap.signature.interior_dim
     centroid, diameter = mesh.element_centroids()[element], mesh.element_diameters()[element]
     basis = ElementBasis(wf.dofmap.signature.k, centroid, diameter)
-    return basis.eval(pts) @ wf.interior(element)
+    return basis.eval(pts) @ interior_U(cache, element, n0) @ wf.interior(element)
 
 
 def edge_values(mesh, wf, edge, t):
@@ -160,27 +166,31 @@ def test_weakfunction_views_and_arithmetic():
 
 
 def test_project_q0_constant_and_linear():
+    # interior coefficients read as monomial coefficients through U
     mesh = build_uniform_rectangular(0)
-    wf = project_Qh(lambda p: np.full(p.shape[0], 3.5), mesh, WeakSpaceSignature(2, 2, 0))
-    c = wf.interior(2)
+    cache = OperatorCache(mesh, WeakSpaceSignature(2, 2, 0))
+    wf = project_Qh(lambda p: np.full(p.shape[0], 3.5), mesh, cache.signature, cache=cache)
+    c = interior_U(cache, 2, 6) @ wf.interior(2)
     assert abs(c[0] - 3.5) < 1e-13 and np.all(np.abs(c[1:]) < 1e-13)
 
-    c = project_Qh(lambda p: p[:, 0], mesh, WeakSpaceSignature(1, 1, 0)).interior(1)
+    cache = OperatorCache(mesh, WeakSpaceSignature(1, 1, 0))
+    c = project_Qh(lambda p: p[:, 0], mesh, cache.signature, cache=cache).interior(1)
     centroid, diameter = mesh.element_centroids()[1], mesh.element_diameters()[1]
     rng = np.random.default_rng(3)
     pts = centroid + 0.05 * rng.standard_normal((20, 2))
-    vals = ElementBasis(1, centroid, diameter).eval(pts) @ c
+    vals = ElementBasis(1, centroid, diameter).eval(pts) @ interior_U(cache, 1, 3) @ c
     np.testing.assert_allclose(vals, pts[:, 0], atol=1e-13)
 
 
 def test_project_q0_reproduces_cubics():
     mesh = build_uniform_triangular(2)
     f = lambda p: p[:, 0] ** 3 - 2 * p[:, 0] * p[:, 1] + 1.0
-    c = project_Qh(f, mesh, WeakSpaceSignature(3, 3, 0)).interior(5)
-    centroid, diameter = mesh.element_centroids()[5], mesh.element_diameters()[5]
+    cache = OperatorCache(mesh, WeakSpaceSignature(3, 3, 0))
+    wf = project_Qh(f, mesh, cache.signature, cache=cache)
+    centroid = mesh.element_centroids()[5]
     rng = np.random.default_rng(4)
     pts = centroid + 0.04 * rng.standard_normal((20, 2))
-    vals = ElementBasis(3, centroid, diameter).eval(pts) @ c
+    vals = interior_values(cache, wf, 5, pts)
     np.testing.assert_allclose(vals, f(pts), rtol=0, atol=1e-12)
 
 
@@ -204,12 +214,13 @@ def test_project_qh_reproduces_low_degree():
     mesh = build_uniform_triangular(2)
     sig = WeakSpaceSignature(2, 2, 1)
     p = lambda pts: pts[:, 0] ** 2 + pts[:, 0] * pts[:, 1] - 3 * pts[:, 1] + 1.0
-    wf = project_Qh(p, mesh, sig)
+    cache = OperatorCache(mesh, sig)
+    wf = project_Qh(p, mesh, sig, cache=cache)
     for e in [0, 3, 7]:
-        centroid, diameter = mesh.element_centroids()[e], mesh.element_diameters()[e]
+        centroid = mesh.element_centroids()[e]
         rng = np.random.default_rng(e)
         pts = centroid + 0.03 * rng.standard_normal((10, 2))
-        np.testing.assert_allclose(interior_values(mesh, wf, e, pts), p(pts), atol=1e-12)
+        np.testing.assert_allclose(interior_values(cache, wf, e, pts), p(pts), atol=1e-12)
     for edge in [0, 2, mesh.n_edges - 1]:
         a, b = mesh.edges[edge]
         t = np.linspace(-1.0, 1.0, 7)
@@ -234,13 +245,14 @@ def test_project_qh_interior_convergence_rate():
     sig = WeakSpaceSignature(2, 0, 0)
     errs = []
     for n in (4, 8):
-        mesh = build_uniform_triangular(n)
-        wf = project_Qh(u, mesh, sig)
+        cache = OperatorCache(build_uniform_triangular(n), sig)
+        mesh = cache.mesh
+        wf = project_Qh(u, mesh, sig, cache=cache)
         total = 0.0
         for e in range(mesh.n_elements):
             verts = mesh.vertices[mesh.elements[e]]
             pts, w = map_to_element(element_quadrature("triangle", 10), verts)
-            diff = u(pts) - interior_values(mesh, wf, e, pts)
+            diff = u(pts) - interior_values(cache, wf, e, pts)
             total += float(w @ diff**2)
         errs.append(math.sqrt(total))
     rate = math.log2(errs[0] / errs[1])
@@ -288,13 +300,13 @@ def test_shape_classes_on_uniform_meshes():
     cache = OperatorCache(build_uniform_triangular(4), WeakSpaceSignature(1, 0, 0))
     assert len(cache.class_ops) == 2
     assert np.bincount(cache.class_ids).tolist() == [16, 16]
-    # M0[0, 0] integrates the constant basis function 1 over the element
+    # the first orthonormal basis function is the constant 1 / sqrt(area)
     np.testing.assert_allclose(
-        cache.mesh.element_areas(), cache.stacks["M0"][cache.class_ids, 0, 0], rtol=1e-13
+        1.0 / np.sqrt(cache.mesh.element_areas()), cache.stacks["U"][cache.class_ids, 0, 0], rtol=1e-13
     )
     cache = OperatorCache(build_uniform_rectangular(1), WeakSpaceSignature(1, 0, 0))
     assert len(cache.class_ops) == 1
-    assert abs(cache.class_ops[0].M0[0, 0] - (1.0 / 6.0) * (1.0 / 4.0)) < 1e-15
+    assert abs(cache.class_ops[0].U[0, 0] ** -2 - (1.0 / 6.0) * (1.0 / 4.0)) < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -314,8 +326,9 @@ def test_shape_classes_separate_tiny_elements_of_different_size():
     mesh = Mesh(V * 1e-13, [[0, 1, 2], [3, 4, 5]])
     cache = OperatorCache(mesh, WeakSpaceSignature(1, 1, 1))
     assert len(cache.class_ops) == 2
-    assert cache.shape_ops(0).M0[0, 0] / 1e-26 == pytest.approx(0.5, rel=1e-12)
-    assert cache.shape_ops(1).M0[0, 0] / 1e-26 == pytest.approx(1.0, rel=1e-12)
+    # the areas, read from the constant basis function 1 / sqrt(area)
+    assert cache.shape_ops(0).U[0, 0] ** -2 / 1e-26 == pytest.approx(0.5, rel=1e-12)
+    assert cache.shape_ops(1).U[0, 0] ** -2 / 1e-26 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_far_translated_meshes_keep_their_shape_classes():
@@ -371,7 +384,9 @@ class ReferenceShapeOps:
 
     The per-class construction in plain loops over the sides and the
     monomials, with scipy's Cholesky solve: the reference for the batched
-    build of OperatorCache.  rel_verts holds the vertices relative to the
+    build of OperatorCache.  Its orthonormal basis phi = V U comes from a
+    Householder QR of sqrt(w) V, the signs fixed so that diag(U) > 0, not
+    from Cholesky factors.  rel_verts holds the vertices relative to the
     centroid, canon_flags the edge orientation pattern.
     """
 
@@ -391,11 +406,13 @@ class ReferenceShapeOps:
         rule = element_quadrature(shape, max(2 * max(k, m), k + 4))
         self.offsets, self.weights = map_to_element(rule, rel_verts)
         V = self.basis.eval(self.offsets)
-        M_full = V.T @ (self.weights[:, None] * V)
-        self.M0 = M_full[:n0, :n0]
-        self.M0_inv = np.linalg.inv(self.M0)
+        R = np.linalg.qr(np.sqrt(self.weights)[:, None] * V, mode="r")
+        R *= np.sign(np.diag(R))[:, None]
+        self.U = np.linalg.inv(R)
+        phi = V @ self.U
+        M_full = phi.T @ (self.weights[:, None] * phi)
         self.M_m = M_full[:dim_m, :dim_m]
-        self.phi0 = V[:, :n0]
+        self.phi0 = phi[:, :n0]
 
         edge_basis = EdgeBasis(j)
         edge_rule = edge_quadrature(2 * max(k, j, ell))
@@ -409,7 +426,7 @@ class ReferenceShapeOps:
             if canon_flags[side] < 0:
                 p, q = q, p
             pts, ew, _ = map_to_edge(edge_rule, p, q)
-            V_side = self.basis.eval(pts)
+            V_side = self.basis.eval(pts) @ self.U
             D = self.edge_mass[side]
             T_e = (E.T @ (ew[:, None] * V_side[:, :n0])) / D[:, None]
             N_e = np.zeros((nb, self.n_loc))
@@ -425,6 +442,7 @@ class ReferenceShapeOps:
         delta_x, delta_y = cho_solve(cho_l, B[0]), cho_solve(cho_l, B[1])
         self.delta = np.vstack([delta_x, delta_y])
 
+        # grad v0: the monomial derivatives, taken to the phi basis by R_m and U_k
         Gx = np.zeros((dim_m, self.n_loc))
         Gy = np.zeros((dim_m, self.n_loc))
         index_m = {tuple(e): i for i, e in enumerate(monomial_exponents(m))}
@@ -433,6 +451,8 @@ class ReferenceShapeOps:
                 Gx[index_m[(a - 1, b)], i] += a / self.h_T
             if b > 0:
                 Gy[index_m[(a, b - 1)], i] += b / self.h_T
+        for Gd in (Gx, Gy):
+            Gd[:, :n0] = R[:dim_m, :dim_m] @ Gd[:, :n0] @ self.U[:n0, :n0]
         Gx[:dim_l, :] += delta_x
         Gy[:dim_l, :] += delta_y
         self.Gx, self.Gy = Gx, Gy
@@ -505,13 +525,13 @@ def test_skipped_key_columns_give_the_full_refinement_classes(mesh):
 
 
 SHAPE_OPS_ATTRIBUTES = (
-    "h_T", "edge_lengths", "normals", "offsets", "weights", "phi0", "M0", "M0_inv", "M_m",
-    "edge_mass", "trace_ops", "delta", "Gx", "Gy", "G", "Sxx", "Syy", "Sxy", "stab_unit",
+    "h_T", "edge_lengths", "normals", "offsets", "weights", "phi0", "U", "edge_mass",
+    "trace_ops", "delta", "Gx", "Gy", "G", "Sxx", "Syy", "Sxy", "stab_unit",
 )
 FROM_DELTA = {"delta", "Gx", "Gy", "G", "Sxx", "Syy", "Sxy"}
 
 
-# (3, 2, 2) has k > ell: the factored block is M0's, and delta reads its leading block
+# (3, 2, 2) has k > ell: the P_ell basis is a leading block of the P_k basis
 @pytest.mark.parametrize("family", [(0, 0, 0), (1, 1, 1), (1, 2, 2), (2, 1, 3), (3, 4, 4), (3, 2, 2)])
 @pytest.mark.parametrize(
     "mesh",
@@ -527,12 +547,11 @@ FROM_DELTA = {"delta", "Gx", "Gy", "G", "Sxx", "Syy", "Sxy"}
 def test_batched_shape_operators_are_the_per_class_build(mesh, family):
     # every class view of the one batched build against the class-by-class
     # construction, attribute by attribute, to rounding.  delta solves
-    # M_l delta = B, and cond(M_l) reaches 1.9e10 on the jittered mesh at
-    # ell = 4, where two backward-stable solves agree only to about
-    # eps cond(M_l) (the reference's own error is 2e-11 there).  So delta
-    # and what is built from it are compared to that bound, and delta must
-    # solve the reference's system to rounding; M0_inv likewise to
-    # eps cond(M0)
+    # M_l delta = B in the reference's orthonormal basis, so M_l is the
+    # identity to rounding and delta and what is built from it are compared
+    # to max(1e-13, eps cond(M_l)); delta must solve the reference's system
+    # to rounding.  The monomial mass matrix reaches cond 1.9e10 on the
+    # jittered mesh at degree 4, and U still agrees to 1e-13 there
     cache = OperatorCache(mesh, WeakSpaceSignature(*family))
     reference = reference_class_ops(cache)
     assert len(cache.class_ops) == len(reference) > 0
@@ -545,8 +564,6 @@ def test_batched_shape_operators_are_the_per_class_build(mesh, family):
             assert got.shape == want.shape, name
             assert not got.flags.writeable, name
             rtol = from_delta if name in FROM_DELTA else 1e-13
-            if name == "M0_inv":
-                rtol = max(1e-13, eps * np.linalg.cond(ref.M0))
             np.testing.assert_allclose(
                 got, want, rtol=0, atol=rtol * np.abs(want).max(), err_msg=name
             )
@@ -571,7 +588,8 @@ def test_batched_shape_operators_are_the_per_class_build(mesh, family):
 def test_class_rules_and_basis_are_the_polybasis_maps_bit_for_bit(mesh, family):
     # the batched build takes its element rule and basis values from
     # map_to_element and the scaled monomials of polybasis: each class's
-    # offsets, weights and phi0 are those of its vertices alone, bit for bit
+    # offsets, weights and phi0 (the monomials times its U) are those of its
+    # vertices alone, bit for bit
     sig = WeakSpaceSignature(*family)
     cache = OperatorCache(mesh, sig)
     stacks = cache.stacks
@@ -579,7 +597,8 @@ def test_class_rules_and_basis_are_the_polybasis_maps_bit_for_bit(mesh, family):
     for c, e in enumerate(cache.class_first):
         rel = mesh.vertices[mesh.elements[e]] - cache.centroids[e]
         offsets, weights = map_to_element(rule, rel)
-        phi0 = ElementBasis(max(sig.k, sig.m), (0.0, 0.0), stacks["h_T"][c]).eval(offsets)
+        basis = ElementBasis(max(sig.k, sig.m), (0.0, 0.0), stacks["h_T"][c])
+        phi0 = basis.eval(offsets) @ stacks["U"][c]
         for got, want in [
             (stacks["offsets"][c], offsets),
             (stacks["weights"][c], weights),
@@ -589,28 +608,76 @@ def test_class_rules_and_basis_are_the_polybasis_maps_bit_for_bit(mesh, family):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("family", [(3, 4, 4), (3, 2, 2), (1, 1, 0)])
-def test_projection_q0_is_the_refined_mass_matrix_solve(family):
-    # Q0 u applies each class's stored M0^-1 = L0^-T L0^-1 to the moments
-    # and refines once: it must lie within 5e-12 relative of a solve of
-    # M0 x = moments refined with long-double residuals, on a mesh where
-    # every element is its own class (cond(M0) up to 2e7 at k = 3).  The
-    # unrefined product reached 7e-12 at (3, 2, 2) on other jitter seeds
-    mesh = jittered_interior(tri_16, 5)
-    signature = WeakSpaceSignature(*family)
-    cache = OperatorCache(mesh, signature)
+def _monomials_ld(pts, h, degree):
+    """The scaled monomials of degree at most degree, in long double, at pts (..., 2) / h."""
+    X, Y = (pts[..., i].astype(np.longdouble) / np.asarray(h, dtype=np.longdouble) for i in (0, 1))
+    a, b = monomial_exponents(degree).T
+    return X[..., None] ** a * Y[..., None] ** b
 
+
+def _long_double_solve(M, b):
+    """x with M x = b, M (..., n, n) and b (..., n, r) in long double, by refinement."""
+    M_float = M.astype(float)
+    x = np.linalg.solve(M_float, b.astype(float)).astype(np.longdouble)
+    for _ in range(4):
+        x += np.linalg.solve(M_float, (b - M @ x).astype(float))
+    return x
+
+
+def test_delta_is_the_long_double_solve_on_a_jittered_mesh():
+    # delta's edge columns, as functions at the element points, against the
+    # monomial system M_l delta = B formed and solved in long double, on a
+    # mesh where every element is its own class and cond(M_l) reaches 7e9;
+    # a double solve against M_l reads 2.3e-12 here, so the bound catches it
+    mesh, signature = jittered_interior(tri_16, 5), WeakSpaceSignature(3, 4, 4)
+    cache = OperatorCache(mesh, signature)
+    stacks, n0, dim_l = cache.stacks, signature.interior_dim, dim_pk(signature.ell)
+    h, offsets, weights = stacks["h_T"], stacks["offsets"], stacks["weights"]
+    V = _monomials_ld(offsets, h[:, None], signature.ell)
+    M = np.einsum("cqi,cq,cqj->cij", V, weights.astype(np.longdouble), V)
+    # B's edge columns: side s's block is n_s <psi, L_a>_s
+    rel = mesh.vertices[mesh.elements[cache.class_first]] - cache.centroids[cache.class_first, None]
+    after = np.roll(rel, -1, axis=1)
+    forward = (mesh.element_edge_signs[cache.class_first] > 0)[..., None]
+    edge_rule = edge_quadrature(2 * max(signature.k, signature.j, signature.ell))
+    pts, w, _ = map_to_edge(edge_rule, np.where(forward, rel, after), np.where(forward, after, rel))
+    E = EdgeBasis(signature.j).eval(edge_rule.points).astype(np.longdouble)
+    P = np.einsum("csqi,csq,qa->csia", _monomials_ld(pts, h[:, None, None], signature.ell), w, E)
+    B = np.einsum("csd,csia->cdisa", stacks["normals"], P).reshape(len(h), 2, dim_l, -1)
+    want = V[:, None] @ _long_double_solve(M[:, None], B)
+    for c, (hc, oc) in enumerate(zip(h, offsets)):
+        phi = ElementBasis(max(signature.k, signature.m), (0.0, 0.0), hc).eval(oc) @ stacks["U"][c]
+        got = phi[:, :dim_l] @ stacks["delta"][c].reshape(2, dim_l, -1)[..., n0:]
+        assert np.abs(got - want[c]).max() <= 1e-13 * np.abs(want[c]).max()
+
+
+@pytest.mark.parametrize("family", [(3, 4, 4), (3, 2, 2), (1, 1, 0)])
+def test_projection_q0_values_are_the_long_double_solve(family):
+    # Q0 u is the moments against the orthonormal basis, with no solve: its
+    # values at the element points must match the monomial mass matrix
+    # system formed and solved in long double, over 12 jittered meshes where
+    # every element is its own class (cond(M0) up to 2e7 at k = 3)
     def u(p):
         return np.cos(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1])
 
-    moments = _interior_moments(cache, u)
-    M0 = cache.stacks["M0"][cache.class_ids]
-    x = np.linalg.solve(M0, moments[..., None])[..., 0]
-    for _ in range(3):
-        r = moments - np.einsum("eij,ej->ei", M0.astype(np.longdouble), x.astype(np.longdouble))
-        x = x + np.linalg.solve(M0, r.astype(float)[..., None])[..., 0]
-    got = cache.dofmap.interiors(project_Qh(u, mesh, signature, cache=cache).coeffs)
-    assert np.abs(got - x).max() <= 5e-12 * np.abs(x).max()
+    signature = WeakSpaceSignature(*family)
+    n0 = signature.interior_dim
+    for seed in range(12):
+        cache = OperatorCache(jittered_interior(tri_16, seed), signature)
+        stacks, ids = cache.stacks, cache.class_ids
+        offsets, weights = stacks["offsets"][ids], stacks["weights"][ids].astype(np.longdouble)
+        V = _monomials_ld(offsets, stacks["h_T"][ids, None], signature.k)
+        values = u((cache.centroids[:, None] + offsets).reshape(-1, 2)).reshape(weights.shape)
+        moments = np.einsum("eqi,eq->ei", V, weights * values)[..., None]
+        M0 = np.einsum("eqi,eq,eqj->eij", V, weights, V)
+        want = V @ _long_double_solve(M0, moments)
+        wf = project_Qh(u, cache.mesh, signature, cache=cache)
+        phi0 = np.stack([
+            ElementBasis(signature.k, (0.0, 0.0), h).eval(o) @ U[:n0, :n0]
+            for h, o, U in zip(stacks["h_T"], stacks["offsets"], stacks["U"])
+        ])
+        got = phi0[ids] @ cache.dofmap.interiors(wf.coeffs)[..., None]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_operator_cache_survives_pickle_and_copy():
@@ -692,7 +759,7 @@ def test_weak_gradient_reproduces_polynomial_gradient():
         centroid, diameter = mesh.element_centroids()[e], mesh.element_diameters()[e]
         rng = np.random.default_rng(e)
         pts = centroid + 0.03 * rng.standard_normal((8, 2))
-        V = ElementBasis(sig.m, centroid, diameter).eval(pts)
+        V = ElementBasis(sig.m, centroid, diameter).eval(pts) @ interior_U(cache, e, dim_m)
         expected = grad(pts)
         np.testing.assert_allclose(V @ g[:dim_m], expected[:, 0], atol=1e-11)
         np.testing.assert_allclose(V @ g[dim_m:], expected[:, 1], atol=1e-11)
@@ -740,13 +807,13 @@ def test_delta_closed_form_oracle():
     sig = WeakSpaceSignature(1, 0, 1)
     ops = OperatorCache(mesh, sig).shape_ops(0)
     centroid, diameter = mesh.element_centroids()[0], mesh.element_diameters()[0]
+    # x = xc + h X in monomial coefficients, U^-1 of them in the orthonormal basis
     vloc = np.zeros(ops.n_loc)
-    vloc[0] = centroid[0]
-    vloc[1] = diameter
+    vloc[:3] = np.linalg.solve(ops.U, [centroid[0], diameter, 0.0])
     d = ops.delta @ vloc
     rng = np.random.default_rng(11)
     pts = np.array([1.0, 1.0]) * rng.random((12, 2)) * 0.4 + 0.05
-    V = ElementBasis(1, centroid, diameter).eval(pts)
+    V = ElementBasis(1, centroid, diameter).eval(pts) @ ops.U
     np.testing.assert_allclose(V @ d[:3], 3 - 6 * pts[:, 0] - 6 * pts[:, 1], atol=1e-12)
     np.testing.assert_allclose(V @ d[3:], 6 - 6 * pts[:, 0] - 12 * pts[:, 1], atol=1e-12)
 
@@ -763,9 +830,8 @@ def test_weak_gradient_commutes_with_projection_spot():
     for e in range(mesh.n_elements):
         ops = cache.shape_ops(e)
         g = ops.G @ wf.coeffs[cache.dofmap.element_dof_table[e]]
-        lhs = np.array(
-            [(ops.M_m @ g[:dim_m])[0], (ops.M_m @ g[dim_m:])[0]]
-        )
+        # (phi_i, 1)_T = (phi_i, phi_0)_T / U[0, 0]: only coefficient 0 sees psi = 1
+        lhs = np.array([g[0], g[dim_m]]) / ops.U[0, 0]
         verts = mesh.vertices[mesh.elements[e]]
         pts, w = map_to_element(element_quadrature("triangle", 6), verts)
         rhs = np.array(
