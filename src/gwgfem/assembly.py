@@ -30,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh_tridiagonal
 
-from ._checks import real_array
+from ._checks import check_real, real_array
 from .mesh import Mesh
 from .weakspace import (
     OperatorCache,
@@ -91,6 +91,8 @@ class SchemeParameters:
     coefficient: object = None
 
     def __post_init__(self):
+        check_real(self.rho, "stabilizer weight rho")
+        check_real(self.gamma, "stabilizer exponent gamma")
         if not (math.isfinite(self.rho) and self.rho >= 0):
             raise ValueError(
                 f"stabilizer weight rho must be finite and non-negative, got {self.rho}"

@@ -73,6 +73,8 @@ class ElementBasis:
         self.degree = degree
         self.center = np.asarray(center, dtype=float)
         self.scale = float(scale)
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and > 0, got {scale!r}")
         self.exponents = monomial_exponents(degree)
 
     @property

@@ -17,6 +17,7 @@ from numbers import Real
 
 import numpy as np
 
+from ._checks import check_real
 from .assembly import SchemeParameters, SingularSystem, _local_matrices, assemble, solve
 from .mesh import build_uniform_rectangular, build_uniform_triangular
 from .weakspace import OperatorCache, WeakFunction, WeakSpaceSignature, _cache_for, _mv, project_Qh
@@ -94,6 +95,7 @@ def lowreg_case(alpha: float) -> ManufacturedCase:
     0 < alpha <= 1.  The solution vanishes on the boundary; the source has
     an r^(alpha-2) singularity at the origin.
     """
+    check_real(alpha, "regularity index alpha")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"regularity index alpha must lie in (0, 1], got {alpha}")
     beta = (alpha - 2.0) / 2.0  # u = (x^2 + y^2)^beta * P
@@ -235,7 +237,8 @@ def _mesh_args(mesh_family: str, labels) -> tuple:
     L).  Raises ValueError on a bad family or label, before any mesh is built.
     """
     labels = list(labels)
-    if any(not (isinstance(v, Real) and math.isfinite(v) and int(v) == v) for v in labels):
+    real = all(isinstance(v, Real) and not isinstance(v, bool) for v in labels)
+    if not (real and all(math.isfinite(v) and int(v) == v for v in labels)):
         raise ValueError(f"refinement levels must be integers, got {labels}")
     labels = [int(v) for v in labels]
     if len(labels) < 2:

@@ -22,16 +22,14 @@ element mass matrix is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from types import SimpleNamespace
+from functools import lru_cache
 
 import numpy as np
 
-from ._checks import check_integer, real_array
+from ._checks import check_integer, check_real, real_array
 from .mesh import Mesh, _diameters
 from .polybasis import (
     EdgeBasis,
-    ElementBasis,
     dim_pk,
     edge_quadrature,
     element_quadrature,
@@ -303,9 +301,9 @@ class OperatorCache:
     by class_ids.  Every matrix acts on the local coefficient vector
     [interior block | side-0 edge block | side-1 edge block | ...], interior
     polynomials in the group's orthonormal basis monomials @ U[c][:n0, :n0]
-    and edge polynomials in each edge's ascending-vertex orientation.  class_ops[c]
-    is a plain namespace of group c's entries, built for all groups on
-    first use; shape_ops(e) is element e's.
+    and edge polynomials in each edge's ascending-vertex orientation.  Group
+    c's operator `name` is stacks[name][c], and element e's group is
+    class_ids[e].
     """
 
     def __init__(self, mesh: Mesh, signature: WeakSpaceSignature):
@@ -348,27 +346,14 @@ class OperatorCache:
         reps = self.class_first = first[order]
         self.stacks = _shape_stacks(self.shape, rx[reps], ry[reps], signs[reps], signature)
 
-    @cached_property
-    def class_ops(self) -> list[SimpleNamespace]:
-        """One namespace per class c: entry c of every stack, n_sides, n_loc and basis.
+    @property
+    def class_ops(self) -> np.ndarray:
+        """class_first under its old name, so len(cache.class_ops) is the class count.
 
-        basis is the scaled monomial basis of degree max(k, m) about the centroid,
-        basis.eval(pts) @ U the orthonormal one.  All are built on first use.
+        It stays only for perfbench/worker.py's weakspace.n_classes count, and
+        goes when the benchmark refresh (ROADMAP item 2) reads class_first.size.
         """
-        stacks, degree = self.stacks, max(self.signature.k, self.signature.m)
-        n_sides, n_loc = stacks["normals"].shape[1], stacks["G"].shape[-1]
-        return [
-            SimpleNamespace(
-                **dict(zip(stacks, entries)),
-                n_sides=n_sides,
-                n_loc=n_loc,
-                basis=ElementBasis(degree, (0.0, 0.0), stacks["h_T"][c]),
-            )
-            for c, entries in enumerate(zip(*stacks.values()))
-        ]
-
-    def shape_ops(self, element: int) -> SimpleNamespace:
-        return self.class_ops[self.class_ids[element]]
+        return self.class_first
 
 
 def _cache_for(mesh: Mesh, signature: WeakSpaceSignature, cache) -> OperatorCache:
@@ -391,6 +376,7 @@ def _touching(mesh: Mesh, cells: np.ndarray, singularity):
     if singularity is None:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     point, strength = np.asarray(singularity[0], dtype=float), singularity[1]
+    check_real(strength, "singularity strength")
     if point.shape != (2,) or not np.isfinite(point).all() or not 0.0 < strength < np.inf:
         raise ValueError(
             f"singularity must pair a finite point (x, y) with a finite strength > 0, "

@@ -30,7 +30,7 @@ from gwgfem import (
     run_convergence_study,
     solve,
 )
-from gwgfem.polybasis import dim_pk, element_quadrature, map_to_element
+from gwgfem.polybasis import ElementBasis, dim_pk, element_quadrature, map_to_element
 
 from test_assembly import brute_condensed_system, brute_local_matrices, interior_basis_change
 
@@ -216,14 +216,15 @@ def test_weak_gradient_commutes_with_projection():
                 phi, grad_phi = _random_polynomial(rng, sig.k + 2)
                 wf = project_Qh(phi, mesh, sig, cache=cache)
                 e = int(rng.integers(mesh.n_elements))
-                ops = cache.shape_ops(e)
+                cls, stacks = cache.class_ids[e], cache.stacks
                 c = wf.coeffs[cache.dofmap.element_dof_table[e]]
-                gx, gy = ops.Gx @ c, ops.Gy @ c
+                gx, gy = stacks["Gx"][cls] @ c, stacks["Gy"][cls] @ c
                 rule = element_quadrature(cache.shape, 2 * (sig.k + 2 + sig.m) + 2)
                 pts, w = map_to_element(rule, mesh.vertices[mesh.elements[e]])
-                V = ops.basis.eval(pts - cache.centroids[e])
-                Vg = ops.basis.grad(pts - cache.centroids[e])
-                phi_T = V @ ops.U  # the class's orthonormal basis, in which c is written
+                basis = ElementBasis(max(sig.k, sig.m), (0.0, 0.0), stacks["h_T"][cls])
+                V = basis.eval(pts - cache.centroids[e])
+                Vg = basis.grad(pts - cache.centroids[e])
+                phi_T = V @ stacks["U"][cls]  # the class's orthonormal basis, in which c is written
                 cs = rng.uniform(-1.0, 1.0, (2, dim_s))
                 psi = np.stack([V[:, :dim_s] @ cs[0], V[:, :dim_s] @ cs[1]], axis=1)
                 div_psi = Vg[:, :dim_s, 0] @ cs[0] + Vg[:, :dim_s, 1] @ cs[1]
@@ -352,9 +353,9 @@ def test_gradient_correction_vanishes_on_matching_traces():
 
                 wf = project_Qh(u, mesh, sig, cache=cache)
                 for e in range(mesh.n_elements):
-                    ops = cache.shape_ops(e)
+                    delta = cache.stacks["delta"][cache.class_ids[e]]
                     c = wf.coeffs[cache.dofmap.element_dof_table[e]]
-                    worst = max(worst, float(np.abs(ops.delta @ c).max()))
+                    worst = max(worst, float(np.abs(delta @ c).max()))
     report(
         "gradient correction vanishes on matching traces",
         worst <= 1e-12,

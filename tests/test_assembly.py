@@ -267,6 +267,25 @@ def test_scheme_parameters_validation():
     assert np.allclose(params.coefficient, [[2.0, 0.5], [0.5, 1.0]])
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"rho": "1"}, "stabilizer weight rho must be a real number, got '1'"),
+        ({"rho": 1j}, "stabilizer weight rho must be a real number, got 1j"),
+        ({"rho": True}, "stabilizer weight rho must be a real number, got True"),
+        ({"gamma": None}, "stabilizer exponent gamma must be a real number, got None"),
+        ({"gamma": "-1"}, "stabilizer exponent gamma must be a real number, got '-1'"),
+    ],
+    ids=["rho-str", "rho-complex", "rho-bool", "gamma-none", "gamma-str"],
+)
+def test_scheme_parameters_name_a_scalar_that_is_not_real(kwargs, message):
+    # these once raised a bare TypeError that named no parameter, or took True as 1
+    with pytest.raises(ValueError) as err:
+        SchemeParameters(**kwargs)
+    assert str(err.value) == message
+    SchemeParameters(rho=np.float32(0.5), gamma=np.int64(-2))
+
+
 def test_default_parameters():
     params = SchemeParameters()
     assert params.rho == 1.0 and params.gamma == -1.0 and params.coefficient is None

@@ -250,10 +250,8 @@ def test_sheared_parallelogram_accepted():
 def side_geometry(mesh):
     """Per-element (normals, side lengths), read from the shape-class operators."""
     cache = OperatorCache(mesh, WeakSpaceSignature(0, 0, 0))
-    return [
-        (cache.shape_ops(t).normals, cache.shape_ops(t).edge_lengths)
-        for t in range(mesh.n_elements)
-    ]
+    stacks, ids = cache.stacks, cache.class_ids
+    return list(zip(stacks["normals"][ids], stacks["edge_lengths"][ids]))
 
 
 def test_geometry_unit_right_triangle():

@@ -240,6 +240,15 @@ def test_degrees_must_be_integers(make, message):
         make()
 
 
+@pytest.mark.parametrize("scale", [0.0, -0.5, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+def test_element_basis_scale_must_be_finite_and_positive(scale):
+    # a zero scale once evaluated to inf with a divide-by-zero warning, and a
+    # negative or NaN one passed silently
+    with pytest.raises(ValueError) as err:
+        ElementBasis(1, (0.0, 0.0), scale)
+    assert str(err.value) == f"scale must be finite and > 0, got {scale!r}"
+
+
 def test_degrees_accept_numpy_integers():
     assert element_quadrature("triangle", np.int64(4)).weights.size == 6
     assert edge_quadrature(np.int32(3)).weights.size == 2

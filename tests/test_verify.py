@@ -101,6 +101,17 @@ def test_get_case_validation():
         lowreg_case(1.5)
 
 
+@pytest.mark.parametrize("alpha", ["0.5", True, 0.5j, None])
+def test_lowreg_alpha_must_be_a_real_number(alpha):
+    # a string once failed in a bare comparison, and True ran as alpha = 1
+    with pytest.raises(ValueError) as err:
+        lowreg_case(alpha)
+    assert str(err.value) == f"regularity index alpha must be a real number, got {alpha!r}"
+    if alpha is not None:
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            get_case("lowreg", alpha=alpha)
+
+
 # ------------------------------------------------------------------ norms
 
 
@@ -247,7 +258,7 @@ def test_element_local_work_does_not_grow_with_the_class_count():
     for n in (4, 8):
         mesh = jittered_interior(build_uniform_triangular(n), 5)
         cache = OperatorCache(mesh, sig)
-        assert len(cache.class_ops) == mesh.n_elements == 2 * n * n
+        assert cache.class_first.size == mesh.n_elements == 2 * n * n
         u_h = solve(assemble(mesh, sig, params, case.f, case.g, cache=cache))  # fills the lru_caches
 
         def run():
@@ -264,11 +275,10 @@ def test_element_local_work_does_not_grow_with_the_class_count():
 @pytest.mark.parametrize(
     "case", [get_case("cospi_cospi"), lowreg_case(0.5)], ids=["smooth", "lowreg"]
 )
-def test_a_study_step_builds_no_class_views(case):
-    # the per-class views are built on first use, and no pipeline step uses
-    # them: on a jittered mesh (one class per element) they stay unbuilt
-    # through assemble, solve, the error function and the three norms, on
-    # the plain path and on the graded rules of lowreg
+def test_a_study_step_runs_on_a_jittered_mesh(case):
+    # on a jittered mesh (one class per element) assemble, solve, the error
+    # function and the three norms give finite, non-zero errors, on the
+    # plain path and on the graded rules of lowreg
     mesh = jittered_interior(build_uniform_triangular(4), 5)
     sig, params = WeakSpaceSignature(1, 1, 0), SchemeParameters()
     cache = OperatorCache(mesh, sig)
@@ -276,9 +286,6 @@ def test_a_study_step_builds_no_class_views(case):
     e_h = error_function(case, solve(system), cache)
     errors = (energy_norm(e_h, params, cache), l2_norm_e0(e_h, cache), edge_norm_eb(e_h, cache))
     assert all(0.0 < err < math.inf for err in errors), errors
-    assert "class_ops" not in cache.__dict__
-    assert cache.shape_ops(3) is cache.class_ops[cache.class_ids[3]]
-    assert "class_ops" in cache.__dict__
 
 
 def test_affine_solution_error_is_machine_zero():
@@ -407,8 +414,9 @@ def test_study_checks_every_label_before_building_a_mesh(monkeypatch):
         ("tri", [4, float("inf")], "[4, inf]"),
         ("rect", [4, float("nan")], "[4, nan]"),
         ("tri", ["4", "8"], "['4', '8']"),
+        ("tri", [True, 2], "[True, 2]"),
     ],
-    ids=["tri", "rect", "tri-inf", "rect-nan", "tri-str"],
+    ids=["tri", "rect", "tri-inf", "rect-nan", "tri-str", "tri-bool"],
 )
 def test_study_rejects_non_integer_labels(family, labels, shown):
     with pytest.raises(ValueError) as err:
@@ -417,6 +425,12 @@ def test_study_rejects_non_integer_labels(family, labels, shown):
             SchemeParameters(),
         )
     assert str(err.value) == f"refinement levels must be integers, got {shown}"
+
+
+def test_study_accepts_whole_float_labels():
+    # a whole float or numpy label is taken as its integer; only bool is refused
+    assert verify._mesh_args("tri", [4.0, np.int64(8)]) == ([4, 8], [4, 8])
+    assert verify._mesh_args("rect", [np.float64(8.0), 16]) == ([8, 16], [1, 2])
 
 
 def test_low_regularity_study_on_parallelograms():

@@ -287,7 +287,7 @@ def test_interior_moment_points_are_the_broadcast_formula_bit_for_bit(mesh, sign
 
     _interior_moments(cache, spy)
     assert len(seen) == 1
-    offsets = np.stack([cache.shape_ops(e).offsets for e in range(cache.mesh.n_elements)])
+    offsets = cache.stacks["offsets"][cache.class_ids]
     expected = (cache.centroids[:, None, :] + offsets).reshape(-1, 2)
     assert seen[0].shape == expected.shape
     assert np.array_equal(seen[0].view(np.uint64), expected.view(np.uint64))
@@ -298,15 +298,15 @@ def test_interior_moment_points_are_the_broadcast_formula_bit_for_bit(mesh, sign
 
 def test_shape_classes_on_uniform_meshes():
     cache = OperatorCache(build_uniform_triangular(4), WeakSpaceSignature(1, 0, 0))
-    assert len(cache.class_ops) == 2
+    assert cache.class_first.size == 2
     assert np.bincount(cache.class_ids).tolist() == [16, 16]
     # the first orthonormal basis function is the constant 1 / sqrt(area)
     np.testing.assert_allclose(
         1.0 / np.sqrt(cache.mesh.element_areas()), cache.stacks["U"][cache.class_ids, 0, 0], rtol=1e-13
     )
     cache = OperatorCache(build_uniform_rectangular(1), WeakSpaceSignature(1, 0, 0))
-    assert len(cache.class_ops) == 1
-    assert abs(cache.class_ops[0].U[0, 0] ** -2 - (1.0 / 6.0) * (1.0 / 4.0)) < 1e-15
+    assert cache.class_first.size == 1
+    assert abs(cache.stacks["U"][0, 0, 0] ** -2 - (1.0 / 6.0) * (1.0 / 4.0)) < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -325,10 +325,10 @@ def test_shape_classes_separate_tiny_elements_of_different_size():
     V = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [3.0, 0.0], [2.0, 2.0]])
     mesh = Mesh(V * 1e-13, [[0, 1, 2], [3, 4, 5]])
     cache = OperatorCache(mesh, WeakSpaceSignature(1, 1, 1))
-    assert len(cache.class_ops) == 2
+    assert cache.class_first.size == 2
     # the areas, read from the constant basis function 1 / sqrt(area)
-    assert cache.shape_ops(0).U[0, 0] ** -2 / 1e-26 == pytest.approx(0.5, rel=1e-12)
-    assert cache.shape_ops(1).U[0, 0] ** -2 / 1e-26 == pytest.approx(1.0, rel=1e-12)
+    assert interior_U(cache, 0, 1)[0, 0] ** -2 / 1e-26 == pytest.approx(0.5, rel=1e-12)
+    assert interior_U(cache, 1, 1)[0, 0] ** -2 / 1e-26 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_far_translated_meshes_keep_their_shape_classes():
@@ -351,7 +351,7 @@ def test_moved_vertex_splits_the_elements_around_it():
     vertex = np.flatnonzero(np.all((vertices > 0) & (vertices < 1), axis=1))[0]
     vertices[vertex] += 3e-7
     cache = OperatorCache(Mesh(vertices, mesh.elements), WeakSpaceSignature(1, 0, 0))
-    assert len(cache.class_ops) == 8
+    assert cache.class_first.size == 8
 
 
 def key_tol(mesh):
@@ -462,7 +462,7 @@ class ReferenceShapeOps:
         self.Sxy = Gx.T @ (self.M_m @ Gy)
 
 
-def reference_class_ops(cache):
+def reference_classes(cache):
     """ReferenceShapeOps of every class of cache, built from its first element."""
     mesh = cache.mesh
     out = []
@@ -524,7 +524,7 @@ def test_skipped_key_columns_give_the_full_refinement_classes(mesh):
     np.testing.assert_array_equal(cache.class_ids, expected)
 
 
-SHAPE_OPS_ATTRIBUTES = (
+STACK_NAMES = (
     "h_T", "edge_lengths", "normals", "offsets", "weights", "phi0", "U", "edge_mass",
     "trace_ops", "delta", "Gx", "Gy", "G", "Sxx", "Syy", "Sxy", "stab_unit",
 )
@@ -545,36 +545,37 @@ FROM_DELTA = {"delta", "Gx", "Gy", "G", "Sxx", "Syy", "Sxy"}
     ids=["tri-16", "rect-2", "far-tri-16", "parallelogram", "jittered-tri-8"],
 )
 def test_batched_shape_operators_are_the_per_class_build(mesh, family):
-    # every class view of the one batched build against the class-by-class
-    # construction, attribute by attribute, to rounding.  delta solves
+    # entry c of every stack of the one batched build against the
+    # class-by-class construction, name by name, to rounding.  delta solves
     # M_l delta = B in the reference's orthonormal basis, so M_l is the
     # identity to rounding and delta and what is built from it are compared
     # to max(1e-13, eps cond(M_l)); delta must solve the reference's system
     # to rounding.  The monomial mass matrix reaches cond 1.9e10 on the
     # jittered mesh at degree 4, and U still agrees to 1e-13 there
     cache = OperatorCache(mesh, WeakSpaceSignature(*family))
-    reference = reference_class_ops(cache)
-    assert len(cache.class_ops) == len(reference) > 0
-    for ops, ref in zip(cache.class_ops, reference):
-        assert (ops.n_sides, ops.n_loc) == (ref.n_sides, ref.n_loc)
+    stacks, reference = cache.stacks, reference_classes(cache)
+    assert cache.class_first.size == len(reference) > 0
+    assert sorted(stacks) == sorted(STACK_NAMES)
+    n_sides, n_loc = stacks["normals"].shape[1], stacks["G"].shape[-1]
+    for c, ref in enumerate(reference):
+        assert (n_sides, n_loc) == (ref.n_sides, ref.n_loc)
         eps = np.finfo(float).eps
         from_delta = max(1e-13, eps * np.linalg.cond(ref.M_l))
-        for name in SHAPE_OPS_ATTRIBUTES:
-            got, want = getattr(ops, name), np.asarray(getattr(ref, name))
+        for name in STACK_NAMES:
+            got, want = stacks[name][c], np.asarray(getattr(ref, name))
             assert got.shape == want.shape, name
             assert not got.flags.writeable, name
             rtol = from_delta if name in FROM_DELTA else 1e-13
             np.testing.assert_allclose(
                 got, want, rtol=0, atol=rtol * np.abs(want).max(), err_msg=name
             )
-        delta = ops.delta.reshape(ref.B.shape)
+        delta = stacks["delta"][c].reshape(ref.B.shape)
         residual = np.abs(ref.M_l @ delta - ref.B).max()
         assert residual <= 1e-13 * np.abs(ref.M_l).sum(axis=1).max() * np.abs(delta).max()
         for name in ("Sxx", "Syy", "stab_unit"):
-            assert np.array_equal(getattr(ops, name), getattr(ops, name).T), name
-        assert ops.basis.degree == ref.basis.degree
-        assert ops.basis.scale == pytest.approx(ref.basis.scale, rel=1e-15)
-        np.testing.assert_array_equal(ops.basis.center, ref.basis.center)
+            assert np.array_equal(stacks[name][c], stacks[name][c].T), name
+        # the scale of the class's basis, the diameter h_T
+        assert stacks["h_T"][c] == pytest.approx(ref.basis.scale, rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -681,16 +682,17 @@ def test_projection_q0_values_are_the_long_double_solve(family):
 
 
 def test_operator_cache_survives_pickle_and_copy():
-    # a copy of a class view or an unpickled cache must still give the same
-    # operators, and an unknown name must raise
+    # an unpickled or copied cache must still give the same operators and
+    # classes, and an unknown name must raise
     cache = OperatorCache(build_uniform_triangular(2), WeakSpaceSignature(1, 1, 1))
-    ops = cache.shape_ops(0)
-    restored = pickle.loads(pickle.dumps(cache))
-    for other in (restored.shape_ops(0), copy.copy(ops), copy.deepcopy(ops)):
-        for name in SHAPE_OPS_ATTRIBUTES:
-            np.testing.assert_array_equal(getattr(other, name), getattr(ops, name))
-    with pytest.raises(AttributeError, match="no attribute 'Szz'"):
-        ops.Szz
+    for other in (pickle.loads(pickle.dumps(cache)), copy.copy(cache), copy.deepcopy(cache)):
+        assert sorted(other.stacks) == sorted(STACK_NAMES)
+        for name in STACK_NAMES:
+            np.testing.assert_array_equal(other.stacks[name], cache.stacks[name])
+        np.testing.assert_array_equal(other.class_ids, cache.class_ids)
+        np.testing.assert_array_equal(other.class_first, cache.class_first)
+    with pytest.raises(KeyError, match="Szz"):
+        cache.stacks["Szz"]
 
 
 @pytest.mark.parametrize("mesh", [jittered_interior(tri_8, 5), tri_16], ids=["jittered-tri-8", "tri-16"])
@@ -698,8 +700,23 @@ def test_class_first_is_the_first_element_of_each_class(mesh):
     # the stacks are built from class_first, and a pivot message names the
     # interior coefficients of the first element of a class
     cache = OperatorCache(mesh, WeakSpaceSignature(0, 0, 0))
-    expected = [np.flatnonzero(cache.class_ids == c)[0] for c in range(len(cache.class_ops))]
+    expected = [np.flatnonzero(cache.class_ids == c)[0] for c in range(cache.class_ids.max() + 1)]
     np.testing.assert_array_equal(cache.class_first, expected)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [build_uniform_triangular(4), build_uniform_rectangular(2), jittered_interior(tri_8, 5)],
+    ids=["tri-4", "rect-2", "jittered-tri-8"],
+)
+def test_class_ops_is_the_class_count_alias(mesh):
+    # perfbench/worker.py reports weakspace.n_classes as len(cache.class_ops);
+    # that alias of class_first is all that is left of the per-class views,
+    # and the class defines no other public name
+    cache = OperatorCache(mesh, WeakSpaceSignature(1, 1, 1))
+    assert len(cache.class_ops) == cache.class_first.size
+    assert cache.class_ops is cache.class_first
+    assert [name for name in vars(OperatorCache) if not name.startswith("_")] == ["class_ops"]
 
 
 @settings(max_examples=25, deadline=None)
@@ -715,14 +732,11 @@ def test_translated_mesh_gives_same_classes_and_operators(n, shift):
     moved = Mesh(base.vertices + np.array(shift), base.elements)
     sig = WeakSpaceSignature(1, 1, 1)
     ref, out = OperatorCache(base, sig), OperatorCache(moved, sig)
-    assert len(out.class_ops) == len(ref.class_ops)
+    assert out.class_first.size == ref.class_first.size
     assert np.array_equal(out.class_ids, ref.class_ids)
-    for a, b in zip(ref.class_ops, out.class_ops):
-        for name in ("Sxx", "stab_unit"):
-            expected = getattr(a, name)
-            np.testing.assert_allclose(
-                getattr(b, name), expected, rtol=0, atol=1e-12 * np.abs(expected).max()
-            )
+    for name in ("Sxx", "stab_unit"):
+        for expected, got in zip(ref.stacks[name], out.stacks[name]):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     # the unstabilized lowest-order family is singular wherever the mesh sits
     def one(p):
@@ -741,7 +755,7 @@ def test_weak_gradient_kernel_contains_constants():
         wf = project_Qh(lambda p: np.full(p.shape[0], 4.25), mesh, sig, cache=cache)
         for e in range(mesh.n_elements):
             vloc = wf.coeffs[cache.dofmap.element_dof_table[e]]
-            g = cache.shape_ops(e).G @ vloc
+            g = cache.stacks["G"][cache.class_ids[e]] @ vloc
             assert np.max(np.abs(g)) < 1e-10
 
 
@@ -754,8 +768,7 @@ def test_weak_gradient_reproduces_polynomial_gradient():
     wf = project_Qh(p, mesh, sig, cache=cache)
     dim_m = dim_pk(sig.m)
     for e in range(mesh.n_elements):
-        ops = cache.shape_ops(e)
-        g = ops.G @ wf.coeffs[cache.dofmap.element_dof_table[e]]
+        g = cache.stacks["G"][cache.class_ids[e]] @ wf.coeffs[cache.dofmap.element_dof_table[e]]
         centroid, diameter = mesh.element_centroids()[e], mesh.element_diameters()[e]
         rng = np.random.default_rng(e)
         pts = centroid + 0.03 * rng.standard_normal((8, 2))
@@ -779,7 +792,7 @@ def test_delta_vanishes_when_traces_match():
         wf = project_Qh(p, mesh, sig, cache=cache)
         for e in range(mesh.n_elements):
             vloc = wf.coeffs[cache.dofmap.element_dof_table[e]]
-            d = cache.shape_ops(e).delta @ vloc
+            d = cache.stacks["delta"][cache.class_ids[e]] @ vloc
             assert np.max(np.abs(d)) < 1e-10
 
 
@@ -792,11 +805,10 @@ def test_trace_operator_matches_edge_blocks():
     wf = project_Qh(lambda p: p[:, 0] + 2 * p[:, 1], mesh, sig, cache=cache)
     n0 = sig.interior_dim
     for e in range(mesh.n_elements):
-        ops = cache.shape_ops(e)
+        trace_ops = cache.stacks["trace_ops"][cache.class_ids[e]]
         v0 = wf.interior(e)
-        for side in range(ops.n_sides):
-            edge = mesh.element_edges[e, side]
-            np.testing.assert_allclose(ops.trace_ops[side] @ v0, wf.edge(edge), atol=1e-12)
+        for side, edge in enumerate(mesh.element_edges[e]):
+            np.testing.assert_allclose(trace_ops[side] @ v0, wf.edge(edge), atol=1e-12)
 
 
 def test_delta_closed_form_oracle():
@@ -805,15 +817,16 @@ def test_delta_closed_form_oracle():
     # delta = (3 - 6x - 6y, 6 - 6x - 12y).
     mesh = unit_right_triangle()
     sig = WeakSpaceSignature(1, 0, 1)
-    ops = OperatorCache(mesh, sig).shape_ops(0)
+    stacks = OperatorCache(mesh, sig).stacks
+    U, delta = stacks["U"][0], stacks["delta"][0]
     centroid, diameter = mesh.element_centroids()[0], mesh.element_diameters()[0]
     # x = xc + h X in monomial coefficients, U^-1 of them in the orthonormal basis
-    vloc = np.zeros(ops.n_loc)
-    vloc[:3] = np.linalg.solve(ops.U, [centroid[0], diameter, 0.0])
-    d = ops.delta @ vloc
+    vloc = np.zeros(delta.shape[-1])
+    vloc[:3] = np.linalg.solve(U, [centroid[0], diameter, 0.0])
+    d = delta @ vloc
     rng = np.random.default_rng(11)
     pts = np.array([1.0, 1.0]) * rng.random((12, 2)) * 0.4 + 0.05
-    V = ElementBasis(1, centroid, diameter).eval(pts) @ ops.U
+    V = ElementBasis(1, centroid, diameter).eval(pts) @ U
     np.testing.assert_allclose(V @ d[:3], 3 - 6 * pts[:, 0] - 6 * pts[:, 1], atol=1e-12)
     np.testing.assert_allclose(V @ d[3:], 6 - 6 * pts[:, 0] - 12 * pts[:, 1], atol=1e-12)
 
@@ -828,10 +841,9 @@ def test_weak_gradient_commutes_with_projection_spot():
     wf = project_Qh(phi, mesh, sig, cache=cache)
     dim_m = dim_pk(sig.m)
     for e in range(mesh.n_elements):
-        ops = cache.shape_ops(e)
-        g = ops.G @ wf.coeffs[cache.dofmap.element_dof_table[e]]
+        g = cache.stacks["G"][cache.class_ids[e]] @ wf.coeffs[cache.dofmap.element_dof_table[e]]
         # (phi_i, 1)_T = (phi_i, phi_0)_T / U[0, 0]: only coefficient 0 sees psi = 1
-        lhs = np.array([g[0], g[dim_m]]) / ops.U[0, 0]
+        lhs = np.array([g[0], g[dim_m]]) / interior_U(cache, e, 1)[0, 0]
         verts = mesh.vertices[mesh.elements[e]]
         pts, w = map_to_element(element_quadrature("triangle", 6), verts)
         rhs = np.array(
@@ -844,16 +856,14 @@ def test_build_local_weak_gradient_shapes_and_sharing():
     mesh = build_uniform_triangular(2)
     sig = WeakSpaceSignature(2, 1, 3)
     cache = OperatorCache(mesh, sig)
-    ops = cache.shape_ops(0)
+    stacks, n_classes = cache.stacks, cache.class_first.size
     dim_m, dim_l = dim_pk(sig.m), dim_pk(sig.ell)
     n_loc = sig.interior_dim + 3 * sig.edge_dim
-    assert ops.G.shape == (2 * dim_m, n_loc)
-    assert ops.delta.shape == (2 * dim_l, n_loc)
-    # translated copies of the same shape share one operator bundle
+    assert stacks["G"].shape == (n_classes, 2 * dim_m, n_loc)
+    assert stacks["delta"].shape == (n_classes, 2 * dim_l, n_loc)
+    # translated copies of the same shape share one class and so one operator entry
     same = [e for e in range(mesh.n_elements) if cache.class_ids[e] == cache.class_ids[0]]
     assert len(same) == 4
-    for e in same:
-        assert cache.shape_ops(e) is ops
 
 
 # ---------------------------------------------------------- graded rules
@@ -1008,8 +1018,13 @@ def test_project_q0_graded_override_matches_plain_for_polynomials():
         ((0.0, np.nan), 0.5),
         ((0.0, 0.0), -1.0),
         ((0.0, 0.0), np.inf),
+        ((0.0, 0.0), "0.5"),
+        ((0.0, 0.0), True),
     ],
-    ids=["zero-strength", "nan-strength", "3d-point", "nan-point", "negative-strength", "inf-strength"],
+    ids=[
+        "zero-strength", "nan-strength", "3d-point", "nan-point", "negative-strength",
+        "inf-strength", "str-strength", "bool-strength",
+    ],
 )
 def test_bad_singularity_is_rejected_by_every_caller(singularity):
     # before the check these raised ZeroDivisionError, a NaN-to-integer or a
