@@ -65,15 +65,6 @@ _OMEGA = 0.7  # block-Jacobi damping; 2 omega scales the l1-Jacobi sweeps
 # coarsening that to 345 raises (2,1,3) rho = 0 rect 4 from 10 to 14 CG
 # iterations (case cospi_cospi; 10 to 15 with load sin(x + 2y), data xy).
 _COARSEST_LU = 2048
-# compare-exchange networks that sort the 5 (triangles) or 7 (parallelograms)
-# positions of a block row; each sorts all 2^5 or 2^7 inputs of zeros and ones
-_SORTING_NETWORKS = {
-    5: ((0, 3), (1, 4), (0, 2), (1, 3), (0, 1), (2, 4), (1, 2), (3, 4), (2, 3)),
-    7: (
-        (0, 6), (2, 3), (4, 5), (0, 2), (1, 4), (3, 6), (0, 1), (2, 5),
-        (3, 4), (1, 2), (4, 6), (2, 3), (4, 5), (1, 2), (3, 4), (5, 6),
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -154,12 +145,13 @@ class GlobalSystem:
     A x = b, A of shape (n_free, n_free), is the SPD system left after
     eliminating, element by element, the interior and boundary edge
     coefficients; x holds the coefficients at the global indices free, the
-    interior edges' coefficients in ascending order.  A is a canonical CSR
-    matrix with int32 indices, converted once from the block pattern that
+    interior edges' coefficients in ascending order.  A is CSR with int32
+    indices and no duplicates, converted once from the block pattern that
     the mesh fixes: block row i, of edge_dim rows, is the i-th interior edge,
     and its column blocks are that edge and the other sides of its two
-    elements.  C[e] = K00^-1 K0b, of shape (n_elements, n0, n_loc - n0),
-    and y[e] = K00^-1 F0, of shape (n_elements, n0), are element e's, so
+    elements, in mesh order and not sorted (not canonical CSR).
+    C[e] = K00^-1 K0b, of shape (n_elements, n0, n_loc - n0), and
+    y[e] = K00^-1 F0, of shape (n_elements, n0), are element e's, so
     u0 = y - C ub recovers the interior coefficients,
     cache.dofmap.interiors, from the edge coefficients ub.  The boundary
     edge coefficients cache.dofmap.boundary_dofs take dirichlet_values; the
@@ -341,13 +333,13 @@ def _condensed_matrix(mesh: Mesh, S, rows) -> sp.csr_matrix:
     blocks of nb * nb: block (p, q) goes to the slot of side q in the row of
     side p.  An off-diagonal block of A belongs to one element, since two
     elements sharing two edges would traverse one of them twice in the same
-    direction, which Mesh rejects; so it is assigned.  A diagonal block sums
-    the two elements of its edge, which hold it with opposite signs: one +=
-    per sign has distinct targets.  The block matrix is canonical as built.
+    direction, which Mesh rejects; so it is assigned.  So is a diagonal
+    block, the first of its row: the sum of its edge's two elements.  A's
+    column indices keep the pattern's mesh order within each row.
     """
     n_sides = mesh.element_edges.shape[1]
     nb = S.shape[-1] // n_sides
-    indptr, indices, own, other, slot = _block_pattern(mesh)
+    indptr, indices, pair, other, slot = _block_pattern(mesh)
     blocks = S.reshape(-1, n_sides, nb, n_sides, nb).swapaxes(2, 3)
     blocks = blocks.reshape(-1, n_sides, n_sides, nb * nb)
     # the side pairs (p, (p + d) mod n), d = 1, ..., n - 1, in the order of the
@@ -358,9 +350,7 @@ def _condensed_matrix(mesh: Mesh, S, rows) -> sp.csr_matrix:
     after = np.arange(n_sides - 1, dtype=other.dtype)
     data[slot[other[:, :, None] + after]] = np.take(blocks[:, p_side, q_side], rows, axis=0)
     diagonal = np.take(blocks[:, p_side[:, 0], p_side[:, 0]], rows, axis=0).reshape(-1, nb * nb)
-    signs = mesh.element_edge_signs.ravel()
-    for sides in (np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)):
-        data[slot[own.ravel()[sides]]] += diagonal[sides]
+    data[indptr[:-1]] = diagonal[pair[:, 0]] + diagonal[pair[:, 1]]
     m = (indptr.size - 1) * nb
     return sp.bsr_matrix((data[:-1].reshape(-1, nb, nb), indices, indptr), shape=(m, m)).tocsr()
 
@@ -370,18 +360,17 @@ def _block_pattern(mesh: Mesh):
 
     Interior edge E is block row (and column) i of A, i its rank among the
     interior edges.  E couples only to the other sides of its two elements,
-    so its row has 2 n - 1 positions, n the number of sides: E itself, then
-    the sides p + 1, ..., p + n - 1 (mod n) of edge_elements[E, 0], whose
-    side p is E, then those of edge_elements[E, 1] likewise.  Each row's
-    positions are sorted by column once, and boundary rows and columns are
-    dropped by one compaction.
+    so its row has 2 n - 1 positions, n the number of sides, kept in mesh
+    order: E itself, then the sides p + 1, ..., p + n - 1 (mod n) of
+    edge_elements[E, 0], whose side p is E, then those of edge_elements[E, 1]
+    likewise.  One compaction drops the boundary rows and columns.
 
-    Returns (indptr, indices, own, other, slot).  indptr and indices are the
-    compacted block pattern, sorted within each row, so a block matrix with
-    its blocks in pattern order is canonical as built.  own and other are
-    shaped like mesh.element_edges: for side p of element t, own[t, p] is
-    the position of the diagonal block in that side's row, and
-    other[t, p] + d - 1 the position of side (p + d) mod n.  slot maps a
+    Returns (indptr, indices, pair, other, slot).  indptr and indices are the
+    compacted block pattern; block row i starts at indptr[i] with column i.
+    pair[i] holds the element sides t * n + p that are the i-th interior
+    edge, that of edge_elements[E, 0] first.  other is shaped like
+    mesh.element_edges: other[t, p] + d - 1 is the position of side
+    (p + d) mod n of element t in the row of its side p.  slot maps a
     position to its block of the compacted pattern; positions of boundary
     rows or columns map to indices.size, one past the last block.
     """
@@ -397,35 +386,19 @@ def _block_pattern(mesh: Mesh):
     # owner[E, c]: the element side t * n + p that is E, t = edge_elements[E, c]
     owner = np.empty(2 * mesh.n_edges, dtype=np.int64)
     owner[2 * mesh.element_edges.ravel() + descending.ravel()] = np.arange(sides.size)
+    pair = owner.reshape(-1, 2)[interior]
     # later[t * n + p]: the blocks of sides p + 1, ..., p + n - 1 (mod n) of element t
     later = sides[:, (np.arange(n)[:, None] + np.arange(1, n)) % n].reshape(-1, n - 1)
-    others = np.take(later, owner.reshape(-1, 2)[interior], axis=0)
-    # key[j, i] = (column << shift) | j for position j of row i: unique within
-    # a row and keeping j; the dropped column m gives the keys from dropped
-    # on, which sort last
-    shift = width.bit_length()
-    dropped = m << shift
-    key = np.empty((width, m), dtype=np.int32)
-    key[0] = np.arange(m, dtype=np.int32)
-    key[1:] = others.reshape(m, width - 1).T
-    key <<= shift
-    key |= np.arange(width, dtype=np.int32)[:, None]
-    ranked = list(key)  # ranked[r][i] becomes the r-th smallest key of row i
-    for a, b in _SORTING_NETWORKS[width]:
-        ranked[a], ranked[b] = np.minimum(ranked[a], ranked[b]), np.maximum(ranked[a], ranked[b])
-    # the kept positions of a sorted row come first: row i's blocks are the
-    # first indptr[i + 1] - indptr[i], numbered on from indptr[i]
+    cols = np.empty((m, width), dtype=np.int32)  # column m: a boundary side, dropped
+    cols[:, 0] = np.arange(m, dtype=np.int32)
+    cols[:, 1:] = np.take(later, pair, axis=0).reshape(m, width - 1)
+    kept = cols < m
     indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(sum(k < dropped for k in ranked), out=indptr[1:])
-    key = np.stack(ranked, axis=1)
-    kept = key < dropped
-    # position[i, r]: the position i * width + j whose key is key[i, r]
-    position = np.arange(0, m * width, width)[:, None] + (key & (1 << shift) - 1)
+    np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
     slot = np.full((m + 1) * width, indptr[-1], dtype=np.int32)
-    slot[position[kept]] = np.arange(indptr[-1], dtype=np.int32)
-    own = sides * width
-    other = own + 1 + (n - 1) * descending.astype(np.int32)
-    return indptr, key[kept] >> shift, own, other, slot
+    slot[np.flatnonzero(kept)] = np.arange(indptr[-1], dtype=np.int32)
+    other = sides * width + 1 + (n - 1) * descending.astype(np.int32)
+    return indptr, cols[kept], pair, other, slot
 
 
 def _preconditioner(system: GlobalSystem):

@@ -72,6 +72,8 @@ class ElementBasis:
         check_integer(degree, "degree")
         self.degree = degree
         self.center = np.asarray(center, dtype=float)
+        if self.center.shape != (2,) or not np.isfinite(self.center).all():
+            raise ValueError(f"center must be a finite point of shape (2,), got {center!r}")
         self.scale = float(scale)
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and > 0, got {scale!r}")
@@ -277,7 +279,8 @@ def map_to_edge(rule: QuadratureRule, p0, p1):
     """Map an edge rule onto the segments p0 -> p1, p0 and p1 of shape (..., 2).
 
     Returns (points (..., n, 2), weights (..., n) summing to each segment's
-    length, t (n,)), t the reference coordinates (t = -1 at p0, t = +1 at p1).
+    length); rule.points are the reference coordinates, t = -1 at p0 and
+    t = +1 at p1.
     """
     p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
     axes = (-1, *range(p0.ndim - 1))  # x and y on a leading axis, as in map_to_element
@@ -292,7 +295,7 @@ def map_to_edge(rule: QuadratureRule, p0, p1):
     for e in (slice(s, s + step) for s in range(0, out.shape[-1], step)):
         np.add(m[:, e], t[:, None, None] * h[:, e], out=out[..., e])
     length = np.sqrt(half[0] * half[0] + half[1] * half[1])  # |half|, as np.linalg.norm sums it
-    return pts, rule.weights * length[..., None], t
+    return pts, rule.weights * length[..., None]
 
 
 def _corner_split(v: np.ndarray) -> np.ndarray:
@@ -327,7 +330,7 @@ def graded_rule(verts, corner: int, d: int, depth: int):
     # the children without the corner, then the cell itself
     cells = np.concatenate([_corner_split(cell)[1:], cell[None]])
     if len(cell) == 2:
-        pts, w, _ = map_to_edge(edge_quadrature(d), cells[:, 0], cells[:, 1])
+        pts, w = map_to_edge(edge_quadrature(d), cells[:, 0], cells[:, 1])
         dim = 1
     else:
         shape = "triangle" if len(cell) == 3 else "rectangle"

@@ -181,7 +181,7 @@ def _shape_stacks(shape: str, X, Y, signs, signature: WeakSpaceSignature) -> dic
     # each side's edge rule in the canonical direction: its ends swapped where signs < 0
     forward = signs > 0
     ends = np.where(forward, Z, Z1), np.where(forward, Z1, Z)
-    edge_pts, edge_w, _ = map_to_edge(edge_rule, *(p.transpose(1, 2, 0) for p in ends))
+    edge_pts, edge_w = map_to_edge(edge_rule, *(p.transpose(1, 2, 0) for p in ends))
 
     # the scaled basis of degree max(k, m) at the element and then the edge
     # points, x and y on a leading axis as the maps store them
@@ -371,17 +371,23 @@ def _touching(mesh: Mesh, cells: np.ndarray, singularity):
     """Rows of cells (vertex index arrays) with a vertex at the singular point.
 
     Returns (rows, local index of that vertex); both empty without a singularity.
-    ValueError unless the point is a finite (x, y) and the strength finite and > 0.
+    ValueError unless singularity is a pair, its point a finite (x, y) and its
+    strength finite and > 0.
     """
     if singularity is None:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    point, strength = np.asarray(singularity[0], dtype=float), singularity[1]
+    message = (
+        f"singularity must pair a finite point (x, y) with a finite strength > 0, "
+        f"got {singularity!r}"
+    )
+    try:
+        point, strength = singularity
+    except (TypeError, ValueError):  # a bare number, or not two entries
+        raise ValueError(message) from None
+    point = np.asarray(point, dtype=float)
     check_real(strength, "singularity strength")
     if point.shape != (2,) or not np.isfinite(point).all() or not 0.0 < strength < np.inf:
-        raise ValueError(
-            f"singularity must pair a finite point (x, y) with a finite strength > 0, "
-            f"got {singularity!r}"
-        )
+        raise ValueError(message)
     hit = np.linalg.norm(mesh.vertices[cells] - point, axis=2) < _VERTEX_TOL
     rows = np.nonzero(hit.any(axis=1))[0]
     return rows, hit[rows].argmax(axis=1)
@@ -461,7 +467,7 @@ def _edge_projection(cache: OperatorCache, fn, edges, singularity=None) -> np.nd
     degree = max(2 * j, j + 4)  # exactness of both the plain and the graded rule
     rule, eb = edge_quadrature(degree), EdgeBasis(j)
     ends = mesh.vertices[mesh.edges[edges]]
-    pts, _, _ = map_to_edge(rule, ends[:, 0], ends[:, 1])
+    pts, _ = map_to_edge(rule, ends[:, 0], ends[:, 1])
     values = _values(fn, pts.reshape(-1, 2)).reshape(edges.size, -1)
     # Legendre coefficients on the reference edge [-1, 1]
     out = ((values * rule.weights) @ eb.eval(rule.points)) / eb.mass_diagonal(2.0)

@@ -98,11 +98,11 @@ def brute_local_matrices(mesh, e, sig, a_mat=None):
         p, q = verts[side], verts[(side + 1) % nv]
         if mesh.element_edge_signs[e][side] < 0:
             p, q = q, p
-        pts, ew, t = map_to_edge(edge_rule, p, q)
+        pts, ew = map_to_edge(edge_rule, p, q)
         length = float(np.linalg.norm(q - p))
         d = verts[(side + 1) % nv] - verts[side]
         normal = np.array([d[1], -d[0]]) / np.linalg.norm(d)
-        side_data.append((pts, ew, t, length, normal))
+        side_data.append((pts, ew, edge_rule.points, length, normal))
 
     def jump_values(c):
         """(Qb v0 - vb) sampled at the quadrature points of every side."""
@@ -193,10 +193,10 @@ def brute_global_system(mesh, sig, params, f, g):
     dirichlet = np.zeros(bedges.size * nb)
     for pos, edge in enumerate(bedges):
         p0, p1 = mesh.vertices[mesh.edges[edge]]
-        pts, ew, t = map_to_edge(rule, p0, p1)
+        pts, ew = map_to_edge(rule, p0, p1)
         length = float(np.linalg.norm(p1 - p0))
         vals = g(pts)
-        leg = edge_basis.eval(t)
+        leg = edge_basis.eval(rule.points)
         for r in range(nb):
             dirichlet[pos * nb + r] = (ew * vals * leg[:, r]).sum() / (
                 length / (2 * r + 1)
@@ -571,11 +571,13 @@ def _per_element_tensors(n_elements):
 def test_block_pattern_gives_the_coo_sum_bit_for_bit(mesh, element, params):
     # the block pattern and its scatter must give exactly the matrix that
     # summing every element's triplets gives: each diagonal entry takes two
-    # contributions and every other entry one, so no rounding can differ
+    # contributions and every other entry one, so no rounding can differ.
+    # A keeps its rows in mesh order; sorted, it is the canonical COO sum,
+    # which also rules out duplicate entries
     system = assemble(mesh, WeakSpaceSignature(*element), params, _f, _g)
     reference = _coo_sum(system, params)
-    A = system.A
-    assert isinstance(A, sp.csr_matrix) and A.has_canonical_format
+    assert isinstance(system.A, sp.csr_matrix)
+    A = system.A.sorted_indices()
     for got, want in ((A.indptr, reference.indptr), (A.indices, reference.indices)):
         assert got.dtype == want.dtype == np.int32
         assert np.array_equal(got, want)
@@ -606,15 +608,6 @@ def test_condensed_matrix_is_exactly_symmetric(mesh, element, params):
     assert (A != A.T).nnz == 0
 
 
-@pytest.mark.parametrize("width", [5, 7])
-def test_sorting_network_sorts_every_input_of_zeros_and_ones(width):
-    # a compare-exchange network that sorts every 0/1 input sorts every input
-    x = list((np.arange(2**width) >> np.arange(width)[:, None]) & 1)
-    for a, b in assembly._SORTING_NETWORKS[width]:
-        x[a], x[b] = np.minimum(x[a], x[b]), np.maximum(x[a], x[b])
-    assert np.all(np.diff(np.stack(x), axis=0) >= 0)
-
-
 @pytest.mark.parametrize(
     "mesh",
     [build_uniform_triangular(4), build_uniform_rectangular(1), _renumbered_tri(8)],
@@ -622,14 +615,16 @@ def test_sorting_network_sorts_every_input_of_zeros_and_ones(width):
 )
 def test_block_pattern_is_sorted_and_each_off_diagonal_block_has_one_element(request, mesh):
     # assemble assigns the off-diagonal blocks, right only when each is reached
-    # by exactly one (element, p, q != p) over the whole mesh; it adds the
-    # diagonal blocks with one += per edge sign over all sides, right only
-    # when each diagonal block is reached once with each sign; and it builds
-    # the CSR matrix with no sort, right only when each row's columns increase
-    indptr, indices, own, other, slot = assembly._block_pattern(mesh)
+    # by exactly one (element, p, q != p) over the whole mesh; it writes each
+    # diagonal block as the first block of its row, the sum of the two sides
+    # in pair, right only when each row starts with its own column and holds
+    # no column twice, and pair holds each interior side once, by edge sign
+    indptr, indices, pair, other, slot = assembly._block_pattern(mesh)
     m = indptr.size - 1
     for i in range(m):
-        assert np.all(np.diff(indices[indptr[i] : indptr[i + 1]]) > 0)
+        row = indices[indptr[i] : indptr[i + 1]]
+        assert row[0] == i
+        assert np.unique(row).size == row.size
     block = np.full(mesh.n_edges, -1)
     block[~mesh.boundary_edge] = np.arange(m)
     block_row = np.repeat(np.arange(m), np.diff(indptr))
@@ -637,29 +632,52 @@ def test_block_pattern_is_sorted_and_each_off_diagonal_block_has_one_element(req
     if request.node.callspec.id == "renumbered":
         assert len({tuple(s) for s in mesh.element_edge_signs}) == 6
     reached = np.zeros(indices.size, dtype=int)
-    diagonal = {1: np.zeros(indices.size, dtype=int), -1: np.zeros(indices.size, dtype=int)}
     for p in range(n):
-        for q in range(n):
-            d = (q - p) % n
-            target = slot[own[:, p] if d == 0 else other[:, p] + d - 1]
+        for d in range(1, n):
+            target = slot[other[:, p] + d - 1]
             row = block[mesh.element_edges[:, p]]
-            col = block[mesh.element_edges[:, q]]
+            col = block[mesh.element_edges[:, (p + d) % n]]
             live = (row >= 0) & (col >= 0)
             assert np.all(target[~live] == indices.size)
             assert np.array_equal(block_row[target[live]], row[live])
             assert np.array_equal(indices[target[live]], col[live])
-            if d == 0:
-                for sign, count in diagonal.items():
-                    one_sign = target[live & (mesh.element_edge_signs[:, p] == sign)]
-                    count += np.bincount(one_sign, minlength=indices.size)
-            else:
-                reached += np.bincount(target[live], minlength=indices.size)
+            reached += np.bincount(target[live], minlength=indices.size)
     off_diagonal = indices != block_row
     assert np.all(reached[off_diagonal] == 1)
     assert np.all(reached[~off_diagonal] == 0)
-    for count in diagonal.values():
-        assert np.all(count[~off_diagonal] == 1)
-        assert np.all(count[off_diagonal] == 0)
+    # each diagonal block is reached once with each sign, through pair
+    sides, signs = mesh.element_edges.ravel(), mesh.element_edge_signs.ravel()
+    for column, sign in enumerate((1, -1)):
+        assert np.array_equal(block[sides[pair[:, column]]], np.arange(m))
+        count = np.bincount(pair[:, column], minlength=sides.size)
+        interior_side = (block[sides] >= 0) & (signs == sign)
+        assert np.all(count[interior_side] == 1)
+        assert np.all(count[~interior_side] == 0)
+
+
+@pytest.mark.parametrize(
+    "mesh,element,params",
+    [
+        (build_uniform_triangular(16), (3, 4, 4), SchemeParameters()),
+        (build_uniform_rectangular(3), (2, 1, 3), SchemeParameters(rho=0.0)),
+    ],
+    ids=["tri-3-4-4", "rect-2-1-3-rho0"],
+)
+def test_solve_keeps_the_mesh_ordered_matrix_and_matches_the_sorted_one(mesh, element, params):
+    # A's rows are in mesh order, not sorted: solve must read it as it is,
+    # with no scipy call sorting it in place, and the canonical matrix must
+    # give the same solution up to the order of the matvec sums
+    system = assemble(mesh, WeakSpaceSignature(*element), params, _f, _g)
+    A = system.A
+    before = [a.copy() for a in (A.indptr, A.indices, A.data)]
+    u_h = solve(system)
+    for got, want in zip((A.indptr, A.indices, A.data), before):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    assert not A.has_canonical_format
+    canonical = solve(dataclasses.replace(system, A=A.sorted_indices()))
+    difference = np.linalg.norm(canonical.coeffs - u_h.coeffs)
+    assert difference <= 1e-12 * np.linalg.norm(u_h.coeffs)
 
 
 @pytest.mark.parametrize("shape", ["tri", "rect"])

@@ -249,6 +249,17 @@ def test_element_basis_scale_must_be_finite_and_positive(scale):
     assert str(err.value) == f"scale must be finite and > 0, got {scale!r}"
 
 
+@pytest.mark.parametrize(
+    "center", [(np.nan, 0.0), (0.0, np.inf), (0.0, 0.0, 0.0)], ids=["nan", "inf", "3-entry"]
+)
+def test_element_basis_center_must_be_a_finite_point(center):
+    # a NaN center once evaluated to NaN values, and a 3-entry one failed only
+    # later with a broadcast error
+    with pytest.raises(ValueError) as err:
+        ElementBasis(1, center, 1.0)
+    assert str(err.value) == f"center must be a finite point of shape (2,), got {center!r}"
+
+
 def test_degrees_accept_numpy_integers():
     assert element_quadrature("triangle", np.int64(4)).weights.size == 6
     assert edge_quadrature(np.int32(3)).weights.size == 2
@@ -306,10 +317,10 @@ def test_map_to_element_on_a_stack_is_each_cell_and_the_broadcast_formula_bit_fo
 def test_map_to_edge():
     rule = edge_quadrature(5)
     p0, p1 = np.array([0.25, 0.0]), np.array([0.25, 2.0])
-    pts, w, t = map_to_edge(rule, p0, p1)
+    pts, w = map_to_edge(rule, p0, p1)
     assert abs(w.sum() - 2.0) <= 1e-14
     np.testing.assert_allclose(pts[:, 0], 0.25)
-    np.testing.assert_allclose(pts[:, 1], 1.0 + t)
+    np.testing.assert_allclose(pts[:, 1], 1.0 + rule.points)
 
 
 @pytest.mark.parametrize("degree", [1, 4, 9])
@@ -331,13 +342,12 @@ def test_map_to_edge_points_and_weights_are_the_broadcast_formulas_bit_for_bit(d
     ]:
         mid = (p0[..., None, :] + p1[..., None, :]) / 2.0
         half = (p1[..., None, :] - p0[..., None, :]) / 2.0
-        pts, w, t = map_to_edge(rule, p0, p1)
+        pts, w = map_to_edge(rule, p0, p1)
         assert pts.shape == p0.shape[:-1] + (rule.points.size, 2)
         expected = mid + rule.points[:, None] * half
         assert np.array_equal(pts.view(np.uint64), expected.view(np.uint64))
         expected = rule.weights * np.linalg.norm(half, axis=-1)
         assert np.array_equal(w.view(np.uint64), expected.view(np.uint64))
-        assert t is rule.points
 
 
 def test_edge_mass_diagonal():

@@ -425,7 +425,7 @@ class ReferenceShapeOps:
             p, q = rel_verts[side], rel_verts[(side + 1) % n_sides]
             if canon_flags[side] < 0:
                 p, q = q, p
-            pts, ew, _ = map_to_edge(edge_rule, p, q)
+            pts, ew = map_to_edge(edge_rule, p, q)
             V_side = self.basis.eval(pts) @ self.U
             D = self.edge_mass[side]
             T_e = (E.T @ (ew[:, None] * V_side[:, :n0])) / D[:, None]
@@ -641,7 +641,7 @@ def test_delta_is_the_long_double_solve_on_a_jittered_mesh():
     after = np.roll(rel, -1, axis=1)
     forward = (mesh.element_edge_signs[cache.class_first] > 0)[..., None]
     edge_rule = edge_quadrature(2 * max(signature.k, signature.j, signature.ell))
-    pts, w, _ = map_to_edge(edge_rule, np.where(forward, rel, after), np.where(forward, after, rel))
+    pts, w = map_to_edge(edge_rule, np.where(forward, rel, after), np.where(forward, after, rel))
     E = EdgeBasis(signature.j).eval(edge_rule.points).astype(np.longdouble)
     P = np.einsum("csqi,csq,qa->csia", _monomials_ld(pts, h[:, None, None], signature.ell), w, E)
     B = np.einsum("csd,csia->cdisa", stacks["normals"], P).reshape(len(h), 2, dim_l, -1)
@@ -946,7 +946,7 @@ def _per_child_graded_rule(verts, corner, d, depth):
 
     def mapped(child):
         if len(child) == 2:
-            return map_to_edge(edge_quadrature(d), child[0], child[1])[:2]
+            return map_to_edge(edge_quadrature(d), child[0], child[1])
         return map_to_element(element_quadrature("triangle", d), child)
 
     rules = [mapped(child) for child in outer]
@@ -1020,16 +1020,20 @@ def test_project_q0_graded_override_matches_plain_for_polynomials():
         ((0.0, 0.0), np.inf),
         ((0.0, 0.0), "0.5"),
         ((0.0, 0.0), True),
+        ((0.0, 0.0),),
+        0.5,
+        ((0.0, 0.0), 0.5, 1),
     ],
     ids=[
         "zero-strength", "nan-strength", "3d-point", "nan-point", "negative-strength",
-        "inf-strength", "str-strength", "bool-strength",
+        "inf-strength", "str-strength", "bool-strength", "one-entry", "bare-number", "triple",
     ],
 )
 def test_bad_singularity_is_rejected_by_every_caller(singularity):
-    # before the check these raised ZeroDivisionError, a NaN-to-integer or a
-    # broadcast error, or graded silently: a NaN point matched no vertex, and
-    # a strength of -1 or inf took the minimum depth of 4
+    # before the check these raised ZeroDivisionError, a NaN-to-integer, a
+    # broadcast, an IndexError or a TypeError, or graded silently: a NaN point
+    # matched no vertex, a strength of -1 or inf took the minimum depth of 4,
+    # and a triple's third entry was ignored
     mesh, signature = build_uniform_triangular(4), WeakSpaceSignature(1, 1, 0)
     case = dataclasses.replace(lowreg_case(0.5), singularity=singularity)
     with pytest.raises(ValueError, match="singularity"):
