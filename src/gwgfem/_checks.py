@@ -20,8 +20,11 @@ def check_real(value, name: str) -> None:
 
 
 def real_array(value, name: str) -> np.ndarray:
-    """np.asarray(value, dtype=float), but ValueError naming `name` if value is complex."""
-    array = np.asarray(value)
-    if np.iscomplexobj(array):
-        raise ValueError(f"{name} must be real, got {array.dtype}")
-    return array.astype(float, copy=False)
+    """np.asarray(value, dtype=float), but ValueError naming `name` unless value is real numbers."""
+    try:
+        array = np.asarray(value)
+        if not np.iscomplexobj(array):
+            return array.astype(float, copy=False)
+    except (TypeError, ValueError):  # strings, or entries of no common shape
+        raise ValueError(f"{name} must be real numbers, got {value!r}") from None
+    raise ValueError(f"{name} must be real, got {array.dtype}")

@@ -9,8 +9,12 @@ edges such that
 
 for all v in the homogeneous weak space.  The interior coefficients u0 of
 an element couple only to that element's edge coefficients, so assemble
-eliminates them element by element (static condensation).  solve runs
-conjugate gradients on the SPD system left on the free edge coefficients,
+eliminates them element by element (static condensation).  The system
+left on the free edge coefficients is kept in block (BSR) storage, one
+block per pair of coupled edges, when its edge blocks are 3 x 3 or larger
+(_BSR_MIN_BLOCK), and in CSR below that, where BSR's A @ x is slower (1.7x
+at 2 x 2); A.tocsr() is the same CSR matrix either way.  solve runs
+conjugate gradients on that SPD system,
 preconditioned by one auxiliary-space V-cycle (see _preconditioner), then
 recovers u0 element by element.  rho = 0 (no stabilizer) is admitted;
 whether the resulting system is solvable then depends on the degree family,
@@ -65,6 +69,19 @@ _OMEGA = 0.7  # block-Jacobi damping; 2 omega scales the l1-Jacobi sweeps
 # coarsening that to 345 raises (2,1,3) rho = 0 rect 4 from 10 to 14 CG
 # iterations (case cospi_cospi; 10 to 15 with load sin(x + 2y), data xy).
 _COARSEST_LU = 2048
+# smallest edge block size nb at which A stays in block (BSR) storage; below
+# it A is converted to CSR.  One A @ x, BSR against the CSR it converts to
+# (timeit minima, 2-core host, scipy 1.17.1):
+#   nb = 1, (0,0,0) tri 128: 0.171 against 0.164 ms
+#   nb = 2, (2,1,3) rect 64: 0.086 against 0.049 ms; (1,1,1) tri 64: 0.258 against 0.168
+#   nb = 3, (1,2,2) tri 64:  0.382 against 0.368 ms
+#   nb = 4, (2,3,3) tri 32:  0.121 against 0.141 ms
+#   nb = 5, (3,4,4) tri 32:  0.200 against 0.222 ms
+# From nb = 3 on, BSR also skips the conversion (0.35-0.75 ms at these
+# sizes) and reads D as blocks, and the preconditioner set-up plus CG tie
+# at nb = 3 (15.3 + 32.9 against 15.3 + 34.0 ms, medians of 9) and win at
+# nb = 4 and 5 (6.3 + 13.9 against 7.4 + 14.0; 6.7 + 18.2 against 8.6 + 18.9)
+_BSR_MIN_BLOCK = 3
 
 
 @dataclass(frozen=True)
@@ -145,11 +162,15 @@ class GlobalSystem:
     A x = b, A of shape (n_free, n_free), is the SPD system left after
     eliminating, element by element, the interior and boundary edge
     coefficients; x holds the coefficients at the global indices free, the
-    interior edges' coefficients in ascending order.  A is CSR with int32
-    indices and no duplicates, converted once from the block pattern that
-    the mesh fixes: block row i, of edge_dim rows, is the i-th interior edge,
-    and its column blocks are that edge and the other sides of its two
-    elements, in mesh order and not sorted (not canonical CSR).
+    interior edges' coefficients in ascending order.  A is built on the
+    block pattern that the mesh fixes: block row i, of nb = edge_dim rows,
+    is the i-th interior edge, and its column blocks are that edge and the
+    other sides of its two elements, in mesh order and not sorted (not
+    canonical).  For nb >= _BSR_MIN_BLOCK = 3, A is that block matrix, a
+    bsr_matrix with blocksize (nb, nb); for nb <= 2 it is converted once to
+    CSR, since BSR's A @ x is slower there (1.7x at 2 x 2).  Either way
+    A.tocsr() is the same CSR matrix bit for bit, with int32 indices and no
+    duplicates.
     C[e] = K00^-1 K0b, of shape (n_elements, n0, n_loc - n0), and
     y[e] = K00^-1 F0, of shape (n_elements, n0), are element e's, so
     u0 = y - C ub recovers the interior coefficients,
@@ -158,7 +179,7 @@ class GlobalSystem:
     mesh, signature and dof map are those of cache.
     """
 
-    A: sp.csr_matrix
+    A: sp.csr_matrix | sp.bsr_matrix
     b: np.ndarray
     C: np.ndarray
     y: np.ndarray
@@ -326,7 +347,7 @@ def assemble(
     return GlobalSystem(A, b, C, y, free, known[dm.boundary_dofs], cache)
 
 
-def _condensed_matrix(mesh: Mesh, S, rows) -> sp.csr_matrix:
+def _condensed_matrix(mesh: Mesh, S, rows) -> sp.csr_matrix | sp.bsr_matrix:
     """A, the sum of every element's Schur complement S[rows[e]] on _block_pattern(mesh).
 
     S (R, n nb, n nb), n sides of nb edge coefficients, is taken as (n, n)
@@ -335,7 +356,9 @@ def _condensed_matrix(mesh: Mesh, S, rows) -> sp.csr_matrix:
     elements sharing two edges would traverse one of them twice in the same
     direction, which Mesh rejects; so it is assigned.  So is a diagonal
     block, the first of its row: the sum of its edge's two elements.  A's
-    column indices keep the pattern's mesh order within each row.
+    column indices keep the pattern's mesh order within each row.  A is
+    returned as that bsr_matrix of (nb, nb) blocks for nb >= _BSR_MIN_BLOCK
+    and converted to CSR below it; the CSR is the BSR's .tocsr().
     """
     n_sides = mesh.element_edges.shape[1]
     nb = S.shape[-1] // n_sides
@@ -352,7 +375,8 @@ def _condensed_matrix(mesh: Mesh, S, rows) -> sp.csr_matrix:
     diagonal = np.take(blocks[:, p_side[:, 0], p_side[:, 0]], rows, axis=0).reshape(-1, nb * nb)
     data[indptr[:-1]] = diagonal[pair[:, 0]] + diagonal[pair[:, 1]]
     m = (indptr.size - 1) * nb
-    return sp.bsr_matrix((data[:-1].reshape(-1, nb, nb), indices, indptr), shape=(m, m)).tocsr()
+    A = sp.bsr_matrix((data[:-1].reshape(-1, nb, nb), indices, indptr), shape=(m, m))
+    return A if nb >= _BSR_MIN_BLOCK else A.tocsr()
 
 
 def _block_pattern(mesh: Mesh):
@@ -408,7 +432,12 @@ def _preconditioner(system: GlobalSystem):
     and Ye (2015).  Level 0 is the edge system A itself, smoothed by one
     sweep of damped block Jacobi, omega D^-1 with D the per-edge diagonal
     blocks: omega L^-T L^-1 from the inverse Cholesky factors, written
-    straight into block-diagonal CSR.  Its transfer P (_edge_transfer) maps
+    straight into block-diagonal CSR.  D is read as whole blocks from a BSR
+    A with blocksize (nb, nb), as assemble gives for nb >= _BSR_MIN_BLOCK:
+    the block of each block row whose column is that row, summed if the
+    row holds it more than once.  From any other A, such as the CSR of
+    nb <= 2 or a caller's replacement, D is sampled entry by entry.  A R is
+    kept as CSR.  Its transfer P (_edge_transfer) maps
     the conforming P1 (triangles) or Q1 (parallelograms) space on the
     interior vertices (those that an element uses and no boundary edge
     touches) to the edges: the nodal values (a, b) at an edge's vertices
@@ -437,7 +466,15 @@ def _preconditioner(system: GlobalSystem):
     n_blocks = A.shape[0] // nb
     index = np.arange(A.shape[0], dtype=np.int32).reshape(n_blocks, nb)
     D = np.zeros((n_blocks, nb, nb))
-    if n_blocks:  # sampling no entry at all would return a scalar
+    if sp.issparse(A) and A.format == "bsr" and A.blocksize == (nb, nb):
+        # each block row's own block, summed over its copies: the copies of
+        # a row are consecutive among the own blocks, which run in row order
+        row = np.repeat(np.arange(n_blocks, dtype=A.indices.dtype), np.diff(A.indptr))
+        own = np.flatnonzero(A.indices == row)
+        first = np.flatnonzero(np.diff(row[own], prepend=-1))  # the first copy of each
+        if own.size:
+            D[row[own[first]]] = np.add.reduceat(A.data[own], first, axis=0)
+    elif n_blocks:  # sampling no entry at all would return a scalar
         rows, cols = np.repeat(index, nb, axis=1).ravel(), np.tile(index, (1, nb)).ravel()
         D[:] = np.asarray(A[rows, cols]).reshape(D.shape)
     scale = np.diagonal(D, axis1=-2, axis2=-1).max(axis=-1)
@@ -459,8 +496,10 @@ def _preconditioner(system: GlobalSystem):
 
     levels, graph = [], None
     while True:
-        # R^T stored as CSR restricts faster than scipy's transpose view of R
-        Rt, AR = R.T.tocsr(), A @ R
+        # R^T stored as CSR restricts faster than scipy's transpose view of R,
+        # and A R as CSR applies faster than the BSR of nb x 1 blocks that a
+        # BSR A gives (0.045 against 0.141 ms at (3,4,4) tri 32)
+        Rt, AR = R.T.tocsr(), (A @ R).tocsr()
         levels.append((A, smooth, R, Rt, AR))
         A = Rt @ AR
         if A.shape[0] <= _COARSEST_LU:

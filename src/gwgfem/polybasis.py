@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.special import roots_jacobi, roots_legendre
 
-from ._checks import check_integer
+from ._checks import check_integer, real_array
 
 __all__ = [
     "dim_pk",
@@ -71,7 +71,7 @@ class ElementBasis:
     def __init__(self, degree: int, center, scale: float):
         check_integer(degree, "degree")
         self.degree = degree
-        self.center = np.asarray(center, dtype=float)
+        self.center = real_array(center, "center")
         if self.center.shape != (2,) or not np.isfinite(self.center).all():
             raise ValueError(f"center must be a finite point of shape (2,), got {center!r}")
         self.scale = float(scale)

@@ -384,7 +384,7 @@ def _touching(mesh: Mesh, cells: np.ndarray, singularity):
         point, strength = singularity
     except (TypeError, ValueError):  # a bare number, or not two entries
         raise ValueError(message) from None
-    point = np.asarray(point, dtype=float)
+    point = real_array(point, "singularity point")
     check_real(strength, "singularity strength")
     if point.shape != (2,) or not np.isfinite(point).all() or not 0.0 < strength < np.inf:
         raise ValueError(message)

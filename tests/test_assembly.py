@@ -572,12 +572,17 @@ def test_block_pattern_gives_the_coo_sum_bit_for_bit(mesh, element, params):
     # the block pattern and its scatter must give exactly the matrix that
     # summing every element's triplets gives: each diagonal entry takes two
     # contributions and every other entry one, so no rounding can differ.
-    # A keeps its rows in mesh order; sorted, it is the canonical COO sum,
-    # which also rules out duplicate entries
+    # A keeps its rows in mesh order, in BSR storage from 3 x 3 edge blocks on
+    # and in CSR below; as CSR, sorted, it is the canonical COO sum, which
+    # also rules out duplicate entries
     system = assemble(mesh, WeakSpaceSignature(*element), params, _f, _g)
     reference = _coo_sum(system, params)
-    assert isinstance(system.A, sp.csr_matrix)
-    A = system.A.sorted_indices()
+    nb = system.cache.signature.edge_dim
+    if nb >= 3:
+        assert isinstance(system.A, sp.bsr_matrix) and system.A.blocksize == (nb, nb)
+    else:
+        assert isinstance(system.A, sp.csr_matrix)
+    A = system.A.tocsr().sorted_indices()
     for got, want in ((A.indptr, reference.indptr), (A.indices, reference.indices)):
         assert got.dtype == want.dtype == np.int32
         assert np.array_equal(got, want)
@@ -678,6 +683,51 @@ def test_solve_keeps_the_mesh_ordered_matrix_and_matches_the_sorted_one(mesh, el
     canonical = solve(dataclasses.replace(system, A=A.sorted_indices()))
     difference = np.linalg.norm(canonical.coeffs - u_h.coeffs)
     assert difference <= 1e-12 * np.linalg.norm(u_h.coeffs)
+
+
+def _split_own_block(A, i):
+    """A BSR copy of A whose block row i holds its own block twice, halved, the copy last."""
+    indptr, indices, data = A.indptr, A.indices, A.data.copy()
+    own = indptr[i] + np.flatnonzero(indices[indptr[i] : indptr[i + 1]] == i)[0]
+    data[own] /= 2
+    end = indptr[i + 1]
+    indices = np.insert(indices, end, i)
+    data = np.insert(data, end, data[own], axis=0)
+    indptr = indptr + (np.arange(indptr.size) > i)
+    return sp.bsr_matrix((data, indices, indptr), shape=A.shape)
+
+
+@pytest.mark.parametrize("element", [(3, 4, 4), (1, 2, 2)], ids=["nb5", "nb3"])
+def test_block_storage_solves_as_its_csr(element, monkeypatch):
+    # from 3 x 3 edge blocks on A stays BSR: the solve reads its diagonal
+    # blocks as blocks, and must match the solve on the same matrix as CSR,
+    # whose blocks are sampled entry by entry, in answer and CG count; a
+    # caller's BSR that holds a row's own block twice is summed, as CSR is
+    mesh = build_uniform_triangular(8)
+    system = assemble(mesh, WeakSpaceSignature(*element), SchemeParameters(), _f, _g)
+    nb = system.cache.signature.edge_dim
+    assert isinstance(system.A, sp.bsr_matrix) and system.A.blocksize == (nb, nb)
+    counts = []
+    pcg = assembly._pcg
+
+    def counted(A, b, precondition):
+        x, iterations, ritz = pcg(A, b, precondition)
+        counts.append(iterations)
+        return x, iterations, ritz
+
+    monkeypatch.setattr(assembly, "_pcg", counted)
+    u_h = solve(system)
+    as_csr = solve(dataclasses.replace(system, A=system.A.tocsr()))
+    assert counts[0] == counts[1]
+    scale = np.linalg.norm(u_h.coeffs)
+    assert np.linalg.norm(as_csr.coeffs - u_h.coeffs) <= 1e-12 * scale
+
+    split = dataclasses.replace(system, A=_split_own_block(system.A, system.A.shape[0] // nb // 2))
+    assert split.A.nnz == system.A.nnz + nb * nb
+    r = np.random.default_rng(0).standard_normal(system.b.size)
+    z, z_split = assembly._preconditioner(system)(r), assembly._preconditioner(split)(r)
+    assert np.linalg.norm(z_split - z) <= 1e-13 * np.linalg.norm(z)
+    assert np.linalg.norm(solve(split).coeffs - u_h.coeffs) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("shape", ["tri", "rect"])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +259,18 @@ def test_element_basis_center_must_be_a_finite_point(center):
     with pytest.raises(ValueError) as err:
         ElementBasis(1, center, 1.0)
     assert str(err.value) == f"center must be a finite point of shape (2,), got {center!r}"
+
+
+@pytest.mark.parametrize(
+    "center, message",
+    [((1j, 0.0), "center must be real, got complex128"), (("ab", 0.0), "center must be real numbers")],
+    ids=["complex", "str"],
+)
+def test_element_basis_center_must_be_real(center, message):
+    # a complex center raised float()'s TypeError and a string one numpy's
+    # conversion error, neither naming the center
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ElementBasis(1, center, 1.0)
 
 
 def test_degrees_accept_numpy_integers():

@@ -1023,17 +1023,21 @@ def test_project_q0_graded_override_matches_plain_for_polynomials():
         ((0.0, 0.0),),
         0.5,
         ((0.0, 0.0), 0.5, 1),
+        ((0j, 1j), 0.5),
+        ("ab", 0.5),
     ],
     ids=[
         "zero-strength", "nan-strength", "3d-point", "nan-point", "negative-strength",
         "inf-strength", "str-strength", "bool-strength", "one-entry", "bare-number", "triple",
+        "complex-point", "str-point",
     ],
 )
 def test_bad_singularity_is_rejected_by_every_caller(singularity):
     # before the check these raised ZeroDivisionError, a NaN-to-integer, a
     # broadcast, an IndexError or a TypeError, or graded silently: a NaN point
     # matched no vertex, a strength of -1 or inf took the minimum depth of 4,
-    # and a triple's third entry was ignored
+    # and a triple's third entry was ignored; a complex point raised float()'s
+    # TypeError and a string one numpy's conversion error, neither naming it
     mesh, signature = build_uniform_triangular(4), WeakSpaceSignature(1, 1, 0)
     case = dataclasses.replace(lowreg_case(0.5), singularity=singularity)
     with pytest.raises(ValueError, match="singularity"):
