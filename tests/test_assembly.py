@@ -451,14 +451,34 @@ def test_inverse_cholesky_of_one_by_one_blocks_is_the_reciprocal_root():
     np.testing.assert_array_equal(L_inv[:, 0, 0], 1.0 / np.sqrt(d))
 
 
-@pytest.mark.parametrize("n", [2, 5])
-def test_inverse_cholesky_matches_the_inverse_of_the_cholesky_factor(n):
-    B = np.random.default_rng(n).standard_normal((200, n, n))
+@pytest.mark.parametrize(
+    "n,stack",
+    [(n, 200) for n in (2, 5, 1, 6, 10, 15)] + [(n, 1) for n in (1, 5, 10, 15)],
+    ids=["2", "5", "1", "6", "10", "15", "one-1", "one-5", "one-10", "one-15"],
+)
+def test_inverse_cholesky_matches_the_inverse_of_the_cholesky_factor(n, stack):
+    # the sizes the workloads factor, and the stack of one that the single
+    # shape class of a rectangle mesh gives assemble
+    B = np.random.default_rng(n).standard_normal((stack, n, n))
     K = B @ np.swapaxes(B, -1, -2) + n * np.eye(n)
     scale = np.diagonal(K, axis1=-2, axis2=-1).max(axis=-1)
-    L_inv = assembly._inverse_cholesky(K, scale, np.zeros((200, n), int), "block")
+    L_inv = assembly._inverse_cholesky(K, scale, np.zeros((stack, n), int), "block")
     expected = np.linalg.inv(np.linalg.cholesky(K))
     assert np.abs(L_inv - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_inverse_cholesky_of_a_matrix_does_not_depend_on_its_stack():
+    # every sum adds its terms in ascending order whatever the stack size;
+    # numpy sums a contiguous axis of 8 or more terms pairwise instead
+    B = np.random.default_rng(9).standard_normal((3, 15, 15))
+    K = B @ np.swapaxes(B, -1, -2) + 15 * np.eye(15)
+    scale = np.diagonal(K, axis1=-2, axis2=-1).max(axis=-1)
+    index = np.zeros((3, 15), int)
+    stacked = assembly._inverse_cholesky(K, scale, index, "block")
+    for i in range(3):
+        one = assembly._inverse_cholesky(K[i : i + 1], scale[i : i + 1], index, "block")
+        alone = assembly._inverse_cholesky(K[i], scale[i], index, "block")
+        assert np.array_equal(one[0], stacked[i]) and np.array_equal(alone, stacked[i])
 
 
 def _spd_stack_with_a_failing_column(block, col, nan):

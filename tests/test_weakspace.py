@@ -609,6 +609,24 @@ def test_class_rules_and_basis_are_the_polybasis_maps_bit_for_bit(mesh, family):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("family", [(3, 4, 4), (1, 2, 2), (2, 1, 3)])
+@pytest.mark.parametrize("aspect", [10, 100, 1000])
+def test_stretched_cells_get_an_orthonormal_basis(aspect, family):
+    # a 1 x 1/aspect parallelogram and its two triangles: the monomial Gram
+    # matrices of these cells have Cholesky pivots down to 4.5e-30 of their
+    # largest diagonal entry, yet CholeskyQR2 must still orthonormalize them
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0 / aspect], [0.0, 1.0 / aspect]])
+    sig = WeakSpaceSignature(*family)
+    for elements in ([[0, 1, 2, 3]], [[0, 1, 2], [0, 2, 3]]):
+        stacks = OperatorCache(Mesh(vertices, np.array(elements)), sig).stacks
+        for h, offsets, weights, U in zip(
+            stacks["h_T"], stacks["offsets"], stacks["weights"], stacks["U"]
+        ):
+            phi = ElementBasis(max(sig.k, sig.m), (0.0, 0.0), h).eval(offsets) @ U
+            gram = phi.T @ (weights[:, None] * phi)
+            assert np.abs(gram - np.eye(len(gram))).max() <= 1e-13
+
+
 def _monomials_ld(pts, h, degree):
     """The scaled monomials of degree at most degree, in long double, at pts (..., 2) / h."""
     X, Y = (pts[..., i].astype(np.longdouble) / np.asarray(h, dtype=np.longdouble) for i in (0, 1))
