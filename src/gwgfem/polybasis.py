@@ -16,11 +16,14 @@ degree d: tensor Gauss-Legendre on rectangles, Gauss-Legendre on edges,
 and on triangles a fully symmetric rule of 6, 7, 12 or 16 points at
 d = 4, 5, 6 or 8 (the degrees the element families use), else a collapsed
 (Duffy) tensor rule with a Gauss-Jacobi factor absorbing the volume
-Jacobian.  For integrands with a point singularity at a vertex,
-graded_rule composes the rule for a segment or an element with one dyadic
-grading toward that vertex: level i is the cell scaled by 2^-i about it,
-and its children are the cell halved about each vertex (and a triangle's
-middle child), all mapped in one stacked call.
+Jacobian.  The Gauss-Legendre rules are numpy's leggauss, and the
+Gauss-Jacobi factor, for the weight 1 - x on [-1, 1], is one Golub-Welsch
+eigensolve of that weight's tridiagonal Jacobi matrix (Golub and Welsch
+1969), so the module needs numpy alone.  For integrands with a point
+singularity at a vertex, graded_rule composes the rule for a segment or an
+element with one dyadic grading toward that vertex: level i is the cell
+scaled by 2^-i about it, and its children are the cell halved about each
+vertex (and a triangle's middle child), all mapped in one stacked call.
 
 map_to_element, map_to_edge and _monomials are the one code for the element
 map, the edge map and the scaled monomials; they take stacks of cells.
@@ -34,7 +37,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.special import roots_jacobi, roots_legendre
 
 from ._checks import check_integer, real_array
 
@@ -205,6 +207,23 @@ def _symmetric_triangle_rule(orbits) -> tuple[np.ndarray, np.ndarray]:
     return np.array(pts), np.array(ww)
 
 
+def _gauss_jacobi_1_0(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight 1 - x on [-1, 1]: ascending nodes, weights.
+
+    Golub-Welsch: the orthonormal polynomials of this weight satisfy
+    x p_k = b_k p_(k-1) + a_k p_k + b_(k+1) p_(k+1) with
+    a_k = -1 / ((2k + 1)(2k + 3)) and b_k = sqrt(k (k + 1)) / (2k + 1).  The
+    nodes are the eigenvalues of the tridiagonal matrix of the a_k and b_k,
+    and each weight is the mass of 1 - x, 2, times the squared first entry
+    of the unit eigenvector.
+    """
+    k = np.arange(n)
+    off = np.sqrt(k[1:] * (k[1:] + 1.0)) / (2 * k[1:] + 1)
+    jacobi = np.diag(-1.0 / ((2 * k + 1) * (2 * k + 3))) + np.diag(off, 1) + np.diag(off, -1)
+    x, v = np.linalg.eigh(jacobi)
+    return x, 2.0 * v[0] ** 2
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: the rule cached for 4 must not answer 4.0
 def element_quadrature(shape: str, d: int) -> QuadratureRule:
     """Rule of exactness >= d on the reference triangle or square.
@@ -219,7 +238,7 @@ def element_quadrature(shape: str, d: int) -> QuadratureRule:
     if shape == "triangle" and d in _SYMMETRIC_TRIANGLE_RULES:
         pts, ww = _symmetric_triangle_rule(_SYMMETRIC_TRIANGLE_RULES[d])
     elif shape == "rectangle":
-        x, w = roots_legendre(n)
+        x, w = npleg.leggauss(n)
         x, w = (x + 1.0) / 2.0, w / 2.0
         px = np.repeat(x, n)
         py = np.tile(x, n)
@@ -228,10 +247,10 @@ def element_quadrature(shape: str, d: int) -> QuadratureRule:
     elif shape == "triangle":
         # Collapsed tensor rule: x = a, y = b(1-a), Jacobian (1-a) handled
         # by the Gauss-Jacobi weight so n points per axis stay exact to d.
-        xa, wa = roots_jacobi(n, 1.0, 0.0)
+        xa, wa = _gauss_jacobi_1_0(n)
         a = (xa + 1.0) / 2.0
         wa = wa / 4.0
-        xb, wb = roots_legendre(n)
+        xb, wb = npleg.leggauss(n)
         b = (xb + 1.0) / 2.0
         wb = wb / 2.0
         A = np.repeat(a, n)
@@ -250,7 +269,7 @@ def edge_quadrature(d: int) -> QuadratureRule:
     """Gauss-Legendre rule on [-1, 1] of exactness >= d."""
     check_integer(d, "exactness degree")
     n = (d + 2) // 2
-    x, w = roots_legendre(n)
+    x, w = npleg.leggauss(n)
     x.setflags(write=False)
     w.setflags(write=False)
     return QuadratureRule(points=x, weights=w)

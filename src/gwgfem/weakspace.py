@@ -459,19 +459,22 @@ def _interior_moments(cache: OperatorCache, fn, singularity=None) -> np.ndarray:
 
 
 def _edge_projection(cache: OperatorCache, fn, edges, singularity=None) -> np.ndarray:
-    """Qb fn on the given edges: Legendre coefficients, shape (edges.size, edge_dim).
+    """Qb fn on the n edges that edges selects: Legendre coefficients, shape (n, edge_dim).
 
-    Edges with an endpoint at the singular point use a rule graded toward it.
+    edges is an index array or a slice; a slice reads the edge table as a
+    view, not a copy.  Edges with an endpoint at the singular point use a
+    rule graded toward it.
     """
     mesh, j = cache.mesh, cache.signature.j
     degree = max(2 * j, j + 4)  # exactness of both the plain and the graded rule
     rule, eb = edge_quadrature(degree), EdgeBasis(j)
-    ends = mesh.vertices[mesh.edges[edges]]
+    cells = mesh.edges[edges]
+    ends = mesh.vertices[cells]
     pts, _ = map_to_edge(rule, ends[:, 0], ends[:, 1])
-    values = _values(fn, pts.reshape(-1, 2)).reshape(edges.size, -1)
+    values = _values(fn, pts.reshape(-1, 2)).reshape(len(ends), -1)
     # Legendre coefficients on the reference edge [-1, 1]
     out = ((values * rule.weights) @ eb.eval(rule.points)) / eb.mass_diagonal(2.0)
-    for i, end in zip(*_touching(mesh, mesh.edges[edges], singularity)):
+    for i, end in zip(*_touching(mesh, cells, singularity)):
         a, b = ends[i]
         length = float(np.linalg.norm(b - a))
         pts, w = graded_rule(ends[i], end, degree, _grading_depth(singularity[1], length))
@@ -502,5 +505,5 @@ def project_Qh(
     dm = cache.dofmap
     wf = WeakFunction(dm)
     dm.interiors(wf.coeffs)[:] = _interior_moments(cache, fn, singularity)
-    dm.edges(wf.coeffs)[:] = _edge_projection(cache, fn, np.arange(mesh.n_edges), singularity)
+    dm.edges(wf.coeffs)[:] = _edge_projection(cache, fn, slice(None), singularity)
     return wf

@@ -39,7 +39,7 @@ from gwgfem.polybasis import (
     monomial_exponents,
 )
 from gwgfem.verify import lowreg_case, run_convergence_study
-from gwgfem.weakspace import _interior_moments
+from gwgfem.weakspace import _edge_projection, _interior_moments
 
 
 def edge_index(mesh, a, b):
@@ -1025,6 +1025,21 @@ def test_project_q0_graded_override_matches_plain_for_polynomials():
     # element 0 and two edges touch the corner, so the graded rules did run
     assert not np.array_equal(graded.coeffs, plain.coeffs)
     np.testing.assert_allclose(graded.coeffs, plain.coeffs, rtol=1e-10, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "mesh", [build_uniform_triangular(4), build_uniform_rectangular(4)], ids=["tri", "rect"]
+)
+@pytest.mark.parametrize("singularity", [None, ((0.0, 0.0), 0.5)], ids=["plain", "graded"])
+def test_edge_projection_by_slice_is_the_index_array_bit_for_bit(mesh, singularity):
+    # project_Qh selects every edge by slice(None), reading the edge table as
+    # a view; Qb u must be that of the index array of all edges, bit for bit
+    cache = OperatorCache(mesh, WeakSpaceSignature(1, 2, 2))
+    u = lowreg_case(0.5).u
+    by_slice = _edge_projection(cache, u, slice(None), singularity)
+    by_index = _edge_projection(cache, u, np.arange(mesh.n_edges), singularity)
+    assert by_slice.shape == (mesh.n_edges, 3)
+    assert np.array_equal(by_slice.view(np.uint64), by_index.view(np.uint64))
 
 
 @pytest.mark.parametrize(
