@@ -13,7 +13,8 @@ eliminates them element by element (static condensation).  The system
 left on the free edge coefficients is kept in block (BSR) storage, one
 block per pair of coupled edges, when its edge blocks are 3 x 3 or larger
 (_BSR_MIN_BLOCK), and in CSR below that, where BSR's A @ x is slower (1.7x
-at 2 x 2); A.tocsr() is the same CSR matrix either way.  solve runs
+at 2 x 2); 1 x 1 blocks are written straight to CSR.  A.tocsr() is the
+same CSR matrix either way.  solve runs
 conjugate gradients on that SPD system,
 preconditioned by one auxiliary-space V-cycle (see _preconditioner), then
 recovers u0 element by element.  rho = 0 (no stabilizer) is admitted;
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,7 +71,8 @@ _OMEGA = 0.7  # block-Jacobi damping; 2 omega scales the l1-Jacobi sweeps
 # iterations (case cospi_cospi; 10 to 15 with load sin(x + 2y), data xy).
 _COARSEST_LU = 2048
 # smallest edge block size nb at which A stays in block (BSR) storage; below
-# it A is converted to CSR.  One A @ x, BSR against the CSR it converts to
+# it A is CSR: written straight from the block pattern at nb = 1, converted
+# from BSR at nb = 2.  One A @ x, BSR against the CSR it converts to
 # (timeit minima, 2-core host, scipy 1.17.1):
 #   nb = 1, (0,0,0) tri 128: 0.171 against 0.164 ms
 #   nb = 2, (2,1,3) rect 64: 0.086 against 0.049 ms; (1,1,1) tri 64: 0.258 against 0.168
@@ -167,10 +169,11 @@ class GlobalSystem:
     is the i-th interior edge, and its column blocks are that edge and the
     other sides of its two elements, in mesh order and not sorted (not
     canonical).  For nb >= _BSR_MIN_BLOCK = 3, A is that block matrix, a
-    bsr_matrix with blocksize (nb, nb); for nb <= 2 it is converted once to
-    CSR, since BSR's A @ x is slower there (1.7x at 2 x 2).  Either way
-    A.tocsr() is the same CSR matrix bit for bit, with int32 indices and no
-    duplicates.
+    bsr_matrix with blocksize (nb, nb); for nb <= 2 it is CSR, since BSR's
+    A @ x is slower there (1.7x at 2 x 2): at nb = 1 the block pattern is
+    the CSR structure and A is written straight to it, at nb = 2 the block
+    matrix is converted once.  Either way A.tocsr() is the same CSR matrix
+    bit for bit, with int32 indices and no duplicates.
     C[e] = K00^-1 K0b, of shape (n_elements, n0, n_loc - n0), and
     y[e] = K00^-1 F0, of shape (n_elements, n0), are element e's, so
     u0 = y - C ub recovers the interior coefficients,
@@ -333,7 +336,7 @@ def assemble(
     keep = at >= 0
     load = np.einsum("eji,ej->ei", C, F0)
     # known is zero off the boundary: only elements with a boundary side move S gb
-    touch = np.flatnonzero(~keep.all(axis=1))
+    touch = np.flatnonzero(~reduce(np.logical_and, keep.T))
     load[touch] += _mv(S, rows[touch], known[edofs[touch]])
     b = np.zeros(free.size)
     b -= np.bincount(at[keep], load[keep], minlength=free.size)
@@ -351,7 +354,9 @@ def _condensed_matrix(mesh: Mesh, S, rows) -> sp.csr_matrix | sp.bsr_matrix:
     block, the first of its row: the sum of its edge's two elements.  A's
     column indices keep the pattern's mesh order within each row.  A is
     returned as that bsr_matrix of (nb, nb) blocks for nb >= _BSR_MIN_BLOCK
-    and converted to CSR below it; the CSR is the BSR's .tocsr().
+    and as CSR below it: at nb = 1 the pattern's indptr and indices are the
+    CSR arrays and the data is written straight into them, at nb = 2 the
+    bsr_matrix is converted.  Either CSR is the BSR's .tocsr() bit for bit.
     """
     n_sides = mesh.element_edges.shape[1]
     nb = S.shape[-1] // n_sides
@@ -368,6 +373,9 @@ def _condensed_matrix(mesh: Mesh, S, rows) -> sp.csr_matrix | sp.bsr_matrix:
     diagonal = np.take(blocks[:, p_side[:, 0], p_side[:, 0]], rows, axis=0).reshape(-1, nb * nb)
     data[indptr[:-1]] = diagonal[pair[:, 0]] + diagonal[pair[:, 1]]
     m = (indptr.size - 1) * nb
+    if nb == 1:
+        # the block pattern is already A's CSR structure
+        return sp.csr_matrix((data[:-1, 0], indices, indptr), shape=(m, m))
     A = sp.bsr_matrix((data[:-1].reshape(-1, nb, nb), indices, indptr), shape=(m, m))
     return A if nb >= _BSR_MIN_BLOCK else A.tocsr()
 
@@ -411,7 +419,7 @@ def _block_pattern(mesh: Mesh):
     cols[:, 1:] = np.take(later, pair, axis=0).reshape(m, width - 1)
     kept = cols < m
     indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
+    np.cumsum(reduce(partial(np.add, dtype=np.int32), kept.T), out=indptr[1:])
     slot = np.full((m + 1) * width, indptr[-1], dtype=np.int32)
     slot[np.flatnonzero(kept)] = np.arange(indptr[-1], dtype=np.int32)
     other = sides * width + 1 + (n - 1) * descending.astype(np.int32)
@@ -567,7 +575,7 @@ def _edge_transfer(mesh: Mesh, nb: int):
     cols = np.repeat(ends, len(weights), axis=0)  # both ends, in each row that is not empty
     live = cols >= 0
     counts = np.zeros((ends.shape[0], nb), dtype=np.int32)
-    counts[:, : len(weights)] = np.count_nonzero(live, axis=1).reshape(-1, len(weights))
+    counts[:, : len(weights)] = np.add(ends[:, :1] >= 0, ends[:, 1:] >= 0, dtype=np.int32)
     indptr = np.zeros(counts.size + 1, dtype=np.int32)
     np.cumsum(counts.ravel(), out=indptr[1:])
     data = np.tile(weights, (ends.shape[0], 1))[live]

@@ -11,7 +11,8 @@ across the two elements sharing an interior edge.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+import itertools
+from functools import reduce
 
 import numpy as np
 
@@ -48,8 +49,9 @@ class Mesh:
         raw = np.asarray(elements)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (nv, 2) array")
-        finite = np.isfinite(self.vertices).all(axis=1)
-        if not finite.all():
+        # whole-array checks first; the offending row is found only on failure
+        if not np.isfinite(self.vertices).all():
+            finite = np.isfinite(self.vertices).all(axis=1)
             raise ValueError(f"vertex {int(np.argmin(finite))} is not finite")
         if raw.ndim != 2 or raw.shape[1] not in (3, 4):
             raise ValueError("elements must be an (ne, 3) or (ne, 4) array")
@@ -58,28 +60,30 @@ class Mesh:
         if not np.issubdtype(raw.dtype, np.integer):
             raise ValueError(f"element vertex indices must be integers, got dtype {raw.dtype}")
         nv = self.vertices.shape[0]
-        outside = (raw < 0) | (raw >= nv)
-        if outside.any():
-            bad = int(np.argmax(outside.any(axis=1)))
+        if raw.min() < 0 or raw.max() >= nv:
+            bad = int(np.argmax(((raw < 0) | (raw >= nv)).any(axis=1)))
             raise ValueError(
                 f"element {bad} has vertex indices outside [0, {nv}): {raw[bad].tolist()}"
             )
         self.elements = raw.astype(np.int64, copy=False)
 
-        # one (ne, w) array per coordinate: every geometric quantity below
-        # reduces over the w vertices, never over a trailing axis of 2
-        x = self.vertices[:, 0][self.elements]
-        y = self.vertices[:, 1][self.elements]
-        areas = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
+        # one (ne,) column per vertex and coordinate: every geometric
+        # quantity below folds over the w columns in order, never reducing
+        # a 2-4-wide row, and each fold is the row reduction bit for bit
+        ne, w = self.elements.shape
+        x = self.vertices[:, 0][self.elements].T
+        y = self.vertices[:, 1][self.elements].T
+        after = [(i + 1) % w for i in range(w)]
+        areas = 0.5 * reduce(np.add, [x[i] * y[j] - x[j] * y[i] for i, j in enumerate(after)])
         if np.any(areas <= 0.0):
             bad = int(np.argmax(areas <= 0.0))
             raise ValueError(f"element {bad} is not counterclockwise")
         self._diameters = _diameters(x, y)
-        if self.elements.shape[1] == 4:
+        if w == 4:
             # quadrature and shape classes map the reference square affinely,
             # which is exact only for parallelograms: v0 + v2 = v1 + v3
-            sx = x[:, 0] + x[:, 2] - x[:, 1] - x[:, 3]
-            sy = y[:, 0] + y[:, 2] - y[:, 1] - y[:, 3]
+            sx = x[0] + x[2] - x[1] - x[3]
+            sy = y[0] + y[2] - y[1] - y[3]
             skew = np.sqrt(sx * sx + sy * sy)
             bad = np.flatnonzero(skew > _PARALLELOGRAM_RTOL * self._diameters)
             if bad.size:
@@ -92,16 +96,23 @@ class Mesh:
         # appearance in (t, s) order and stored as ascending pairs.  A
         # positive area rules out a == b, and 0 <= a, b < nv keeps the
         # integer key lo * nv + hi collision-free.
-        ne, w = self.elements.shape
         a = self.elements.ravel()
         b = np.roll(self.elements, -1, axis=1).ravel()
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        _, first, inverse = np.unique(lo * nv + hi, return_index=True, return_inverse=True)
-        # an edge's number is the count of first appearances before its own
+        key = lo * nv + hi
+        # a stable sort keeps equal keys in (t, s) order, so each run of one
+        # key starts at that edge's first appearance
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        first = order[starts]
         is_first = np.zeros(a.size, dtype=bool)
         is_first[first] = True
-        edge_ids = (np.cumsum(is_first) - 1)[first][inverse]
-        at = np.flatnonzero(is_first)
+        at = np.flatnonzero(is_first)  # edge i first appears at side at[i]
+        number = np.empty(a.size, dtype=np.int64)
+        number[at] = np.arange(at.size)
+        edge_ids = np.empty(a.size, dtype=np.int64)
+        edge_ids[order] = np.repeat(number[first], np.diff(starts, append=a.size))
         self.edges = np.column_stack([lo[at], hi[at]])
         self.element_edges = edge_ids.reshape(ne, w)
         self.element_edge_signs = np.where(a < b, 1, -1).reshape(ne, w)
@@ -115,11 +126,11 @@ class Mesh:
         owners = np.full(2 * self.n_edges, -1, dtype=np.int64)
         owners[slot] = np.repeat(np.arange(ne, dtype=np.int64), w)
         self.edge_elements = owners.reshape(-1, 2)
-        self.boundary_edge = (self.edge_elements == -1).any(axis=1)
+        self.boundary_edge = np.minimum(owners[0::2], owners[1::2]) < 0
 
         # the w vertices summed in order: vertices[elements].mean(axis=1) bit
         # for bit, at a fraction of its cost
-        self._centroids = np.column_stack([reduce(np.add, x.T) / w, reduce(np.add, y.T) / w])
+        self._centroids = np.column_stack([reduce(np.add, x) / w, reduce(np.add, y) / w])
         self._areas = areas
 
     @property
@@ -149,19 +160,11 @@ class Mesh:
 
 
 def _diameters(x, y):
-    """Largest vertex distance of each polygon with vertex coordinates x, y, each (n, w)."""
-    i, j = _vertex_pairs(x.shape[1])
-    dx, dy = x[:, i] - x[:, j], y[:, i] - y[:, j]
-    return np.sqrt((dx**2 + dy**2).max(axis=1))
-
-
-@lru_cache(maxsize=None)
-def _vertex_pairs(w: int):
-    """Index arrays (i, j) of the vertex pairs i < j of a w-gon, built once per w."""
-    i, j = np.triu_indices(w, 1)
-    i.setflags(write=False)
-    j.setflags(write=False)
-    return i, j
+    """Largest vertex distance of each polygon; x[i], y[i] are the coordinates of its vertices i."""
+    squared = [
+        (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 for i, j in itertools.combinations(range(len(x)), 2)
+    ]
+    return np.sqrt(reduce(np.maximum, squared))
 
 
 def build_uniform_triangular(n: int) -> Mesh:

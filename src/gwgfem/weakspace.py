@@ -173,7 +173,7 @@ def _shape_stacks(shape: str, X, Y, signs, signature: WeakSpaceSignature) -> dic
     Z1 = Z[..., after]
     d = Z1 - Z
     lengths = np.sqrt((d * d).sum(axis=0))
-    h = _diameters(X, Y)
+    h = _diameters(X.T, Y.T)
     normal = d[::-1] / lengths  # unit outer normals (dy, -dx) / length
     np.negative(normal[1], out=normal[1])
 
@@ -424,8 +424,8 @@ def _values(fn, pts) -> np.ndarray:
             f"function {name} must return one value per point: it returned shape "
             f"{values.shape} for {len(pts)} points"
         )
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values))
         x, y = pts[bad[0]]
         raise ValueError(
             f"function {name} returned {values[bad[0]]} at ({x:.6g}, {y:.6g}); "

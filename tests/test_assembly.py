@@ -531,6 +531,26 @@ def _renumbered_tri(n):
     return Mesh(built.vertices[perm], new_index[built.elements])
 
 
+def _padded(built):
+    """built with one extra vertex, numbered first, that no element uses."""
+    return Mesh(np.vstack([[0.3, 0.7], built.vertices]), built.elements + 1)
+
+
+def _schur_complements(cache, params):
+    """(S, rows): the Schur complements onto the edge coefficients as assemble computes them.
+
+    S[rows[e]] is element e's.
+    """
+    dm, n0 = cache.dofmap, cache.signature.interior_dim
+    K, rows, first = assembly._local_matrices(cache, params)
+    scale = np.diagonal(K, axis1=-2, axis2=-1).max(axis=-1)
+    L_inv = assembly._inverse_cholesky(
+        K[:, :n0, :n0], scale, dm.element_dof_table[first], "interior block"
+    )
+    W = L_inv @ K[:, :n0, n0:]
+    return K[:, n0:, n0:] - np.swapaxes(W, -1, -2) @ W, rows
+
+
 def _coo_sum(system, params):
     """A as a plain COO sum of every element's Schur complement between free edge coefficients.
 
@@ -541,13 +561,8 @@ def _coo_sum(system, params):
     dm, n0 = cache.dofmap, cache.signature.interior_dim
     position = np.full(dm.total, -1)
     position[system.free] = np.arange(system.free.size)
-    K, rows, first = assembly._local_matrices(cache, params)
-    scale = np.diagonal(K, axis1=-2, axis2=-1).max(axis=-1)
-    L_inv = assembly._inverse_cholesky(
-        K[:, :n0, :n0], scale, dm.element_dof_table[first], "interior block"
-    )
-    W = L_inv @ K[:, :n0, n0:]
-    S = (K[:, n0:, n0:] - np.swapaxes(W, -1, -2) @ W)[rows]
+    S, rows = _schur_complements(cache, params)
+    S = S[rows]
     dofs = position[dm.element_dof_table[:, n0:]]
     r, c = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
     both = (r >= 0) & (c >= 0)
@@ -678,6 +693,102 @@ def test_block_pattern_is_sorted_and_each_off_diagonal_block_has_one_element(req
         interior_side = (block[sides] >= 0) & (signs == sign)
         assert np.all(count[interior_side] == 1)
         assert np.all(count[~interior_side] == 0)
+
+
+def _row_count_block_pattern(mesh):
+    """_block_pattern with its row lengths counted by np.count_nonzero over the rows.
+
+    The build of the earlier releases, kept as the oracle for the column fold
+    that replaced the count.
+    """
+    n = mesh.element_edges.shape[1]
+    width = 2 * n - 1
+    interior = np.flatnonzero(~mesh.boundary_edge)
+    m = interior.size
+    block = np.full(mesh.n_edges, m, dtype=np.int32)
+    block[interior] = np.arange(m, dtype=np.int32)
+    sides = block[mesh.element_edges]
+    descending = mesh.element_edge_signs < 0
+    owner = np.empty(2 * mesh.n_edges, dtype=np.int64)
+    owner[2 * mesh.element_edges.ravel() + descending.ravel()] = np.arange(sides.size)
+    pair = owner.reshape(-1, 2)[interior]
+    later = sides[:, (np.arange(n)[:, None] + np.arange(1, n)) % n].reshape(-1, n - 1)
+    cols = np.empty((m, width), dtype=np.int32)
+    cols[:, 0] = np.arange(m, dtype=np.int32)
+    cols[:, 1:] = np.take(later, pair, axis=0).reshape(m, width - 1)
+    kept = cols < m
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
+    slot = np.full((m + 1) * width, indptr[-1], dtype=np.int32)
+    slot[np.flatnonzero(kept)] = np.arange(indptr[-1], dtype=np.int32)
+    other = sides * width + 1 + (n - 1) * descending.astype(np.int32)
+    return indptr, cols[kept], pair, other, slot
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        build_uniform_triangular(8),
+        build_uniform_rectangular(2),
+        _renumbered_tri(8),
+        jittered_interior(build_uniform_triangular(8), 5),
+        _padded(build_uniform_triangular(4)),
+        build_uniform_triangular(1),
+    ],
+    ids=["tri", "rect", "renumbered", "jittered", "unused-vertex", "tri1"],
+)
+def test_block_pattern_is_the_row_count_build_bit_for_bit(mesh):
+    got, want = assembly._block_pattern(mesh), _row_count_block_pattern(mesh)
+    for name, got, want in zip(("indptr", "indices", "pair", "other", "slot"), got, want):
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def _converted_block_matrix(mesh, S, rows):
+    """A scattered into a bsr_matrix of 1 x 1 blocks and converted by .tocsr().
+
+    The build of the earlier releases, kept as the oracle for the CSR that
+    _condensed_matrix now writes directly from the block pattern.
+    """
+    n_sides = mesh.element_edges.shape[1]
+    indptr, indices, pair, other, slot = assembly._block_pattern(mesh)
+    blocks = S.reshape(-1, n_sides, 1, n_sides, 1).swapaxes(2, 3).reshape(-1, n_sides, n_sides, 1)
+    p_side = np.arange(n_sides)[:, None]
+    q_side = (p_side + np.arange(1, n_sides)) % n_sides
+    data = np.zeros((indices.size + 1, 1))
+    after = np.arange(n_sides - 1, dtype=other.dtype)
+    data[slot[other[:, :, None] + after]] = np.take(blocks[:, p_side, q_side], rows, axis=0)
+    diagonal = np.take(blocks[:, p_side[:, 0], p_side[:, 0]], rows, axis=0).reshape(-1, 1)
+    data[indptr[:-1]] = diagonal[pair[:, 0]] + diagonal[pair[:, 1]]
+    m = indptr.size - 1
+    return sp.bsr_matrix((data[:-1].reshape(-1, 1, 1), indices, indptr), shape=(m, m)).tocsr()
+
+
+@pytest.mark.parametrize(
+    "mesh,element",
+    [
+        (build_uniform_triangular(8), (0, 0, 0)),
+        (build_uniform_triangular(8), (1, 0, 1)),
+        (build_uniform_rectangular(2), (0, 0, 0)),
+        (_renumbered_tri(8), (0, 0, 0)),
+        (jittered_interior(build_uniform_triangular(8), 5), (1, 0, 1)),
+    ],
+    ids=["tri-0-0-0", "tri-1-0-1", "rect-0-0-0", "renumbered", "jittered"],
+)
+def test_one_by_one_blocks_are_written_as_the_converted_block_matrix(mesh, element):
+    # at 1 x 1 edge blocks the block pattern is A's CSR structure, so A is
+    # written as CSR with no bsr_matrix in between; it must be the converted
+    # block matrix bit for bit, in mesh order and not canonical
+    params = SchemeParameters()
+    system = assemble(mesh, WeakSpaceSignature(*element), params, _f, _g)
+    reference = _converted_block_matrix(mesh, *_schur_complements(system.cache, params))
+    A = system.A
+    assert isinstance(A, sp.csr_matrix) and A.shape == reference.shape
+    for got, want in ((A.indptr, reference.indptr), (A.indices, reference.indices)):
+        assert got.dtype == want.dtype == np.int32
+        assert np.array_equal(got, want)
+    assert np.array_equal(A.data.view(np.int64), reference.data.view(np.int64))
+    assert not A.has_canonical_format
 
 
 @pytest.mark.parametrize(
@@ -1222,11 +1333,6 @@ def _coo_transfer(mesh, nb):
     return P, interior
 
 
-def _padded(built):
-    """built with one extra vertex, numbered first, that no element uses."""
-    return Mesh(np.vstack([[0.3, 0.7], built.vertices]), built.elements + 1)
-
-
 @pytest.mark.parametrize(
     "mesh,element",
     [
@@ -1235,8 +1341,10 @@ def _padded(built):
         (build_uniform_rectangular(2), (2, 1, 3)),
         (_renumbered_tri(8), (1, 2, 2)),
         (_padded(build_uniform_triangular(8)), (1, 1, 1)),
+        (jittered_interior(build_uniform_triangular(8), 5), (0, 0, 0)),
+        (build_uniform_triangular(1), (0, 0, 0)),
     ],
-    ids=["tri-0-0-0", "tri-3-4-4", "rect-2-1-3", "renumbered", "unused-vertex"],
+    ids=["tri-0-0-0", "tri-3-4-4", "rect-2-1-3", "renumbered", "unused-vertex", "jittered", "tri1"],
 )
 def test_edge_transfer_is_the_coo_build_bit_for_bit(mesh, element):
     # written straight into CSR, P must be the matrix that scipy makes from

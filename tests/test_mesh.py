@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +8,7 @@ import scipy.sparse as sp
 from gwgfem import OperatorCache, WeakSpaceSignature
 from gwgfem.assembly import _coarsen
 from gwgfem.mesh import Mesh, build_uniform_rectangular, build_uniform_triangular
+from test_weakspace import jittered_interior
 
 # Hand-enumerated entity counts for the smallest triangular meshes
 # (vertices, elements, edges, interior edges).
@@ -175,18 +178,67 @@ def test_rectangular_edge_table_matches_reference(level):
     assert_matches_reference(build_uniform_rectangular(level))
 
 
+def _renumbered(mesh, seed):
+    """mesh with its vertices renumbered by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    new_index = np.argsort(perm)  # vertex v of mesh is vertex new_index[v]
+    return Mesh(mesh.vertices[perm], new_index[mesh.elements])
+
+
+def _with_unused_vertices(mesh):
+    """mesh with one vertex that no element uses numbered first and one numbered last."""
+    vertices = np.vstack([[0.3, 0.7], mesh.vertices, [2.0, -1.0]])
+    return Mesh(vertices, mesh.elements + 1)
+
+
+def general_meshes():
+    """Small meshes of both builders, and general ones that the builders do not give."""
+    return {
+        "tri": build_uniform_triangular(6),
+        "rect": build_uniform_rectangular(1),
+        "renumbered": _renumbered(build_uniform_triangular(6), 7),
+        "renumbered-rect": _renumbered(build_uniform_rectangular(1), 3),
+        "jittered": jittered_interior(build_uniform_triangular(8), 2023),
+        "unused-vertices": _with_unused_vertices(build_uniform_triangular(4)),
+    }
+
+
+def assert_geometry_is_the_gathered_formulas(mesh):
+    # the mesh folds one (ne,) column per vertex and coordinate; areas,
+    # diameters and centroids must equal the formulas on the (ne, w, 2)
+    # array vertices[elements] exactly, sign of zero included
+    v = mesh.vertices[mesh.elements]
+    x, y = v[..., 0], v[..., 1]
+    areas = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
+    i, j = np.triu_indices(v.shape[1], 1)
+    diameters = np.sqrt(((v[:, i] - v[:, j]) ** 2).sum(-1).max(1))
+    centroids = v.mean(axis=1)
+    for got, want in (
+        (mesh.element_areas(), areas),
+        (mesh.element_diameters(), diameters),
+        (mesh.element_centroids(), centroids),
+    ):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_shuffled_element_list_matches_reference(seed):
     # permuted elements, each cycle rotated: first appearance no longer
-    # follows the grid order, but it still fixes the numbering
+    # follows the grid order, but it still fixes the numbering; on rect
+    # meshes, renumbered vertices (every edge sign pattern), jittered
+    # vertices and vertices that no element uses
     rng = np.random.default_rng(seed)
-    base = build_uniform_triangular(6)
-    elements = base.elements[rng.permutation(base.n_elements)]
-    shifts = rng.integers(0, 3, size=len(elements))
-    elements = np.array([np.roll(cyc, k) for cyc, k in zip(elements, shifts)])
-    mesh = Mesh(base.vertices, elements)
-    assert_matches_reference(mesh)
-    assert mesh.n_edges == base.n_edges
+    for name, base in general_meshes().items():
+        ne, w = base.elements.shape
+        elements = base.elements[rng.permutation(ne)]
+        shifts = rng.integers(0, w, size=ne)
+        elements = np.array([np.roll(cyc, k) for cyc, k in zip(elements, shifts)])
+        mesh = Mesh(base.vertices, elements)
+        for m in (base, mesh):
+            assert_matches_reference(m)
+            assert_geometry_is_the_gathered_formulas(m)
+        assert mesh.n_edges == base.n_edges, name
 
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
@@ -205,6 +257,30 @@ def test_vertex_index_past_end_rejected():
 def test_non_finite_vertex_rejected():
     with pytest.raises(ValueError, match="vertex 2 is not finite"):
         Mesh([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]], [[0, 1, 2]])
+
+
+def test_first_non_finite_vertex_is_named():
+    # the finite check runs on the whole array; the message still names
+    # the first bad vertex when several are bad
+    base = build_uniform_triangular(2)
+    vertices = base.vertices.copy()
+    vertices[7, 0] = np.inf
+    vertices[3, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^vertex 3 is not finite$"):
+        Mesh(vertices, base.elements)
+
+
+@pytest.mark.parametrize("first,second", [(-1, 9), (9, -4), (12, 10)])
+def test_first_element_with_an_index_out_of_range_is_named(first, second):
+    # the range check runs on the whole array; the message still names the
+    # first bad element and its cycle when several are bad
+    base = build_uniform_triangular(2)  # 9 vertices, 8 elements
+    elements = base.elements.copy()
+    elements[5, 0] = second
+    elements[2, 2] = first
+    message = f"element 2 has vertex indices outside [0, 9): {elements[2].tolist()}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        Mesh(base.vertices, elements)
 
 
 def test_mesh_without_elements_rejected():
@@ -339,15 +415,7 @@ def sheared_parallelograms():
     ids=["tri-128", "rect-4", "shifted-tri-64", "sheared"],
 )
 def test_areas_and_diameters_are_the_gathered_formulas_bit_for_bit(mesh):
-    # the mesh computes them from one (ne, w) array per coordinate; they must
-    # equal the formulas on the (ne, w, 2) array vertices[elements] exactly
-    v = mesh.vertices[mesh.elements]
-    x, y = v[..., 0], v[..., 1]
-    areas = 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
-    i, j = np.triu_indices(v.shape[1], 1)
-    diameters = np.sqrt(((v[:, i] - v[:, j]) ** 2).sum(-1).max(1))
-    assert np.array_equal(mesh.element_areas().view(np.uint64), areas.view(np.uint64))
-    assert np.array_equal(mesh.element_diameters().view(np.uint64), diameters.view(np.uint64))
+    assert_geometry_is_the_gathered_formulas(mesh)
 
 
 def test_diameter_is_max_vertex_distance():

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from gwgfem.polybasis import (
     monomial_exponents,
 )
 from gwgfem.verify import lowreg_case, run_convergence_study
-from gwgfem.weakspace import _edge_projection, _interior_moments
+from gwgfem.weakspace import _edge_projection, _interior_moments, _values
 
 
 def edge_index(mesh, a, b):
@@ -238,6 +239,22 @@ def test_project_qh_rejects_nan_values():
 
     with pytest.raises(ValueError, match="function holey returned nan"):
         project_Qh(holey, build_uniform_triangular(4), WeakSpaceSignature(1, 1, 1))
+
+
+def test_non_finite_values_name_the_first_bad_point_and_the_count():
+    # the values pass one whole-array finite test; only a failure builds the
+    # message, which names the first bad point and counts the bad values
+    pts = np.array([[0.0, 0.0], [0.25, 0.5], [0.5, 0.5], [0.75, 1e-7], [1.0, 1.0]])
+
+    def spiky(p):
+        values = p[:, 0] + p[:, 1]
+        values[[1, 3, 4]] = [np.nan, np.inf, -np.inf]
+        return values
+
+    message = "function spiky returned nan at (0.25, 0.5); 3 of 5 values are not finite"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        _values(spiky, pts)
+    np.testing.assert_array_equal(_values(lambda p: p[:, 0] + p[:, 1], pts), pts.sum(axis=1))
 
 
 def test_project_qh_interior_convergence_rate():
